@@ -20,11 +20,11 @@ downstream.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .delay_solver import PI, DelaySetup, _kinks, endpoint_values, grid_breakpoints
+from .delay_solver import PI, DelaySetup, _p_values, endpoint_values, grid_breakpoints
 from .errors import DomainError, GridMismatchError, PreconditionError
 from .gridfn import (
     PiecewiseFunction,
@@ -140,27 +140,6 @@ class CharData:
 # weight construction
 
 
-def _correction_values(q, setup, om, xs: np.ndarray) -> np.ndarray:
-    """Vectorized correction on points of (3a/2, 5a/2).
-
-    One kink-aware inner quadrature per point; the difference-of-
-    antiderivative factors reuse the shared cumulative ``om``.
-    """
-    a = setup.a
-    sign = 1.0 if setup.nu else -1.0
-    total = om.values(3.0 * a)
-    out = (total - om.values(xs + 0.5 * a)) * om.values(xs - 0.5 * a)
-    step = a / 2048.0
-    for i, x in enumerate(xs):
-        hi = 3.5 * a - x
-        if hi <= a + 1e-12:
-            continue
-        ts, wts, qv = piecewise_quad(q, _kinks(q, [0.0, 0.5 * a - x], [], a, hi), step)
-        inner = total - om.values(ts + (x - 0.5 * a))
-        out[i] = out[i] + sign * np.dot(wts, qv * inner)
-    return out
-
-
 def q_correction(q: PiecewiseFunction, setup: DelaySetup, x: float) -> complex:
     """Correction the weight picks up at one point of (3a/2, 5a/2).
 
@@ -174,7 +153,9 @@ def q_correction(q: PiecewiseFunction, setup: DelaySetup, x: float) -> complex:
     if not 1.5 * a - snap <= x <= 2.5 * a + snap:
         raise PreconditionError(f"correction point {x} outside (3a/2, 5a/2)")
     om = cumulative(q, a)
-    return complex(_correction_values(q, setup, om, np.array([float(x)]))[0])
+    # the correction is the triangle kernel P(3a, .) of the opposite index
+    flipped = replace(setup, nu=1 - setup.nu)
+    return complex(_p_values(q, flipped, om, 3.0 * a, np.array([float(x)]))[0])
 
 
 def build_w(q: PiecewiseFunction, setup: DelaySetup) -> tuple[CharData, CharData]:
@@ -195,6 +176,8 @@ def build_w(q: PiecewiseFunction, setup: DelaySetup) -> tuple[CharData, CharData
                 f"potential grid must break at {point} to carry the weight"
             )
     om = cumulative(q, a)
+    # the correction is the triangle kernel P(3a, .) of the opposite index
+    flipped = replace(setup, nu=1 - setup.nu)
     omega = complex(integrate(q, a, q.hi))
     segs = []
     for seg in q.segments:
@@ -202,7 +185,7 @@ def build_w(q: PiecewiseFunction, setup: DelaySetup) -> tuple[CharData, CharData
         if hi <= a + snap or lo >= 3.0 * a - snap:
             continue
         if lo >= 1.5 * a - snap and hi <= 2.5 * a + snap:
-            vals = seg.samples + _correction_values(q, setup, om, seg.nodes())
+            vals = seg.samples + _p_values(q, flipped, om, 3.0 * a, seg.nodes())
         else:
             vals = seg.samples.copy()
         segs.append(SampledSegment(seg.interval, vals))

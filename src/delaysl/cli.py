@@ -518,26 +518,43 @@ def _classical_values(nu: int, j: int, count: int) -> np.ndarray:
     return np.array([float(k * k) for k in range(start, start + count)])
 
 
-def cmd_spectrum(config: RunConfig, out: Path) -> int:
-    """Baseline spectra of the zero potential, checked against n^2 laws."""
-    setup = _setup(config)
-    datas = build_w(_zero_potential(config), setup)
-    sections = {}
-    ok = True
+_BASELINE_TOL = 1e-10  # largest gap of a zero-potential spectrum to its n^2 law
+
+
+def _spectrum(config: RunConfig, delta, j: int):
+    return compute_spectrum(
+        delta,
+        config.nu,
+        j,
+        config.spectrum.n_max,
+        tol=config.spectrum.newton_tol,
+        im_window=config.spectrum.im_window,
+    )
+
+
+def _baseline(config: RunConfig, spectrum):
+    """Zero-potential spectra j = 0, 1 and their gaps to the n^2 laws.
+
+    ``spectrum(name, delta, j)`` computes one spectrum, or returns None
+    when the caller has recorded a failure; that j is then skipped.
+    Yields (j, spectrum, gap, gap within _BASELINE_TOL).
+    """
+    datas = build_w(_zero_potential(config), _setup(config))
     for j in (0, 1):
-        delta = lambda lam, data=datas[j]: delta_closed(data, lam)
-        s = compute_spectrum(
-            delta,
-            config.nu,
-            j,
-            config.spectrum.n_max,
-            tol=config.spectrum.newton_tol,
-            im_window=config.spectrum.im_window,
-        )
-        (out / f"spectrum_j{j}.csv").write_text(s.to_csv(), encoding="utf-8")
+        s = spectrum(f"baseline_j{j}", lambda lam, data=datas[j]: delta_closed(data, lam), j)
+        if s is None:
+            continue
         lams = s.lambdas()
         gap = float(np.max(np.abs(lams - _classical_values(config.nu, j, len(lams)))))
-        good = gap <= 1e-10
+        yield j, s, gap, gap <= _BASELINE_TOL
+
+
+def cmd_spectrum(config: RunConfig, out: Path) -> int:
+    """Baseline spectra of the zero potential, checked against n^2 laws."""
+    sections = {}
+    ok = True
+    for j, s, gap, good in _baseline(config, lambda name, delta, j: _spectrum(config, delta, j)):
+        (out / f"spectrum_j{j}.csv").write_text(s.to_csv(), encoding="utf-8")
         ok = ok and good
         sections[f"j{j}"] = {
             "entries": len(s.entries),
@@ -569,14 +586,7 @@ def cmd_isospec(config: RunConfig, out: Path) -> int:
     def one_spectrum(name, delta, j):
         nonlocal ok
         try:
-            s = compute_spectrum(
-                delta,
-                config.nu,
-                j,
-                config.spectrum.n_max,
-                tol=config.spectrum.newton_tol,
-                im_window=config.spectrum.im_window,
-            )
+            s = _spectrum(config, delta, j)
         except _NUMERIC_ERRORS as exc:
             spectra.append({"name": name, "pass": False, "error": str(exc)})
             ok = False
@@ -626,24 +636,16 @@ def cmd_isospec(config: RunConfig, out: Path) -> int:
                 "max_rel_diff",
             )
 
-    datas = build_w(_zero_potential(config), setup)
-    for j in (0, 1):
-        s = one_spectrum(
-            f"baseline_j{j}", lambda lam, data=datas[j]: delta_closed(data, lam), j
+    for j, _, gap, good in _baseline(config, one_spectrum):
+        ok = ok and good
+        comparisons.append(
+            {
+                "name": f"baseline_classical_j{j}",
+                "max_abs_diff": gap,
+                "tolerance": _BASELINE_TOL,
+                "pass": good,
+            }
         )
-        if s is not None:
-            lams = s.lambdas()
-            gap = float(np.max(np.abs(lams - _classical_values(config.nu, j, len(lams)))))
-            good = gap <= 1e-10
-            ok = ok and good
-            comparisons.append(
-                {
-                    "name": f"baseline_classical_j{j}",
-                    "max_abs_diff": gap,
-                    "tolerance": 1e-10,
-                    "pass": good,
-                }
-            )
 
     report = {
         "a": config.a,

@@ -23,7 +23,7 @@ Closed forms for the first and second iterates (``y1_closed``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,10 +34,11 @@ from .gridfn import (
     Interval,
     PiecewiseFunction,
     SampledSegment,
+    _breaks,
+    _lagrange4,
     cumulative,
-    integrate,
-    piecewise_quad,
     sample_function,
+    shifted_product_integrals,
     simpson_rule,
 )
 
@@ -161,17 +162,6 @@ def _check_support(q: PiecewiseFunction, a: float) -> None:
     scale = max(1.0, float(np.max(np.abs(q.all_samples()))))
     if float(np.max(np.abs(q.values(probe)))) > 1e-12 * scale:
         raise PreconditionError("potential must vanish on (0, a)")
-
-
-def _lagrange4(xi: float) -> np.ndarray:
-    return np.array(
-        [
-            -(xi - 1.0) * (xi - 2.0) * (xi - 3.0) / 6.0,
-            xi * (xi - 2.0) * (xi - 3.0) / 2.0,
-            -xi * (xi - 1.0) * (xi - 3.0) / 2.0,
-            xi * (xi - 1.0) * (xi - 2.0) / 6.0,
-        ]
-    )
 
 
 class _March:
@@ -576,20 +566,6 @@ def _omega(q: PiecewiseFunction, a: float) -> PiecewiseFunction:
     return cumulative(q, a)
 
 
-def _kinks(q, shifts, reflects, lo: float, hi: float) -> np.ndarray:
-    """Images of q's breakpoints under t = b + s and t = r - b, clipped to (lo, hi)."""
-    pts = [lo, hi]
-    for b in q.breakpoints():
-        for s in shifts:
-            if lo + 1e-12 < b + s < hi - 1e-12:
-                pts.append(b + s)
-        for r in reflects:
-            if lo + 1e-12 < r - b < hi - 1e-12:
-                pts.append(r - b)
-    pts = np.unique(np.array(pts))
-    return pts[np.append(np.diff(pts) > 1e-9, True)]
-
-
 def _p_values(q, setup, om, x: float, ts: np.ndarray) -> np.ndarray:
     """Triangle kernel values P(x, t) for one x and many t.
 
@@ -599,16 +575,10 @@ def _p_values(q, setup, om, x: float, ts: np.ndarray) -> np.ndarray:
     a = setup.a
     sign = -1.0 if setup.nu else 1.0
     omx = om.values(x)
-    out = (omx - om.values(ts + 0.5 * a)) * om.values(ts - 0.5 * a)
-    step = a / 2048.0
-    for i, t in enumerate(ts):
-        hi = x - t + 0.5 * a
-        if hi <= a + 1e-14:
-            continue
-        xs, ws, qv = piecewise_quad(q, _kinks(q, [0.0, 0.5 * a - t], [], a, hi), step)
-        vals = qv * (omx - om.values(xs + (t - 0.5 * a)))
-        out[i] = out[i] + sign * np.dot(ws, vals)
-    return out
+    inner = shifted_product_integrals(
+        q, om.map_samples(lambda s, _: omx - s), ts - 0.5 * a, a, x - ts + 0.5 * a, a / 2048.0
+    )
+    return (omx - om.values(ts + 0.5 * a)) * om.values(ts - 0.5 * a) + sign * inner
 
 
 def p_kernel(q: PiecewiseFunction, setup: DelaySetup, x: float, t: float) -> complex:
@@ -636,7 +606,8 @@ def p_function(q: PiecewiseFunction, setup: DelaySetup, x: float) -> PiecewiseFu
     if hi <= lo + 1e-9:
         return None
     om = _omega(q, a)
-    pieces = _kinks(q, [0.5 * a, -0.5 * a], [x + 0.5 * a], lo, hi)
+    b = q.breakpoints()
+    pieces = _breaks(np.concatenate([b + 0.5 * a, b - 0.5 * a, x + 0.5 * a - b]), lo, hi)
     segs = []
     for plo, phi in zip(pieces[:-1], pieces[1:]):
         iv = Interval(float(plo), float(phi))

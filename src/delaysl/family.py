@@ -184,7 +184,7 @@ def build_member(
 
 
 def w_of_member(member: FamilyMember) -> PiecewiseFunction:
-    """Weight function of the member, computed two independent ways.
+    """Weight function of the member, computed by two formulas.
 
     The general construction integrates the correction kernel against
     the full potential.  Because every member vanishes on (a, 3a/2),
@@ -197,7 +197,11 @@ def w_of_member(member: FamilyMember) -> PiecewiseFunction:
     and w = q elsewhere.  Both routes are evaluated and compared at
     every interior node; disagreement beyond 1e-8 of w's size means a
     bug in one of them, so it raises rather than returns.  The general
-    result is the one returned.
+    result is the one returned.  The comparison checks each formula
+    against the other, not the quadrature: both run their nested
+    integrals through ``gridfn.shifted_product_integrals``, which is
+    checked against a midpoint oracle and, through ``apply``, against
+    the Nystrom matrix.
     """
     a = member.a
     setup = DelaySetup(a=a, nu=member.nu)

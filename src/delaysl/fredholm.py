@@ -31,8 +31,8 @@ from .gridfn import (
     SampledSegment,
     cumulative,
     integrate,
-    piecewise_quad,
     sample_function,
+    shifted_product_integrals,
 )
 
 __all__ = [
@@ -122,20 +122,7 @@ def apply(op: FredholmOperator, f: PiecewiseFunction) -> PiecewiseFunction:
     if abs(f.lo - 1.5 * a) > snap or abs(f.hi - 2.0 * a) > snap:
         raise PreconditionError("argument must live on (3a/2, 2a)")
     xs = np.linspace(1.5 * a, 2.0 * a, 513)
-    out = np.empty(513, dtype=complex)
-    kink_sources = np.concatenate([op.K.breakpoints(), [op.K.lo, op.K.hi]])
-    for i, x in enumerate(xs):
-        pts = [1.5 * a, 2.0 * a]
-        for b in f.breakpoints():
-            pts.append(float(b))
-        for c in kink_sources:
-            t = float(c) - x + 0.5 * a
-            if 1.5 * a < t < 2.0 * a:
-                pts.append(t)
-        pts = np.unique(np.asarray(pts))
-        pts = pts[np.append(np.diff(pts) > 1e-9, True)]
-        ts, wts, fv = piecewise_quad(f, pts, a / 2048.0)
-        out[i] = np.dot(wts, op.K.values(ts + (x - 0.5 * a)) * fv)
+    out = shifted_product_integrals(f, op.K, xs - 0.5 * a, 1.5 * a, 2.0 * a, a / 2048.0)
     return PiecewiseFunction([SampledSegment(Interval(1.5 * a, 2.0 * a), out)])
 
 

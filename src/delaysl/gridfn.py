@@ -36,6 +36,7 @@ __all__ = [
     "sample_function",
     "simpson_rule",
     "piecewise_quad",
+    "shifted_product_integrals",
     "assemble_segments",
     "write_csv",
     "read_csv",
@@ -81,6 +82,16 @@ def _partial_weights(base, xa, xb):
     powa = np.array([xa, xa**2 / 2.0, xa**3 / 3.0, xa**4 / 4.0])
     powb = np.array([xb, xb**2 / 2.0, xb**3 / 3.0, xb**4 / 4.0])
     return (powb - powa) @ _VINV[base]
+
+
+def _lagrange4(xi):
+    """Cubic Lagrange weights of stencil nodes 0..3 at offset xi (scalar or array)."""
+    return (
+        -(xi - 1.0) * (xi - 2.0) * (xi - 3.0) / 6.0,
+        xi * (xi - 2.0) * (xi - 3.0) / 2.0,
+        -xi * (xi - 1.0) * (xi - 3.0) / 2.0,
+        xi * (xi - 1.0) * (xi - 2.0) / 6.0,
+    )
 
 
 def _stencil(cell, count):
@@ -151,12 +162,12 @@ class SampledSegment:
         else:
             cell = np.clip(np.floor(u).astype(int), 0, n - 2)
             j0 = np.clip(cell - 1, 0, n - 4)
-            xi = u - j0
+            w = _lagrange4(u - j0)
             out = (
-                self.samples[j0] * (-(xi - 1.0) * (xi - 2.0) * (xi - 3.0) / 6.0)
-                + self.samples[j0 + 1] * (xi * (xi - 2.0) * (xi - 3.0) / 2.0)
-                + self.samples[j0 + 2] * (-xi * (xi - 1.0) * (xi - 3.0) / 2.0)
-                + self.samples[j0 + 3] * (xi * (xi - 1.0) * (xi - 2.0) / 6.0)
+                self.samples[j0] * w[0]
+                + self.samples[j0 + 1] * w[1]
+                + self.samples[j0 + 2] * w[2]
+                + self.samples[j0 + 3] * w[3]
             )
         # snap to stored samples where x falls on a node
         k = np.rint(u).astype(int)
@@ -268,9 +279,6 @@ class PiecewiseFunction:
         return out[0] if scalar else out
 
     def __call__(self, x):
-        return self.values(x)
-
-    def eval(self, x):
         return self.values(x)
 
     def nodes(self) -> np.ndarray:
@@ -450,6 +458,41 @@ def piecewise_quad(fn: PiecewiseFunction, breakpoints, spacing_hint: float, min_
     if not xs:
         raise DomainError("empty quadrature range")
     return np.concatenate(xs), np.concatenate(ws), np.concatenate(vs)
+
+
+def _breaks(points, lo: float, hi: float) -> np.ndarray:
+    """Sorted cut points: lo, hi and the points strictly inside (lo, hi).
+
+    Of points closer together than 1e-9 only the last is kept.
+    """
+    points = np.asarray(points, dtype=float)
+    inside = points[(lo + 1e-12 < points) & (points < hi - 1e-12)]
+    pts = np.unique(np.concatenate([[lo, hi], inside]))
+    return pts[np.append(np.diff(pts) > 1e-9, True)]
+
+
+def shifted_product_integrals(
+    f: PiecewiseFunction, g: PiecewiseFunction, shifts, lo: float, his, spacing: float
+) -> np.ndarray:
+    """out[i] = integral of f(s) g(s + shifts[i]) over s in (lo, his[i]).
+
+    Each range is split at f's breakpoints and at g's breakpoints moved
+    back by the shift, so no piece straddles a breakpoint of either
+    factor; every piece gets a composite-Simpson rule of about
+    ``spacing`` (``piecewise_quad``).  f may jump, since its values are
+    taken side-correctly; g is read through ``values`` and so must be
+    continuous.  ``shifts`` and ``his`` broadcast to one 1-D array of
+    points; a range no longer than 1e-9 integrates to 0.
+    """
+    shifts, his = np.broadcast_arrays(np.asarray(shifts, dtype=float), np.asarray(his, dtype=float))
+    fb, gb = f.breakpoints(), g.breakpoints()
+    out = np.zeros(shifts.shape, dtype=complex)
+    for i, (shift, hi) in enumerate(zip(shifts, his)):
+        if hi - lo <= 1e-9:
+            continue
+        s, w, fv = piecewise_quad(f, _breaks(np.concatenate([fb, gb - shift]), lo, hi), spacing)
+        out[i] = np.dot(w, fv * g.values(s + shift))
+    return out
 
 
 def assemble_segments(x, v) -> PiecewiseFunction:
