@@ -24,7 +24,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .delay_solver import PI, DelaySetup, _p_values, endpoint_values, grid_breakpoints
+from .delay_solver import (
+    PI,
+    DelaySetup,
+    _p_on_pieces,
+    _p_values,
+    endpoint_values,
+    grid_breakpoints,
+)
 from .errors import DomainError, GridMismatchError, PreconditionError
 from .gridfn import (
     PiecewiseFunction,
@@ -163,8 +170,10 @@ def build_w(q: PiecewiseFunction, setup: DelaySetup) -> tuple[CharData, CharData
 
     The potential must vanish outside (a, 3a) and its grid must break at
     a, 3a/2, 5a/2 and 3a so segments never straddle the correction
-    window.  Both returned records share one weight function and one
-    omega; only j differs.
+    window.  The correction is computed on the lattice of spacing
+    a/4096, so every breakpoint of q must be a multiple of it
+    (GridMismatchError otherwise).  Both returned records share one
+    weight function and one omega; only j differs.
     """
     a = setup.a
     _validate_confined(q, a)
@@ -176,18 +185,22 @@ def build_w(q: PiecewiseFunction, setup: DelaySetup) -> tuple[CharData, CharData
                 f"potential grid must break at {point} to carry the weight"
             )
     om = cumulative(q, a)
-    # the correction is the triangle kernel P(3a, .) of the opposite index
+    # the correction is the triangle kernel P(3a, .) of the opposite index;
+    # it kinks only at multiples of a/2, where grid_breakpoints grids break
     flipped = replace(setup, nu=1 - setup.nu)
+    window = [
+        seg
+        for seg in q.segments
+        if seg.interval.lo >= 1.5 * a - snap and seg.interval.hi <= 2.5 * a + snap
+    ]
+    corrections = iter(_p_on_pieces(q, flipped, om, 3.0 * a, [seg.nodes() for seg in window]))
     omega = complex(integrate(q, a, q.hi))
     segs = []
     for seg in q.segments:
         lo, hi = seg.interval.lo, seg.interval.hi
         if hi <= a + snap or lo >= 3.0 * a - snap:
             continue
-        if lo >= 1.5 * a - snap and hi <= 2.5 * a + snap:
-            vals = seg.samples + _p_values(q, flipped, om, 3.0 * a, seg.nodes())
-        else:
-            vals = seg.samples.copy()
+        vals = seg.samples + next(corrections) if seg in window else seg.samples.copy()
         segs.append(SampledSegment(seg.interval, vals))
     w = PiecewiseFunction(segs)
     return (

@@ -298,15 +298,16 @@ def _kernel_identity_worst(seed: int) -> float:
     return max(float(np.max(np.abs(r0))), float(np.max(np.abs(r1))))
 
 
-def _draw_points(config: RunConfig):
+def _draw_points(config: RunConfig, x_lo: float):
+    """Three x in (x_lo + 0.05, pi - 0.05) and two lambda, which do not depend on x_lo."""
     rng = np.random.default_rng(config.seed + 1)
-    xs = rng.uniform(2.0 * config.a + 0.05, PI - 0.05, 3)
+    xs = rng.uniform(x_lo + 0.05, PI - 0.05, 3)
     lams = rng.uniform(4.0, 380.0, 2) + 1j * rng.uniform(-3.0, 3.0, 2)
     return xs, lams
 
 
 def _first_term_worst(config: RunConfig, q) -> float:
-    xs, lams = _draw_points(config)
+    xs, lams = _draw_points(config, 2.0 * config.a)
     worst = 0.0
     for nu in (0, 1):
         su = DelaySetup(a=config.a, nu=nu, segment_nodes=config.grid.segment_nodes)
@@ -320,7 +321,9 @@ def _first_term_worst(config: RunConfig, q) -> float:
 
 
 def _second_term_worst(config: RunConfig, q) -> float:
-    xs, lams = _draw_points(config)
+    # a family member vanishes on (a, 3a/2), so P(x, .) is identically
+    # zero for x <= 5a/2 and the closed form would only check 0 = 0 there
+    xs, lams = _draw_points(config, 2.5 * config.a)
     worst = 0.0
     for nu in (0, 1):
         su = DelaySetup(a=config.a, nu=nu, segment_nodes=config.grid.segment_nodes)

@@ -35,8 +35,10 @@ from .gridfn import (
     PiecewiseFunction,
     SampledSegment,
     _breaks,
+    _cubic,
     _lagrange4,
     cumulative,
+    lattice_product_integrals,
     sample_function,
     shifted_product_integrals,
     simpson_rule,
@@ -62,6 +64,10 @@ PI = math.pi
 
 # target cap for the RK4 step of the auto-sized march
 _MAX_STEP = PI / 4096.0
+
+# lattice cells per delay length for the nested integrals of the
+# potential (triangle kernel, weight correction, Fredholm operator)
+_LATTICE_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -567,10 +573,12 @@ def _omega(q: PiecewiseFunction, a: float) -> PiecewiseFunction:
 
 
 def _p_values(q, setup, om, x: float, ts: np.ndarray) -> np.ndarray:
-    """Triangle kernel values P(x, t) for one x and many t.
+    """Triangle kernel values P(x, t) for one x and many t, point by point.
 
-    Each t costs one kink-aware quadrature; callers that need P densely
-    should go through ``p_function`` and interpolate.
+    Each t costs one kink-aware quadrature (``shifted_product_integrals``).
+    This is the independent oracle of the lattice route
+    (``_p_on_pieces``), which uses it only for pieces too short to
+    interpolate in.
     """
     a = setup.a
     sign = -1.0 if setup.nu else 1.0
@@ -579,6 +587,56 @@ def _p_values(q, setup, om, x: float, ts: np.ndarray) -> np.ndarray:
         q, om.map_samples(lambda s, _: omx - s), ts - 0.5 * a, a, x - ts + 0.5 * a, a / 2048.0
     )
     return (omx - om.values(ts + 0.5 * a)) * om.values(ts - 0.5 * a) + sign * inner
+
+
+def _p_lattice(q, setup, om, x: float, ms: np.ndarray) -> np.ndarray:
+    """P(x, t) at the lattice points t = a/2 + m delta, delta = a / _LATTICE_CELLS.
+
+    With sigma = t - a/2, integrating the inner integral by parts gives
+
+        int_a^{x - sigma} q(s) [om(x) - om(s + sigma)] ds = int_a^x q(u) om(u - sigma) du
+
+    (om = 0 below a), in which x is only the fixed upper limit, so one
+    lattice correlation yields every m at once.
+    """
+    a = setup.a
+    delta = a / _LATTICE_CELLS
+    sign = -1.0 if setup.nu else 1.0
+    sig = delta * ms
+    inner = lattice_product_integrals(q, om, -ms, a, x, delta)
+    return (om.values(x) - om.values(a + sig)) * om.values(sig) + sign * inner
+
+
+def _p_on_pieces(q, setup, om, x: float, parts) -> list:
+    """P(x, .) at each sorted node array of ``parts``.
+
+    Each array must lie within one smooth piece of P(x, .).  P is
+    computed on the lattice t = a/2 + m delta over all parts in one
+    ``_p_lattice`` call; a node on the lattice takes its lattice value,
+    any other node the 4-point Lagrange interpolant of the lattice nodes
+    inside its own piece (one-sided at the piece ends, so never across
+    a kink).  A piece holding fewer than 4 lattice nodes goes through
+    the pointwise ``_p_values``.
+    """
+    a = setup.a
+    delta = a / _LATTICE_CELLS
+    us = [(np.asarray(ts, dtype=float) - 0.5 * a) / delta for ts in parts]
+    spans = []
+    for u in us:
+        tol = 1e-9 * (1.0 + abs(u[0]) + abs(u[-1]))
+        spans.append((math.ceil(u[0] - tol), math.floor(u[-1] + tol)))
+    first = min(m0 for m0, _ in spans)
+    last = max(m1 for _, m1 in spans)
+    vals = _p_lattice(q, setup, om, x, np.arange(first, last + 1))
+    out = []
+    for ts, u, (m0, m1) in zip(parts, us, spans):
+        if m1 - m0 < 3:
+            out.append(_p_values(q, setup, om, x, np.asarray(ts, dtype=float)))
+            continue
+        k = np.rint(u)
+        u = np.where(np.abs(u - k) <= 1e-9 * (1.0 + np.abs(u)), k, u)
+        out.append(_cubic(vals[m0 - first : m1 - first + 1], u - m0))
+    return out
 
 
 def p_kernel(q: PiecewiseFunction, setup: DelaySetup, x: float, t: float) -> complex:
@@ -597,9 +655,14 @@ def p_kernel(q: PiecewiseFunction, setup: DelaySetup, x: float, t: float) -> com
 def p_function(q: PiecewiseFunction, setup: DelaySetup, x: float) -> PiecewiseFunction | None:
     """P(x, .) sampled as a function of t on [3a/2, x - a/2].
 
-    Returns None when the range is empty (x <= 2a).  Building this once
-    per x and passing it to ``y2_closed`` amortizes the kernel quadratures
-    over many spectral points.
+    Returns None when the range is empty (x <= 2a).  The range is cut
+    into the smooth pieces of P(x, .), at the breakpoints of q moved by
+    +-a/2 and at x + a/2 - b (where P's second derivative jumps for
+    x < 3a), and each piece gets 1025 samples from the lattice values
+    of ``_p_on_pieces``; every breakpoint of q must be a multiple of the
+    lattice spacing a/4096 (GridMismatchError otherwise).  Building this
+    once per x and passing it to ``y2_closed`` amortizes the kernel over
+    many spectral points.
     """
     a = setup.a
     lo, hi = 1.5 * a, x - 0.5 * a
@@ -608,12 +671,10 @@ def p_function(q: PiecewiseFunction, setup: DelaySetup, x: float) -> PiecewiseFu
     om = _omega(q, a)
     b = q.breakpoints()
     pieces = _breaks(np.concatenate([b + 0.5 * a, b - 0.5 * a, x + 0.5 * a - b]), lo, hi)
-    segs = []
-    for plo, phi in zip(pieces[:-1], pieces[1:]):
-        iv = Interval(float(plo), float(phi))
-        ts = np.linspace(iv.lo, iv.hi, 1025)
-        segs.append(SampledSegment(iv, _p_values(q, setup, om, x, ts)))
-    return PiecewiseFunction(segs)
+    ivs = [Interval(float(plo), float(phi)) for plo, phi in zip(pieces[:-1], pieces[1:])]
+    parts = [np.linspace(iv.lo, iv.hi, 1025) for iv in ivs]
+    vals = _p_on_pieces(q, setup, om, x, parts)
+    return PiecewiseFunction(SampledSegment(iv, v) for iv, v in zip(ivs, vals))
 
 
 def _second_term_quad(setup, lam, x, pfn, kernel_kind: str) -> complex:

@@ -199,8 +199,10 @@ def w_of_member(member: FamilyMember) -> PiecewiseFunction:
     bug in one of them, so it raises rather than returns.  The general
     result is the one returned.  The comparison checks each formula
     against the other, not the quadrature: both run their nested
-    integrals through ``gridfn.shifted_product_integrals``, which is
-    checked against a midpoint oracle and, through ``apply``, against
+    integrals through the lattice rule
+    ``gridfn.lattice_product_integrals``, which is checked against a
+    midpoint oracle, against the pointwise
+    ``gridfn.shifted_product_integrals`` and, through ``apply``, against
     the Nystrom matrix.
     """
     a = member.a

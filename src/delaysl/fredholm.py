@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delay_solver import PI
+from .delay_solver import _LATTICE_CELLS, PI
 from .errors import DomainError, NoEigenvaluesError, PreconditionError
 from .gridfn import (
     Interval,
@@ -31,8 +31,8 @@ from .gridfn import (
     SampledSegment,
     cumulative,
     integrate,
+    lattice_product_integrals,
     sample_function,
-    shifted_product_integrals,
 )
 
 __all__ = [
@@ -121,8 +121,11 @@ def apply(op: FredholmOperator, f: PiecewiseFunction) -> PiecewiseFunction:
     snap = 1e-9 * (1.0 + 2.0 * a)
     if abs(f.lo - 1.5 * a) > snap or abs(f.hi - 2.0 * a) > snap:
         raise PreconditionError("argument must live on (3a/2, 2a)")
+    delta = a / _LATTICE_CELLS
+    # every output node shifts K by x - a/2, a whole number of lattice cells
     xs = np.linspace(1.5 * a, 2.0 * a, 513)
-    out = shifted_product_integrals(f, op.K, xs - 0.5 * a, 1.5 * a, 2.0 * a, a / 2048.0)
+    ks = np.rint((xs - 0.5 * a) / delta).astype(int)
+    out = lattice_product_integrals(f, op.K, ks, 1.5 * a, 2.0 * a, delta)
     return PiecewiseFunction([SampledSegment(Interval(1.5 * a, 2.0 * a), out)])
 
 
@@ -173,7 +176,9 @@ def nystrom(op: FredholmOperator, n: int):
         xn = mid[:, None] + half[:, None] * rxi[None, :]
         wn = (swb * half)[:, None] * rwt[None, :]
         left = _orthobasis(a, n, xn.ravel())
-        right = _orthobasis(a, n, (sb[:, None] + 0.5 * a - xn).ravel())
+        # the right nodes s + a/2 - xn = mid - half * rxi are the left ones
+        # in reverse order, as the Gauss nodes are symmetric
+        right = left.reshape(n, *xn.shape)[:, :, ::-1].reshape(n, -1)
         A += (left * wn.ravel()) @ right.T
     A = 0.5 * (A + A.T)
     return A, x, w

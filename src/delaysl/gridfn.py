@@ -17,6 +17,17 @@ Conventions:
 * integration is a composite interpolatory rule, exact for the cubic
   interpolant on every cell, so splitting a range at an arbitrary point
   changes the result only by float reassociation.
+
+Integrals of a product f(s) g(s + shift) come in two forms.  The
+pointwise ``shifted_product_integrals`` splits each range at both
+factors' breakpoints and runs one composite-Simpson plan per shift; it
+takes any shifts and any upper limits.  The lattice rule
+``lattice_product_integrals`` takes a spacing delta that divides every
+breakpoint, and shifts that are integer multiples of delta: it puts one
+Simpson panel on each lattice cell [k delta, (k+1) delta], so every
+breakpoint of either factor, shifted or not, sits on a panel edge, and
+all shifts share one set of nodes.  The sum over nodes is then a
+discrete correlation, computed for every shift at once by FFT.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ __all__ = [
     "simpson_rule",
     "piecewise_quad",
     "shifted_product_integrals",
+    "lattice_product_integrals",
     "assemble_segments",
     "write_csv",
     "read_csv",
@@ -91,6 +103,23 @@ def _lagrange4(xi):
         xi * (xi - 2.0) * (xi - 3.0) / 2.0,
         -xi * (xi - 1.0) * (xi - 3.0) / 2.0,
         xi * (xi - 1.0) * (xi - 2.0) / 6.0,
+    )
+
+
+def _cubic(samples, u):
+    """4-point Lagrange interpolation of uniform samples at fractional indices u.
+
+    Each point uses the stencil around its cell, shifted inwards at both
+    ends; needs at least 4 samples.
+    """
+    cell = np.clip(np.floor(u).astype(int), 0, samples.shape[0] - 2)
+    j0 = np.clip(cell - 1, 0, samples.shape[0] - 4)
+    w = _lagrange4(u - j0)
+    return (
+        samples[j0] * w[0]
+        + samples[j0 + 1] * w[1]
+        + samples[j0 + 2] * w[2]
+        + samples[j0 + 3] * w[3]
     )
 
 
@@ -160,15 +189,7 @@ class SampledSegment:
                 + self.samples[2] * (u * (u - 1.0) / 2.0)
             )
         else:
-            cell = np.clip(np.floor(u).astype(int), 0, n - 2)
-            j0 = np.clip(cell - 1, 0, n - 4)
-            w = _lagrange4(u - j0)
-            out = (
-                self.samples[j0] * w[0]
-                + self.samples[j0 + 1] * w[1]
-                + self.samples[j0 + 2] * w[2]
-                + self.samples[j0 + 3] * w[3]
-            )
+            out = _cubic(self.samples, u)
         # snap to stored samples where x falls on a node
         k = np.rint(u).astype(int)
         on_node = (np.abs(u - k) <= _NODE_SNAP * (1.0 + np.abs(u))) & (k >= 0) & (k < n)
@@ -492,6 +513,86 @@ def shifted_product_integrals(
             continue
         s, w, fv = piecewise_quad(f, _breaks(np.concatenate([fb, gb - shift]), lo, hi), spacing)
         out[i] = np.dot(w, fv * g.values(s + shift))
+    return out
+
+
+def _require_on_lattice(x: float, delta: float, what: str) -> None:
+    u = x / delta
+    if abs(u - round(u)) > _NODE_SNAP * (1.0 + abs(u)):
+        raise GridMismatchError(f"{what} {x} is not a multiple of the lattice spacing {delta}")
+
+
+def _zero_extended(g: PiecewiseFunction, x) -> np.ndarray:
+    """g at x, and 0 outside g's domain."""
+    x = np.asarray(x, dtype=float)
+    slack = 1e-12 * (1.0 + max(abs(g.lo), abs(g.hi)))
+    inside = (x >= g.lo - slack) & (x <= g.hi + slack)
+    out = np.zeros(x.shape, dtype=complex)
+    out[inside] = g.values(np.clip(x[inside], g.lo, g.hi))
+    return out
+
+
+def lattice_product_integrals(
+    f: PiecewiseFunction, g: PiecewiseFunction, ks, lo: float, hi: float, delta: float
+) -> np.ndarray:
+    """out[i] = integral of f(s) g(s + ks[i] delta) over s in (lo, hi), for integer ks.
+
+    The rule is one Simpson panel per lattice cell [k delta, (k+1) delta]
+    (nodes at multiples of delta / 2), plus one panel on a last partial
+    cell when hi is off the lattice.  lo and every breakpoint of f and g
+    must be multiples of delta, or GridMismatchError is raised; then no
+    panel straddles a breakpoint of either factor at any integer shift.
+    f may jump: each cell takes its values from the segment holding it.
+    g is 0 outside its domain and must be continuous, across its edges
+    too where the shifts bring them inside the range, because a node
+    reads one value of g for the two cells that share it.  All shifts
+    share the node set, so the sums over nodes form one discrete
+    correlation, computed by FFT.  A range no longer than 1e-9 gives 0.
+    """
+    ks = np.asarray(ks)
+    if ks.ndim != 1 or not np.array_equal(ks, np.rint(ks)):
+        raise DomainError("lattice shifts must be a 1-D array of integers")
+    ks = ks.astype(np.int64)
+    if ks.size == 0 or hi - lo <= 1e-9:
+        return np.zeros(ks.shape, dtype=complex)
+    slack = 1e-12 * (1.0 + max(abs(f.lo), abs(f.hi)))
+    if lo < f.lo - slack or hi > f.hi + slack:
+        raise DomainError(f"range [{lo}, {hi}] outside [{f.lo}, {f.hi}]")
+    _require_on_lattice(lo, delta, "lower limit")
+    for b in np.concatenate([f.breakpoints(), g.breakpoints()]):
+        _require_on_lattice(b, delta, "breakpoint")
+    span = (hi - lo) / delta
+    cells = int(np.floor(span + _NODE_SNAP * (1.0 + span)))
+    half = 0.5 * delta
+    top = lo + cells * delta  # end of the last whole cell
+
+    # Simpson-weighted samples of f on the half lattice lo + m delta / 2
+    F = np.zeros(2 * cells + 1, dtype=complex)
+    for seg in f.segments:
+        u, v = max(seg.interval.lo, lo), min(seg.interval.hi, top)
+        if v - u <= _NODE_SNAP * delta:
+            continue
+        m0, m1 = round((u - lo) / half), round((v - lo) / half)
+        wts = np.full(m1 - m0 + 1, 2.0)
+        wts[1::2] = 4.0
+        wts[0] = wts[-1] = 1.0
+        F[m0 : m1 + 1] += wts * (delta / 6.0) * seg.values(lo + half * np.arange(m0, m1 + 1))
+
+    # g on every half-lattice node some shift reaches; out[i] is the
+    # correlation of F and G at lag 2 (ks[i] - kmin)
+    kmin, kmax = int(ks.min()), int(ks.max())
+    G = _zero_extended(g, lo + half * np.arange(2 * kmin, 2 * (cells + kmax) + 1))
+    size = 1 << (G.size - 1).bit_length()
+    corr = np.fft.ifft(np.conj(np.fft.fft(np.conj(F), size)) * np.fft.fft(G, size))
+    out = corr[2 * (ks - kmin)]
+
+    if hi - top > _NODE_SNAP * delta * (1.0 + span):
+        mid = 0.5 * (top + hi)
+        k = int(np.searchsorted(f._bounds, mid, side="right")) - 1
+        seg = f.segments[min(max(k, 0), len(f.segments) - 1)]
+        pts = np.array([top, mid, hi])
+        fw = np.array([1.0, 4.0, 1.0]) * ((hi - top) / 6.0) * seg.values(pts)
+        out += fw @ _zero_extended(g, pts[:, None] + delta * ks[None, :])
     return out
 
 

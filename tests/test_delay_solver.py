@@ -10,6 +10,7 @@ from delaysl import (
     PiecewiseFunction,
     PreconditionError,
     SampledSegment,
+    build_w,
     ckernel,
     cumulative,
     endpoint_values,
@@ -17,6 +18,7 @@ from delaysl import (
     integrate,
     p_function,
     p_kernel,
+    q_correction,
     sample_function,
     series_sum,
     series_term,
@@ -226,6 +228,49 @@ def test_p_function_agrees_with_pointwise_kernel():
     for t in ts:
         assert abs(pfn(t) - p_kernel(q, setup, x, t)) < 1e-9
     assert p_function(q, setup, 2 * A - 0.01) is None
+
+
+def _stepped(nodes=129):
+    """The bump plus a different constant on each a/2 of (a, 3a), so q jumps there.
+
+    The jumps are large enough that cubic interpolation across one of
+    P's kinks misses by more than 1e-9.
+    """
+    bps = grid_breakpoints(A, 0.0, np.pi)
+    steps = {1.0: 3.0, 1.5: -2.0, 2.0: 5.0, 2.5: 1.0}
+    segs = []
+    for lo, hi in zip(bps[:-1], bps[1:]):
+        x = np.linspace(lo, hi, nodes)
+        segs.append(SampledSegment(Interval(lo, hi), _bump(x) + steps.get(round(lo / A, 6), 0.0)))
+    return PiecewiseFunction(segs)
+
+
+def test_p_function_matches_the_pointwise_kernel_across_its_kinks():
+    # For x in (5a/2, 3a) P(x, .) kinks at x - a, off the lattice, by the
+    # jump of q at 3a/2.  x = 3a - 1.2 delta leaves a piece 1.2 delta long,
+    # too short to interpolate in, which goes through the pointwise route.
+    q = _stepped()
+    delta = A / 4096
+    for nu in (0, 1):
+        setup = _setup(nu, nodes=129)
+        for x in (2.6 * A, 2.83 * A, 3 * A - 1.2 * delta):
+            pfn = p_function(q, setup, x)
+            lengths = [seg.interval.length for seg in pfn.segments]
+            assert (min(lengths) < 4 * delta) == (x > 2.9 * A)
+            for seg in pfn.segments:
+                for t in np.linspace(seg.interval.lo, seg.interval.hi, 5):
+                    want = p_kernel(q, setup, x, t)
+                    assert abs(seg.values(t) - want) < 1e-9
+
+
+def test_weight_correction_matches_the_pointwise_correction():
+    q = _stepped()
+    for nu in (0, 1):
+        setup = _setup(nu, nodes=129)
+        w = build_w(q, setup)[0].w
+        for x in (1.5 * A + 48 * A / 4096, 2 * A, 2 * A + 112 * A / 4096, 2.5 * A - 16 * A / 4096):
+            want = q_correction(q, setup, x)
+            assert abs(w(x) - q(x) - want) < 1e-9 * (1 + abs(want))
 
 
 def test_second_term_closed_form_matches_quadrature():

@@ -20,7 +20,7 @@ from delaysl import (
     simpson_rule,
     write_csv,
 )
-from delaysl.gridfn import shifted_product_integrals
+from delaysl.gridfn import lattice_product_integrals, shifted_product_integrals
 
 
 def _two_step() -> PiecewiseFunction:
@@ -248,14 +248,18 @@ _PRODUCT_TOL = 1e-8
 
 
 def _midpoint_oracle(f, g, shift, lo, hi, n=80000):
-    """Composite midpoint rule split at f's and the shifted g's breakpoints."""
+    """Composite midpoint rule split at f's and the shifted g's breakpoints.
+
+    g counts as 0 outside its domain, so its shifted ends are cuts too.
+    """
     cuts = [lo, hi] + [b for b in f.breakpoints() if lo < b < hi]
-    cuts += [b - shift for b in g.breakpoints() if lo < b - shift < hi]
+    cuts += [b - shift for b in (g.lo, *g.breakpoints(), g.hi) if lo < b - shift < hi]
     cuts = sorted(cuts)
     total = 0.0 + 0.0j
     for u, v in zip(cuts[:-1], cuts[1:]):
         s = u + (v - u) * (np.arange(n) + 0.5) / n
-        total += (v - u) / n * np.sum(f.values(s) * g.values(s + shift))
+        if g.lo <= s[0] + shift and s[-1] + shift <= g.hi:
+            total += (v - u) / n * np.sum(f.values(s) * g.values(s + shift))
     return total
 
 
@@ -291,3 +295,65 @@ def test_shifted_products_are_linear_in_f_and_match_the_oracle(shift, hi, c):
     assert abs(have - parts) < 1e-12 * (1.0 + abs(c))
     want = _midpoint_oracle(combo, _G, shift, 0.0, hi)
     assert abs(have - want) < _PRODUCT_TOL * (1.0 + abs(want))
+
+
+# The lattice rule's factors: f jumps at 0.75 inside (0, 2); g lives on
+# (-1, 3), vanishes at both ends and has a kink at 1.25.  Every breakpoint
+# and every sample spacing is a multiple of the lattice spacing 1/256.
+_DELTA = 1.0 / 256.0
+_LF = _jumpy(0.0, 0.75, 2.0, np.sin, lambda x: 2.0 + np.cos(3.0 * x))
+_LG = _jumpy(
+    -1.0,
+    1.25,
+    3.0,
+    lambda x: (x + 1.0) * np.exp(-x),
+    lambda x: (3.0 - x) * (1.0 + 1.0j * (x - 1.25)) * 2.25 * np.exp(-1.25) / 1.75,
+)
+
+
+def test_lattice_products_match_the_midpoint_oracle():
+    # hi is off the lattice, so the last partial cell is in play.  Shifts
+    # 0, 77, 192 and -64 move g's kink to 1.25, 0.95, 0.5 and 1.5, inside
+    # the range; -300 and 320 push g partly out of its domain at either
+    # end.  Reading f across its jump from the wrong side would cost about
+    # delta / 6 times the jump, far above the tolerance.
+    hi = 1.9 + 0.3 * _DELTA
+    ks = np.array([-300, -64, 0, 77, 192, 320])
+    have = lattice_product_integrals(_LF, _LG, ks, 0.0, hi, _DELTA)
+    for got, k in zip(have, ks):
+        want = _midpoint_oracle(_LF, _LG, k * _DELTA, 0.0, hi)
+        assert abs(got - want) < _PRODUCT_TOL * (1.0 + abs(want))
+
+
+def test_lattice_products_match_the_pointwise_primitive():
+    # shifts that keep g inside its domain, where both rules apply
+    ks = np.array([-200, -64, 0, 77, 192])
+    for hi in (1.5, 1.9 + 0.3 * _DELTA):
+        have = lattice_product_integrals(_LF, _LG, ks, 0.0, hi, _DELTA)
+        want = shifted_product_integrals(_LF, _LG, ks * _DELTA, 0.0, hi, 1e-3)
+        assert np.max(np.abs(have - want)) < _PRODUCT_TOL
+
+
+def test_lattice_products_refuse_off_lattice_input_and_empty_ranges():
+    with pytest.raises(GridMismatchError):
+        lattice_product_integrals(_F, _LG, [0, 1], 0.0, 1.5, _DELTA)  # f breaks at 0.7
+    with pytest.raises(GridMismatchError):
+        lattice_product_integrals(_LF, _G, [0, 1], 0.0, 1.5, _DELTA)  # g breaks at 1.3
+    with pytest.raises(GridMismatchError):
+        lattice_product_integrals(_LF, _LG, [0, 1], 0.3 * _DELTA, 1.5, _DELTA)
+    with pytest.raises(DomainError):
+        lattice_product_integrals(_LF, _LG, [0.5], 0.0, 1.5, _DELTA)
+    have = lattice_product_integrals(_LF, _LG, [3, 4], 0.5, 0.5 + 1e-10, _DELTA)
+    assert np.array_equal(have, np.zeros(2))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    ks=st.lists(st.integers(min_value=-300, max_value=320), min_size=1, max_size=3),
+    hi=st.floats(min_value=0.05, max_value=2.0),
+)
+def test_lattice_products_match_the_oracle_for_any_shifts(ks, hi):
+    have = lattice_product_integrals(_LF, _LG, ks, 0.0, hi, _DELTA)
+    for got, k in zip(have, ks):
+        want = _midpoint_oracle(_LF, _LG, k * _DELTA, 0.0, hi)
+        assert abs(got - want) < _PRODUCT_TOL * (1.0 + abs(want))
