@@ -8,8 +8,6 @@ families sharing both characteristic functions, together with the
 integral-operator eigenpair machinery those families are built from.
 """
 
-from ._backend import ACTIVE as _active_backend
-from ._backend import get_backend
 from .charfn import CharData, build_w, delta_closed, delta_direct, q_correction
 from .delay_solver import (
     DelaySetup,
@@ -80,11 +78,7 @@ from .spectrum import (
 
 __version__ = "0.1.0"
 
-backend_name = _active_backend.NAME
-
 __all__ = [
-    "backend_name",
-    "get_backend",
     "CharData",
     "build_w",
     "delta_closed",

@@ -1,14 +1,24 @@
 """Initial value solvers for -y'' + q(x) y(x - a) = lam y on (0, pi).
 
-Two independent routes to the same solution:
+Three routes to the same solution:
 
-* ``solve_direct``: method of steps with classical RK4.  The potential is
-  zero below the delay, so the solution on [0, a] is a trigonometric
-  kernel; past that the delayed argument always refers to already
-  computed history.  The march stores values on a half-step grid so that
-  every RK4 stage abscissa of the delayed term lands on a stored node,
-  and it restarts at every breakpoint of q so that no step integrates
-  across a jump.
+* ``endpoint_values``: (y(pi), y'(pi)) for a batch of spectral points by
+  the variation-of-constants form of the method of steps (Bellen &
+  Zennaro, *Numerical Methods for Delay Differential Equations*, 2003).
+  On each delay block the forcing q(t) y(t - a) is already known, so the
+  block's solution is the kernels plus two running integrals, computed
+  for all points and all nodes of the block at once.  This is the
+  stepper behind ``charfn.delta_direct``.
+
+* ``solve_direct``: method of steps with classical RK4, returning the
+  whole solution as a trace.  The potential is zero below the delay, so
+  the solution on [0, a] is a trigonometric kernel; past that the
+  delayed argument always refers to already computed history.  The
+  march stores values on a half-step grid so that every RK4 stage
+  abscissa of the delayed term lands on a stored node, and it restarts
+  at every breakpoint of q so that no step integrates across a jump.
+  It shares no quadrature with the other two routes and is their
+  independent oracle in the tests.
 
 * ``series_term`` / ``series_sum``: the solution as a finite sum of
   iterated integrals (the k-th term vanishes below k*a, so only a few
@@ -28,13 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._backend import get_backend
 from .errors import DomainError, PreconditionError
 from .gridfn import (
     Interval,
     PiecewiseFunction,
     SampledSegment,
     _breaks,
+    _cell_integrals,
     _cubic,
     _lagrange4,
     cumulative,
@@ -62,8 +72,14 @@ __all__ = [
 
 PI = math.pi
 
-# target cap for the RK4 step of the auto-sized march
+# target cap for the step of the auto-sized steppers
 _MAX_STEP = PI / 4096.0
+
+# complex numbers per kernel array in one pass of the block solver
+# (128 KiB): the spectral points go through in passes of
+# _PASS_SIZE // (steps + 1), so the working arrays of a pass stay in cache
+# and are small heap allocations, not fresh mmaps
+_PASS_SIZE = 8192
 
 # lattice cells per delay length for the nested integrals of the
 # potential (triangle kernel, weight correction, Fredholm operator)
@@ -77,9 +93,10 @@ class DelaySetup:
     ``nu`` selects which member of the boundary-value pair the setup
     describes; initial-value routines take their own initial type where
     it differs.  ``segment_nodes`` is the per-segment sample count of all
-    constructed traces; ``steps_per_delay`` forces the RK4 step count per
-    delay length (0 picks the smallest compatible count with step below
-    pi/4096).
+    constructed traces; ``steps_per_delay`` forces the step count per
+    delay length of both steppers, the RK4 march and the block solver of
+    ``endpoint_values`` (0 picks the smallest compatible count with step
+    below pi/4096).
     """
 
     a: float
@@ -106,7 +123,10 @@ class DelaySetup:
 
     @property
     def steps(self) -> int:
-        """Resolved RK4 steps per delay length: even, trace-compatible."""
+        """Resolved steps per delay length: even, trace-compatible.
+
+        The RK4 march and the block solver both step with h = a / steps.
+        """
         unit = self.segment_nodes - 1  # even
         want = self.steps_per_delay
         if want == 0:
@@ -163,7 +183,9 @@ def _kernel_trace(nu: int, lam, x):
     return y, yp
 
 
-def _check_support(q: PiecewiseFunction, a: float) -> None:
+def _check_potential(q: PiecewiseFunction, a: float) -> None:
+    if q.lo > 1e-12 or q.hi < PI - 1e-12:
+        raise PreconditionError("potential must be sampled on all of (0, pi)")
     probe = np.linspace(0.0, a, 257)[:-1]
     scale = max(1.0, float(np.max(np.abs(q.all_samples()))))
     if float(np.max(np.abs(q.values(probe)))) > 1e-12 * scale:
@@ -174,9 +196,7 @@ class _March:
     """One method-of-steps integration for a batch of spectral points."""
 
     def __init__(self, q: PiecewiseFunction, setup: DelaySetup, init_nu: int, lam):
-        if q.lo > 1e-12 or q.hi < PI - 1e-12:
-            raise PreconditionError("potential must be sampled on all of (0, pi)")
-        _check_support(q, setup.a)
+        _check_potential(q, setup.a)
         self.setup = setup
         self.q = q
         self.lam = np.asarray(lam, dtype=complex).ravel()
@@ -277,9 +297,37 @@ class _March:
             self.Yp[:, write_to] = pnew
         return ynew, pnew
 
+    def _rk4_run(self, j_start: int, n_steps: int, qa, qb, qc) -> None:
+        """March ``n_steps`` RK4 steps of size h, writing half-grid columns.
+
+        Step s starts at column ``j = j_start + 2 s`` and writes column
+        j + 2; the delayed argument lives 2m columns back.  qa/qb/qc hold
+        the potential at the left/middle/right stage abscissae of each step.
+        """
+        Y, Yp, lam, h = self.Y, self.Yp, self.lam, self.h
+        off = 2 * self.m
+        half = 0.5 * h
+        sixth = h / 6.0
+        for s in range(n_steps):
+            j = j_start + 2 * s
+            y = Y[:, j]
+            p = Yp[:, j]
+            f1 = qa[s] * Y[:, j - off]
+            f2 = qb[s] * Y[:, j + 1 - off]
+            f4 = qc[s] * Y[:, j + 2 - off]
+            k1y = p
+            k1p = f1 - lam * y
+            k2y = p + half * k1p
+            k2p = f2 - lam * (y + half * k1y)
+            k3y = p + half * k2p
+            k3p = f2 - lam * (y + half * k2y)
+            k4y = p + h * k3p
+            k4p = f4 - lam * (y + h * k3y)
+            Y[:, j + 2] = y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+            Yp[:, j + 2] = p + sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
+
     def _run(self, init_nu: int) -> None:
         m = self.m
-        core = get_backend()
         # exact kernel fill on [0, a], both parities
         kz = 2 * m + 1
         self.Y[:, :kz], self.Yp[:, :kz] = _kernel_trace(init_nu, self.lam, self.x_half[:kz])
@@ -288,19 +336,17 @@ class _March:
         for n_a, n_b in zip(bounds[:-1], bounds[1:]):
             steps = n_b - n_a
             # full-grid pass
-            qa = self.q_right[2 * n_a : 2 * n_b : 2].copy()
-            qb = self.q_right[2 * n_a + 1 : 2 * n_b : 2].copy()
-            qc = self.q_left[2 * n_a + 2 : 2 * n_b + 2 : 2].copy()
-            core.rk4_run(self.Y, self.Yp, self.lam, self.h, 2 * n_a, steps, 2 * m, qa, qb, qc)
+            qa = self.q_right[2 * n_a : 2 * n_b : 2]
+            qb = self.q_right[2 * n_a + 1 : 2 * n_b : 2]
+            qc = self.q_left[2 * n_a + 2 : 2 * n_b + 2 : 2]
+            self._rk4_run(2 * n_a, steps, qa, qb, qc)
             # launch the half-offset pass with one half step, then march it
             self._half_step(n_a * self.h, 0.5 * self.h, 2 * n_a, 2 * n_a + 1)
             if steps >= 2:
-                qa = self.q_right[2 * n_a + 1 : 2 * n_b - 1 : 2].copy()
-                qb = self.q_right[2 * n_a + 2 : 2 * n_b - 1 : 2].copy()
-                qc = self.q_right[2 * n_a + 3 : 2 * n_b : 2].copy()
-                core.rk4_run(
-                    self.Y, self.Yp, self.lam, self.h, 2 * n_a + 1, steps - 1, 2 * m, qa, qb, qc
-                )
+                qa = self.q_right[2 * n_a + 1 : 2 * n_b - 1 : 2]
+                qb = self.q_right[2 * n_a + 2 : 2 * n_b - 1 : 2]
+                qc = self.q_right[2 * n_a + 3 : 2 * n_b : 2]
+                self._rk4_run(2 * n_a + 1, steps - 1, qa, qb, qc)
         if self.rem > 0.0:
             self.y_end, self.yp_end = self._half_step(
                 self.n_full * self.h, self.rem, 2 * self.n_full, None
@@ -368,10 +414,141 @@ def solve_direct(q: PiecewiseFunction, setup: DelaySetup, lam: complex) -> Solut
 
 
 def endpoint_values(q: PiecewiseFunction, setup: DelaySetup, init_nu: int, lam):
-    """Batched (y(pi), y'(pi)) for an array of spectral points."""
+    """Batched (y(pi), y'(pi)) for an array of spectral points.
+
+    Block variation of constants on the nodes x_i = i h, h = a /
+    setup.steps.  On the block [x0, x0 + a], x0 = k a, the forcing
+    f(t) = q(t) y(t - a) is known from the block before, and
+
+        y(x) = y0 C(x - x0) + y0' S(x - x0) + S(x - x0) I_C(x) - C(x - x0) I_S(x),
+
+    with C, S the kernels and I_C, I_S the running integrals of
+    C(t - x0) f(t) and S(t - x0) f(t) from x0.  t - x0 runs over the
+    same offsets 0, h, ..., a in every block, so C and S are evaluated
+    once; being block-local they also stay free of the cancellation a
+    global S(x) C(t) - C(x) S(t) suffers for lam << 0.  The integrals use
+    the cubic cell rule (``gridfn._cell_integrals``) on each smooth
+    piece of f, cut at q's breakpoints (one-sided q values) and at those
+    breakpoints + a, where y(t - a) kinks; breakpoints are taken at the
+    nearest node.  A piece under 3 cells, and the partial last cell when
+    pi is not a node, get one Simpson panel per cell instead, with y(t - a)
+    interpolated at the midpoints.  The
+    points go through in passes of a few; every operation is elementwise
+    in lam, so a point's value does not depend on the batch it comes in.
+    """
     lam = np.asarray(lam, dtype=complex)
-    march = _March(q, setup, init_nu, lam.ravel())
-    return march.y_end.reshape(lam.shape), march.yp_end.reshape(lam.shape)
+    blocks = _Blocks(q, setup)
+    flat = lam.ravel()
+    y_end = np.empty(flat.shape, dtype=complex)
+    yp_end = np.empty(flat.shape, dtype=complex)
+    rows = max(1, _PASS_SIZE // (blocks.m + 1))
+    for lo in range(0, flat.size, rows):
+        part = slice(lo, lo + rows)
+        y_end[part], yp_end[part] = blocks.endpoints(init_nu, flat[part])
+    return y_end.reshape(lam.shape), yp_end.reshape(lam.shape)
+
+
+class _Blocks:
+    """The block solver of ``endpoint_values`` for one potential and grid."""
+
+    def __init__(self, q: PiecewiseFunction, setup: DelaySetup):
+        _check_potential(q, setup.a)
+        m = setup.steps
+        if m < 4:
+            raise DomainError(f"the block solver needs at least 4 steps per delay, got {m}")
+        self.m = m
+        self.h = h = setup.a / m
+        self.n_full = int(math.floor(PI / h + 1e-9))
+        self.rem = PI - self.n_full * h
+        if self.rem < 1e-9 * h:
+            self.rem = 0.0
+        # q at the nodes (right limits), left limits at its jumps, and the
+        # cut nodes: q's breakpoints and the kinks of y(t - a) one delay later
+        self.q_right = q.values(h * np.arange(self.n_full + 1))
+        self.q_left = self.q_right.copy()
+        cuts = set()
+        for b, seg in zip(q.breakpoints(), q.segments[:-1]):
+            i = int(round(b / h))
+            if i <= self.n_full and abs(i * h - b) <= 1e-9 * max(1.0, b):
+                self.q_left[i] = seg.samples[-1]
+            cuts.update((i, i + m))
+        self.cuts = sorted(cuts)
+        self.q = q
+
+    def endpoints(self, init_nu: int, lam: np.ndarray):
+        """(y(pi), y'(pi)) for a 1-D array of spectral points."""
+        m, h, n_full, rem = self.m, self.h, self.n_full, self.rem
+        q_right, q_left = self.q_right, self.q_left
+        C = kernels.ckernel(lam[:, None], h * np.arange(m + 1))
+        S = kernels.skernel(lam[:, None], h * np.arange(m + 1))
+        # the first block holds the kernels; y0, yp0 are y, y' at its end
+        if init_nu == 0:
+            y, y0, yp0 = C, C[:, m], -lam * S[:, m]
+        else:
+            y, y0, yp0 = S, S[:, m], C[:, m]
+        start = m
+        while True:
+            # y now holds y(t - a) on this block's nodes
+            n = min(m, n_full - start)  # whole cells in this block
+            i_c = np.zeros((lam.shape[0], n + 1), dtype=complex)
+            i_s = np.zeros((lam.shape[0], n + 1), dtype=complex)
+            edges = sorted({0, n} | {i - start for i in self.cuts if start < i < start + n})
+            for i0, i1 in zip(edges[:-1], edges[1:]):
+                if i1 - i0 < 3:  # too short for the cubic stencil
+                    cells = self._panels(lam, y, start, h * np.arange(i0, i1 + 1))
+                else:
+                    qp = q_right[start + i0 : start + i1 + 1].copy()
+                    qp[-1] = q_left[start + i1]
+                    f = qp * y[:, i0 : i1 + 1]
+                    cells = [_cell_integrals(k[:, i0 : i1 + 1] * f, h) for k in (C, S)]
+                for acc, cell in zip((i_c, i_s), cells):
+                    run = acc[:, i0 + 1 : i1 + 1]
+                    np.cumsum(cell, axis=1, out=run)
+                    run += acc[:, i0 : i0 + 1]
+            if n < m or (start + n == n_full and rem == 0.0):
+                break
+            y = y0[:, None] * C + yp0[:, None] * S + S * i_c - C * i_s
+            y0, yp0 = _voc(lam, y0, yp0, C[:, m], S[:, m], i_c[:, m], i_s[:, m])
+            start += m
+
+        if rem == 0.0:
+            return _voc(lam, y0, yp0, C[:, n], S[:, n], i_c[:, n], i_s[:, n])
+        # the partial cell [x_n, pi]
+        u = n * h + np.array([0.0, rem])
+        cell_c, cell_s = self._panels(lam, y, start, u)
+        c_end, s_end = kernels.ckernel(lam, u[1]), kernels.skernel(lam, u[1])
+        return _voc(lam, y0, yp0, c_end, s_end, i_c[:, n] + cell_c[:, 0], i_s[:, n] + cell_s[:, 0])
+
+    def _panels(self, lam, hist, start: int, u: np.ndarray):
+        """Simpson integrals of C(t - x0) f(t) and S(t - x0) f(t) between the offsets u.
+
+        x0 = start h; the ascending offsets u, at most h apart, must lie in
+        one smooth piece of f, and the result has one column per cell.
+        y(t - a) at the midpoints (and at u off the nodes) is the 4-point
+        Lagrange interpolant of ``hist``; q is one-sided at a last node.
+        """
+        h = self.h
+        pts = np.empty(2 * u.size - 1)
+        pts[0::2], pts[1::2] = u, 0.5 * (u[:-1] + u[1:])
+        qv = self.q.values(start * h + pts)
+        last = u[-1] / h
+        if abs(last - round(last)) <= 1e-9 * (1.0 + last):
+            qv[-1] = self.q_left[start + round(last)]
+        f = qv * _cubic(hist, pts / h)
+        width = np.diff(u) / 6.0
+        cells = []
+        for kern in (kernels.ckernel, kernels.skernel):
+            g = kern(lam[:, None], pts) * f
+            cells.append(width * (g[:, 0:-1:2] + 4.0 * g[:, 1::2] + g[:, 2::2]))
+        return cells
+
+
+def _voc(lam, y0, yp0, c, s, i_c, i_s):
+    """(y, y') from the block formula, given the kernels and running integrals at x."""
+    return (
+        y0 * c + yp0 * s + s * i_c - c * i_s,
+        -lam * y0 * s + yp0 * c + c * i_c + lam * s * i_s,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +836,9 @@ def p_function(q: PiecewiseFunction, setup: DelaySetup, x: float) -> PiecewiseFu
     into the smooth pieces of P(x, .), at the breakpoints of q moved by
     +-a/2 and at x + a/2 - b (where P's second derivative jumps for
     x < 3a), and each piece gets 1025 samples from the lattice values
-    of ``_p_on_pieces``; every breakpoint of q must be a multiple of the
-    lattice spacing a/4096 (GridMismatchError otherwise).  Building this
+    of ``_p_on_pieces`` (5 for a piece shorter than 4 lattice cells);
+    every breakpoint of q must be a multiple of the lattice spacing
+    a/4096 (GridMismatchError otherwise).  Building this
     once per x and passing it to ``y2_closed`` amortizes the kernel over
     many spectral points.
     """
@@ -672,7 +850,10 @@ def p_function(q: PiecewiseFunction, setup: DelaySetup, x: float) -> PiecewiseFu
     b = q.breakpoints()
     pieces = _breaks(np.concatenate([b + 0.5 * a, b - 0.5 * a, x + 0.5 * a - b]), lo, hi)
     ivs = [Interval(float(plo), float(phi)) for plo, phi in zip(pieces[:-1], pieces[1:])]
-    parts = [np.linspace(iv.lo, iv.hi, 1025) for iv in ivs]
+    # a piece under 4 lattice cells goes through the pointwise kernel,
+    # so it gets the fewest samples that keep the cubic interpolation
+    short = 4.0 * a / _LATTICE_CELLS
+    parts = [np.linspace(iv.lo, iv.hi, 5 if iv.length < short else 1025) for iv in ivs]
     vals = _p_on_pieces(q, setup, om, x, parts)
     return PiecewiseFunction(SampledSegment(iv, v) for iv, v in zip(ivs, vals))
 

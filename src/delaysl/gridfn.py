@@ -109,18 +109,53 @@ def _lagrange4(xi):
 def _cubic(samples, u):
     """4-point Lagrange interpolation of uniform samples at fractional indices u.
 
-    Each point uses the stencil around its cell, shifted inwards at both
-    ends; needs at least 4 samples.
+    The samples run along the last axis.  Each point uses the stencil
+    around its cell, shifted inwards at both ends; needs at least 4
+    samples.
     """
-    cell = np.clip(np.floor(u).astype(int), 0, samples.shape[0] - 2)
-    j0 = np.clip(cell - 1, 0, samples.shape[0] - 4)
+    n = samples.shape[-1]
+    cell = np.clip(np.floor(u).astype(int), 0, n - 2)
+    j0 = np.clip(cell - 1, 0, n - 4)
     w = _lagrange4(u - j0)
     return (
-        samples[j0] * w[0]
-        + samples[j0 + 1] * w[1]
-        + samples[j0 + 2] * w[2]
-        + samples[j0 + 3] * w[3]
+        samples[..., j0] * w[0]
+        + samples[..., j0 + 1] * w[1]
+        + samples[..., j0 + 2] * w[2]
+        + samples[..., j0 + 3] * w[3]
     )
+
+
+def _cell_integrals(samples, spacing):
+    """Integral of the cubic interpolant over each cell, along the last axis.
+
+    Each cell uses the 4-node stencil of ``SampledSegment`` (shifted
+    inwards at both ends); three samples carry one quadratic.  The
+    stencil weights are written out as sums, never as a matrix product,
+    so every row of a 2-D call is bit-identical to the 1-D call on that
+    row.
+    """
+    s = np.asarray(samples)
+    n = s.shape[-1]
+    if n == 3:
+        w0, w1 = _partial_weights3(0.0, 1.0), _partial_weights3(1.0, 2.0)
+        out = np.stack(
+            [
+                w0[0] * s[..., 0] + w0[1] * s[..., 1] + w0[2] * s[..., 2],
+                w1[0] * s[..., 0] + w1[1] * s[..., 1] + w1[2] * s[..., 2],
+            ],
+            axis=-1,
+        )
+        return out * spacing
+    out = np.empty(s.shape[:-1] + (n - 1,), dtype=complex)
+    w = _FULL_W[0]
+    out[..., 0] = w[0] * s[..., 0] + w[1] * s[..., 1] + w[2] * s[..., 2] + w[3] * s[..., 3]
+    w = _FULL_W[2]
+    out[..., -1] = w[0] * s[..., -4] + w[1] * s[..., -3] + w[2] * s[..., -2] + w[3] * s[..., -1]
+    w = _FULL_W[1]
+    out[..., 1:-1] = (
+        w[0] * s[..., :-3] + w[1] * s[..., 1:-2] + w[2] * s[..., 2:-1] + w[3] * s[..., 3:]
+    )
+    return out * spacing
 
 
 def _stencil(cell, count):
@@ -234,20 +269,7 @@ class SampledSegment:
 
     def cell_integrals(self) -> np.ndarray:
         """Integral of the interpolant over each of the count-1 cells."""
-        s = self.samples
-        n = self.count
-        if n == 3:
-            return (
-                np.array([_partial_weights3(0.0, 1.0) @ s, _partial_weights3(1.0, 2.0) @ s])
-                * self.spacing
-            )
-        out = np.empty(n - 1, dtype=complex)
-        out[0] = _FULL_W[0] @ s[:4]
-        out[-1] = _FULL_W[2] @ s[-4:]
-        if n > 3:
-            w = _FULL_W[1]
-            out[1:-1] = w[0] * s[:-3] + w[1] * s[1:-2] + w[2] * s[2:-1] + w[3] * s[3:]
-        return out * self.spacing
+        return _cell_integrals(self.samples, self.spacing)
 
 
 class PiecewiseFunction:

@@ -30,6 +30,7 @@ from delaysl import (
     y2_closed,
     y2_closed_prime,
 )
+from delaysl.delay_solver import _March
 
 A = np.pi / 4
 
@@ -335,13 +336,78 @@ def test_interior_second_differences_recover_the_equation():
 
 
 def test_endpoint_values_batch_and_initial_type():
-    q = _confined()
-    lam = np.array([4.0, 90.0, 2.0 + 3.0j])
-    ys, yps = endpoint_values(q, _setup(0), 1, lam)
-    for k, l in enumerate(lam):
-        trace = solve_direct(q, _setup(1), l)
-        assert abs(ys[k] - trace.y_end) < 1e-12
-        assert abs(yps[k] - trace.yp_end) < 1e-12
+    # identities, bit for bit: only init_nu selects the initial values,
+    # and a point's value does not depend on the batch it comes in (at
+    # a = 0.7 through the partial last cell too)
+    lam = np.array([4.0, 90.0, 2.0 + 3.0j, 0.0, 1e-6, -40.0, 4000.0])
+    for q, a in ((_confined(), A), (_stepped_delay(0.7, nodes=65), 0.7)):
+        setups = [DelaySetup(a=a, nu=nu, segment_nodes=65) for nu in (0, 1)]
+        ys, yps = endpoint_values(q, setups[0], 1, lam)
+        ys1, yps1 = endpoint_values(q, setups[1], 1, lam)
+        assert np.array_equal(ys, ys1) and np.array_equal(yps, yps1)
+        for k, l in enumerate(lam):
+            y, yp = endpoint_values(q, setups[0], 1, l)
+            assert y == ys[k] and yp == yps[k]
+
+
+def _stepped_delay(a, jumps=(), nodes=129):
+    """The bump on (a, 3a) plus a constant jumping at every a/2 of (a, pi).
+
+    ``jumps`` adds breakpoints, where q jumps by 4 more.
+    """
+    bps = np.sort(np.concatenate([grid_breakpoints(a, 0.0, np.pi), jumps]))
+    segs = []
+    for lo, hi in zip(bps[:-1], bps[1:]):
+        x = np.linspace(lo, hi, nodes)
+        inside = (x > a) & (x < 3 * a)
+        level = 0.0 if lo < a else (-1.0) ** round(2 * lo / a) * (1.0 + lo)
+        level += 4.0 * sum(lo >= b for b in jumps)
+        bump = np.where(inside, np.sin(np.pi * (x - a) / (2 * a)) ** 2, 0.0)
+        segs.append(SampledSegment(Interval(lo, hi), bump + level))
+    return PiecewiseFunction(segs)
+
+
+def _refined_rk4(q, a, init_nu, lam):
+    """The RK4 march at a step of at most pi/16384 (4096 steps per delay at a = pi/4)."""
+    steps = int(np.ceil(a / (np.pi / 16384)))
+    setup = DelaySetup(a=a, nu=0, segment_nodes=129, steps_per_delay=steps)
+    march = _March(q, setup, init_nu, lam)
+    return march.y_end, march.yp_end
+
+
+@pytest.mark.parametrize("a", [A, 0.7, 1.7])
+def test_block_solver_matches_refined_rk4(a):
+    # a = 0.7 and 1.7 put pi off the node grid.  At a = pi/4 a second
+    # potential also jumps at two nodes that are no multiples of a/2, the
+    # second one node past the first's kink of y(t - a), which leaves a
+    # piece of one cell.
+    lam = np.array([-40.0, -20.0, 0.0, 1e-6, 3.0 + 10.0j, 100.0 - 10.0j, 425.0])
+    setup = DelaySetup(a=a, nu=0, segment_nodes=129)
+    potentials = [_stepped_delay(a)]
+    if a == A:
+        h = a / setup.steps
+        potentials.append(_stepped_delay(a, jumps=(1.5 * a + 37 * h, 2.5 * a + 38 * h)))
+    for q in potentials:
+        for nu in (0, 1):
+            y, yp = endpoint_values(q, setup, nu, lam)
+            want_y, want_yp = _refined_rk4(q, a, nu, lam)
+            assert np.max(np.abs(y - want_y) / np.abs(want_y)) <= 1e-9
+            assert np.max(np.abs(yp - want_yp) / np.abs(want_yp)) <= 1e-8
+
+
+def test_block_solver_without_potential_gives_the_kernels():
+    lam = np.array([-40.0, 0.0, 1e-6, 7.3, 3.0 + 2.0j, 425.0])
+    for a in (A, 0.7):
+        q = sample_function(lambda x: np.zeros_like(x), grid_breakpoints(a, 0.0, np.pi), 65)
+        setup = DelaySetup(a=a, nu=0, segment_nodes=65)
+        for nu in (0, 1):
+            y, yp = endpoint_values(q, setup, nu, lam)
+            want_y, want_yp = _kernel_pair(nu, lam, np.pi)
+            assert np.max(np.abs(y - want_y) / (1.0 + np.abs(want_y))) < 1e-13
+            assert np.max(np.abs(yp - want_yp) / (1.0 + np.abs(want_yp))) < 1e-13
+    # the partial last cell interpolates y(t - a) on 4 nodes of a block
+    with pytest.raises(DomainError):
+        endpoint_values(_zero(), DelaySetup(a=A, nu=0, segment_nodes=3, steps_per_delay=2), 0, 1.0)
 
 
 def test_support_violation_is_rejected():

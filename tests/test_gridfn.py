@@ -20,7 +20,7 @@ from delaysl import (
     simpson_rule,
     write_csv,
 )
-from delaysl.gridfn import lattice_product_integrals, shifted_product_integrals
+from delaysl.gridfn import _cell_integrals, lattice_product_integrals, shifted_product_integrals
 
 
 def _two_step() -> PiecewiseFunction:
@@ -140,6 +140,25 @@ def test_cumulative_matches_integrate_at_nodes():
         assert g(node) == pytest.approx(integrate(f, 0.0, node), abs=1e-13)
     shifted = cumulative(f, 1.3)
     assert shifted(1.3) == 0.0
+
+
+def test_cell_integrals_work_row_by_row():
+    # the block solver runs the segment rule on many rows at once; each
+    # row must come out bit for bit as the one-row call
+    rng = np.random.default_rng(5)
+    for n in (3, 4, 5, 65):
+        block = rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n))
+        out = _cell_integrals(block, 0.3)
+        assert out.shape == (7, n - 1)
+        for row, want in zip(block, out):
+            assert np.array_equal(_cell_integrals(row, 0.3), want)
+        # exact for the polynomial of the highest degree the stencil holds
+        x = 0.3 * np.arange(n)
+        deg = min(n - 1, 3)
+        want = (x[1:] ** (deg + 1) - x[:-1] ** (deg + 1)) / (deg + 1)
+        assert np.max(np.abs(_cell_integrals(x**deg, 0.3) - want) / (1.0 + want)) < 1e-12
+    seg = SampledSegment(Interval(0.0, 1.2), block[0])
+    assert np.array_equal(seg.cell_integrals(), _cell_integrals(block[0], seg.spacing))
 
 
 def test_three_node_segment_interpolates_quadratics():
