@@ -65,7 +65,7 @@ from .gridfn import (
     simpson_rule,
     write_csv,
 )
-from .kernels import ckernel, kernel_dlambda, skernel
+from .kernels import ckernel, kernel_dlambda, kernel_pair, skernel
 from .spectrum import (
     Spectrum,
     SpectrumEntry,
@@ -132,6 +132,7 @@ __all__ = [
     "write_csv",
     "ckernel",
     "kernel_dlambda",
+    "kernel_pair",
     "skernel",
     "Spectrum",
     "SpectrumEntry",

@@ -479,8 +479,7 @@ class _Blocks:
         """(y(pi), y'(pi)) for a 1-D array of spectral points."""
         m, h, n_full, rem = self.m, self.h, self.n_full, self.rem
         q_right, q_left = self.q_right, self.q_left
-        C = kernels.ckernel(lam[:, None], h * np.arange(m + 1))
-        S = kernels.skernel(lam[:, None], h * np.arange(m + 1))
+        C, S = kernels.kernel_pair(lam[:, None], h * np.arange(m + 1))
         # the first block holds the kernels; y0, yp0 are y, y' at its end
         if init_nu == 0:
             y, y0, yp0 = C, C[:, m], -lam * S[:, m]
@@ -516,7 +515,7 @@ class _Blocks:
         # the partial cell [x_n, pi]
         u = n * h + np.array([0.0, rem])
         cell_c, cell_s = self._panels(lam, y, start, u)
-        c_end, s_end = kernels.ckernel(lam, u[1]), kernels.skernel(lam, u[1])
+        c_end, s_end = kernels.kernel_pair(lam, u[1])
         return _voc(lam, y0, yp0, c_end, s_end, i_c[:, n] + cell_c[:, 0], i_s[:, n] + cell_s[:, 0])
 
     def _panels(self, lam, hist, start: int, u: np.ndarray):
@@ -537,8 +536,8 @@ class _Blocks:
         f = qv * _cubic(hist, pts / h)
         width = np.diff(u) / 6.0
         cells = []
-        for kern in (kernels.ckernel, kernels.skernel):
-            g = kern(lam[:, None], pts) * f
+        for kern in kernels.kernel_pair(lam[:, None], pts):
+            g = kern * f
             cells.append(width * (g[:, 0:-1:2] + 4.0 * g[:, 1::2] + g[:, 2::2]))
         return cells
 

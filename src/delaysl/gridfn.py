@@ -81,6 +81,8 @@ _VINV, _FULL_W = _cell_matrices()
 # quadratic through all three samples instead (exact for constants and
 # the degenerate filler segments that use this size).
 _VINV3 = np.linalg.inv(np.vander(np.arange(3, dtype=float), 3, increasing=True))
+# the same quadratic in the coordinates of its second cell, nodes at -1, 0, 1
+_VINV3_RIGHT = np.linalg.inv(np.vander(np.arange(3, dtype=float) - 1.0, 3, increasing=True))
 
 
 def _partial_weights3(xa, xb):
@@ -156,6 +158,28 @@ def _cell_integrals(samples, spacing):
         w[0] * s[..., :-3] + w[1] * s[..., 1:-2] + w[2] * s[..., 2:-1] + w[3] * s[..., 3:]
     )
     return out * spacing
+
+
+def _cell_coefficients(samples) -> np.ndarray:
+    """Monomial coefficients of the interpolant on each cell of a segment.
+
+    Row c holds (p0, p1, p2, p3) with the interpolant on cell c equal to
+    sum_m p_m xi^m, xi = (x - x_c) / spacing in [0, 1]: the cubic of the
+    4-node stencil ``SampledSegment.values`` uses, or, for 3 samples,
+    the single quadratic (p3 = 0).
+    """
+    s = np.asarray(samples, dtype=complex)
+    n = s.shape[0]
+    if n == 3:
+        out = np.zeros((2, 4), dtype=complex)
+        out[0, :3] = _VINV3 @ s
+        out[1, :3] = _VINV3_RIGHT @ s
+        return out
+    base = np.ones(n - 1, dtype=int)
+    base[0], base[-1] = 0, 2
+    stencils = s[(np.arange(n - 1) - base)[:, None] + np.arange(4)]
+    vinv = np.stack([_VINV[b] for b in (0, 1, 2)])[base]
+    return np.einsum("cmk,ck->cm", vinv, stencils)
 
 
 def _stencil(cell, count):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["ckernel", "skernel", "kernel_dlambda"]
+__all__ = ["ckernel", "skernel", "kernel_pair", "kernel_dlambda"]
 
 # switch to the series when |lam| * x^2 drops below this
 SERIES_THRESHOLD = 1e-3
@@ -78,28 +78,42 @@ def _ds_series(lam, x):
     return acc
 
 
+def _evaluate(lam, x, kinds):
+    """Kernels at broadcast (lam, x), one array per (closed form, series) pair.
+
+    The pairs share one ``_prep``, one series mask and one square root.
+    """
+    lam, x, small, shape = _prep(lam, x)
+    outs = [np.empty(lam.shape, dtype=complex) for _ in kinds]
+    if np.any(~small):
+        rho, xb = np.sqrt(lam[~small]), x[~small]
+        for out, (from_rho, _) in zip(outs, kinds):
+            out[~small] = from_rho(rho, xb)
+    if np.any(small):
+        ls, xs = lam[small], x[small]
+        for out, (_, series) in zip(outs, kinds):
+            out[small] = series(ls, xs)
+    return [out.reshape(shape)[()] for out in outs]
+
+
+_COS = (_ck_from_rho, _c_series)
+_SIN = (_sk_from_rho, _s_series)
+
+
 def ckernel(lam, x):
     """cos(rho x) as an entire function of lam = rho**2."""
-    lam, x, small, shape = _prep(lam, x)
-    out = np.empty(lam.shape, dtype=complex)
-    if np.any(~small):
-        rho = np.sqrt(lam[~small])
-        out[~small] = _ck_from_rho(rho, x[~small])
-    if np.any(small):
-        out[small] = _c_series(lam[small], x[small])
-    return out.reshape(shape)[()]
+    return _evaluate(lam, x, (_COS,))[0]
 
 
 def skernel(lam, x):
     """sin(rho x)/rho as an entire function of lam = rho**2."""
-    lam, x, small, shape = _prep(lam, x)
-    out = np.empty(lam.shape, dtype=complex)
-    if np.any(~small):
-        rho = np.sqrt(lam[~small])
-        out[~small] = _sk_from_rho(rho, x[~small])
-    if np.any(small):
-        out[small] = _s_series(lam[small], x[small])
-    return out.reshape(shape)[()]
+    return _evaluate(lam, x, (_SIN,))[0]
+
+
+def kernel_pair(lam, x):
+    """(ckernel(lam, x), skernel(lam, x)), bit for bit, from one shared evaluation."""
+    c, s = _evaluate(lam, x, (_COS, _SIN))
+    return c, s
 
 
 def kernel_dlambda(lam, x, kind: str):

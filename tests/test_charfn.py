@@ -9,6 +9,7 @@ from delaysl import (
     DomainError,
     FredholmOperator,
     GridMismatchError,
+    PiecewiseFunction,
     PreconditionError,
     apply,
     build_member,
@@ -19,12 +20,14 @@ from delaysl import (
     delta_direct,
     grid_breakpoints,
     integrate,
+    piecewise_quad,
     q_correction,
     reference_pair,
     sample_function,
     series_sum,
     skernel,
 )
+from delaysl.charfn import SERIES_THRESHOLD, _moments
 
 A = np.pi / 4
 
@@ -230,8 +233,105 @@ def test_batch_matches_scalar_evaluation():
     lam = np.array([-5.0, 1.0, 42.0, 3.0 + 2.0j])
     batch = delta_closed(data, lam)
     for k, l in enumerate(lam):
-        one = delta_closed(data, l)
-        assert abs(batch[k] - one) < 1e-9 * (1 + abs(one))
+        assert batch[k] == delta_closed(data, l)
+
+
+def _switch():
+    """The |lambda| at which delta_closed changes from its series to its sums."""
+    return SERIES_THRESHOLD / (np.pi - A) ** 2
+
+
+def test_values_do_not_depend_on_the_batch():
+    q = _grid_q(_bump)
+    edge = _switch()
+    lam = np.array(
+        [0.0, 1e-7, -1e-7, 10.0, 3.0 + 2.0j, -40.0, edge * (1 - 1e-3), -edge * (1 + 1e-3)]
+    )
+    for nu in (0, 1):
+        for data in build_w(q, _setup(nu)):
+            alone = np.array([delta_closed(data, l) for l in lam])
+            first = delta_closed(data, np.append(lam, 4000.0))[:-1]
+            last = delta_closed(data, np.concatenate([[4000.0], lam[::-1]]))[:0:-1]
+            assert np.array_equal(first, alone) and np.array_equal(last, alone), (nu, data.j)
+
+
+def test_cell_moments_hold_for_every_size():
+    # Gauss-Legendre with 80 nodes is exact to rounding for |zeta| <= 40
+    t, wt = np.polynomial.legendre.leggauss(80)
+    xi, wt = 0.5 * (t + 1.0), 0.5 * wt
+    mags = np.concatenate([[0.0], np.logspace(-4.0, np.log10(40.0), 40)])
+    zeta = np.concatenate([mags * d for d in (1.0, -1.0, 1j, np.exp(0.7j), np.exp(2.5j))])
+    have = _moments(zeta)
+    assert have.shape == zeta.shape + (4,)
+    want = (np.exp(zeta[:, None] * xi) * wt) @ (xi[:, None] ** np.arange(4))
+    scale = np.maximum(1.0, np.exp(zeta.real))[:, None]
+    assert np.max(np.abs(have - want) / scale) < 1e-14
+
+
+def _oracle_data():
+    """A weight on a 3-node segment and three finer ones, jumping at 5a/2."""
+    pieces = [
+        ((A, 1.5 * A), 3, lambda x: 1.0 + np.sin(3.0 * x)),
+        ((1.5 * A, 2 * A), 9, lambda x: np.cos(2.0 * x) + 0.5j * x),
+        ((2 * A, 2.5 * A), 17, lambda x: np.exp(-x) * (2.0 - x)),
+        ((2.5 * A, 3 * A), 5, lambda x: -1.5 + x**2),
+    ]
+    segs = []
+    for (lo, hi), n, fn in pieces:
+        segs.extend(sample_function(fn, [lo, hi], n).segments)
+    return PiecewiseFunction(segs)
+
+
+def _oracle_delta(w, omega, nu, j, lam, literal=False):
+    """delta_closed's formulas with a Simpson rule of spacing a/16384 for the w integrals."""
+    bps = np.concatenate([[w.lo], w.breakpoints(), [w.hi]])
+    x, wts, wv = piecewise_quad(w, bps, A / 16384)
+    lam = np.asarray(lam, dtype=complex)
+    col = lam[:, None]
+    y = np.pi + A - 2.0 * x
+    if nu != j:
+        sign = 1.0 if j == 0 else -1.0
+        return (
+            ckernel(lam, np.pi)
+            + 0.5 * omega * skernel(lam, np.pi - A)
+            + 0.5 * sign * (skernel(col, y) @ (wts * wv))
+        )
+    if nu == 1:
+        return (
+            -lam * skernel(lam, np.pi)
+            + 0.5 * omega * ckernel(lam, np.pi - A)
+            + 0.5 * (ckernel(col, y) @ (wts * wv))
+        )
+    if literal:
+        return (
+            skernel(lam, np.pi)
+            - 0.5 * omega * ckernel(lam, np.pi - A) / lam
+            + 0.5 * (ckernel(col, y) @ (wts * wv)) / lam
+        )
+    return skernel(lam, np.pi) + (skernel(col, np.pi - x) * skernel(col, x - A)) @ (wts * wv)
+
+
+def test_closed_forms_match_a_fine_nodal_rule():
+    w = _oracle_data()
+    total = integrate(w, A, 3 * A)
+    lam = np.array([-40.0, -1e-7, 0.0, 1e-7, 3.0 + 10.0j, 425.0, 4000.0])
+    for nu in (0, 1):
+        for j in (0, 1):
+            omega = total if nu == 0 else total + 0.3
+            data = CharData(_setup(nu), nu, j, omega, w)
+            have = delta_closed(data, lam)
+            want = _oracle_delta(w, omega, nu, j, lam)
+            assert np.max(np.abs(have - want) / np.maximum(np.abs(want), 1.0)) < 1e-11, (nu, j)
+            if nu == j == 0:
+                big = lam[np.abs(lam) > 1.0]
+                have = delta_closed(data, big, literal=True)
+                want = _oracle_delta(w, omega, 0, 0, big, literal=True)
+                assert np.max(np.abs(have - want) / np.maximum(np.abs(want), 1.0)) < 1e-11
+            # continuous where the series hands over to the exponential sums
+            edge = _switch()
+            for side in (1.0, -1.0, 1j):
+                probe = delta_closed(data, side * edge * np.array([1 - 1e-6, 1.0, 1 + 1e-6]))
+                assert abs(probe[0] + probe[2] - 2.0 * probe[1]) < 1e-8
 
 
 def test_json_round_trip():

@@ -20,7 +20,12 @@ from delaysl import (
     simpson_rule,
     write_csv,
 )
-from delaysl.gridfn import _cell_integrals, lattice_product_integrals, shifted_product_integrals
+from delaysl.gridfn import (
+    _cell_coefficients,
+    _cell_integrals,
+    lattice_product_integrals,
+    shifted_product_integrals,
+)
 
 
 def _two_step() -> PiecewiseFunction:
@@ -159,6 +164,23 @@ def test_cell_integrals_work_row_by_row():
         assert np.max(np.abs(_cell_integrals(x**deg, 0.3) - want) / (1.0 + want)) < 1e-12
     seg = SampledSegment(Interval(0.0, 1.2), block[0])
     assert np.array_equal(seg.cell_integrals(), _cell_integrals(block[0], seg.spacing))
+
+
+def test_cell_coefficients_are_the_interpolant():
+    rng = np.random.default_rng(8)
+    xi = np.linspace(0.0, 1.0, 7)
+    for n in (3, 5, 9, 33):
+        seg = SampledSegment(Interval(0.5, 1.7), rng.normal(size=n) + 1j * rng.normal(size=n))
+        coef = _cell_coefficients(seg.samples)
+        assert coef.shape == (n - 1, 4)
+        for c, p in enumerate(coef):
+            x = seg.interval.lo + seg.spacing * (c + xi)
+            poly = sum(p[m] * xi**m for m in range(4))
+            assert np.max(np.abs(poly - seg.values(x))) < 1e-12
+        # the cells integrate as the segment rule does
+        full = coef @ np.array([1.0, 1 / 2, 1 / 3, 1 / 4]) * seg.spacing
+        assert np.max(np.abs(full - seg.cell_integrals())) < 1e-13
+    assert np.all(_cell_coefficients(np.array([1.0, 2.0, 0.5]))[:, 3] == 0.0)
 
 
 def test_three_node_segment_interpolates_quadratics():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from delaysl import DomainError, ckernel, kernel_dlambda, skernel
+from delaysl import DomainError, ckernel, kernel_dlambda, kernel_pair, skernel
+from delaysl.kernels import SERIES_THRESHOLD
 
 
 def test_known_values():
@@ -34,6 +35,27 @@ def test_series_branch_matches_closed_form_at_the_switch():
         rho = np.sqrt(complex(lam))
         assert abs(ckernel(lam, 1.0) - np.cos(rho)) < 1e-13
         assert abs(skernel(lam, 1.0) - np.sin(rho) / rho) < 1e-13
+
+
+def test_kernel_pair_is_the_two_kernels_bit_for_bit():
+    # points on both sides of the series switch, lambda = 0, and a 2-D broadcast
+    x = np.array([0.0, 0.3, 1.0, np.pi])
+    lam = np.concatenate(
+        [
+            [0.0, 1e-9, -1e-9j],
+            SERIES_THRESHOLD * np.array([0.999, 1.001, -0.999, -1.001, 0.999j, 1.001j]),
+            [2.5, -40.0, 3.0 + 2.0j, 4000.0],
+        ]
+    )
+    c, s = kernel_pair(lam[:, None], x[None, :])
+    assert np.array_equal(c, ckernel(lam[:, None], x[None, :]))
+    assert np.array_equal(s, skernel(lam[:, None], x[None, :]))
+    small = np.abs(lam[:, None]) * x[None, :] ** 2 < SERIES_THRESHOLD
+    assert np.any(small) and np.any(~small)
+    for lam0, x0 in ((0.0, 1.0), (2.5, 0.7)):
+        pair = kernel_pair(lam0, x0)
+        assert pair[0] == ckernel(lam0, x0) and pair[1] == skernel(lam0, x0)
+        assert np.ndim(pair[0]) == 0
 
 
 def test_product_to_sum_identities():
