@@ -27,7 +27,7 @@ class ContourError(RuntimeError):
 
 
 class IncompleteSpectrumError(RuntimeError):
-    """Located roots and the certified count disagree after all fallbacks."""
+    """Located roots and a certified count disagree after every search."""
 
 
 class NoEigenvaluesError(RuntimeError):

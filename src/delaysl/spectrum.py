@@ -1,17 +1,31 @@
 """Spectra as certified root sets of characteristic functions.
 
-A spectrum here is the ordered list of the first n_max zeros of an
-entire function, each polished by Newton iteration and the whole set
-certified by an argument-principle count around a rectangle: if the
-winding number does not match the number of roots found, a fallback
-search either closes the gap or the computation refuses to report.
-The characteristic function only enters through an evaluation callable
-accepting arrays of complex points, so the closed-form and the
-direct-integration routes plug in interchangeably.
+A spectrum here is the ordered list of the zeros of an entire function
+inside a rectangle [floor, window] x [-im_window, im_window], each
+polished by Newton iteration and listed with its multiplicity.  The
+rectangle is cut into vertical cells at the midpoints of the
+leading-order law (n^2 or (n - 1/2)^2), and one sampling of the cell
+edges, each wall shared by the two cells it separates, counts the roots
+of every cell by the argument principle.  Newton from the law's seeds
+finds most roots.  In a cell whose count exceeds the roots found there,
+the same samples give the moments
+
+    s_k = (1/2 pi i) oint z^k dlog Delta
+
+as Stieltjes sums (Delves & Lyness, Math. Comp. 21, 1967).  Deflated by
+the known roots they are the power sums of the missing ones, and those
+are the eigenvalues of a pencil of two Hankel matrices of the sums
+(Kravanja & Van Barel, LNM 1727, 2000); Newton polishes them.  A
+multiplicity is read only from a count on a small square around its
+root.  If a cell's count and its roots still disagree, the computation
+refuses to report.  The characteristic function only enters through an
+evaluation callable accepting arrays of complex points, so the
+closed-form and the direct-integration routes plug in interchangeably.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +41,7 @@ from .errors import (
 __all__ = [
     "SpectrumEntry",
     "Spectrum",
+    "CellCounts",
     "initial_guesses",
     "refine_root",
     "count_roots",
@@ -36,6 +51,19 @@ __all__ = [
 
 _TWO_PI = 2.0 * np.pi
 _RE_TIE = 1e-7
+# roots closer than _SAME * (1 + |lambda|) are one root
+_SAME = 1e-6
+# a contour sample with |Delta| <= _ON_CONTOUR * (1 + |z|) counts as a root
+_ON_CONTOUR = 1e-8
+
+# Contour sampling.  An edge starts with samples at most _EDGE_STEP times
+# its rectangle's height apart, and at least _MIN_INTERVALS intervals;
+# an interval is bisected while its phase step reaches pi/2 and, in a
+# cell whose moments are taken, while |log(v1 / v0)| exceeds _MOMENT_STEP.
+_EDGE_STEP = 0.125
+_MIN_INTERVALS = 4
+_MOMENT_STEP = 0.25
+_BUDGET = 20000
 
 
 @dataclass(frozen=True)
@@ -166,64 +194,204 @@ def refine_root(delta, lam0: complex, tol: float = 1e-10) -> complex:
     return lam
 
 
+def _is_new(lam, roots):
+    return all(abs(lam - r) >= _SAME * (1.0 + abs(r)) for r in roots)
+
+
 class _ContourTooClose(Exception):
-    """Internal: a contour sample sits within root tolerance of zero."""
+    """Internal: a sample of edge ``edge`` sits within root tolerance of zero."""
+
+    def __init__(self, edge: int):
+        super().__init__(edge)
+        self.edge = edge
 
 
-def _eval_contour(delta, z):
-    v = np.asarray(delta(z), dtype=complex)
-    if np.any(np.abs(v) <= 1e-8 * (1.0 + np.abs(z))):
-        raise _ContourTooClose
-    return v
+def _phase_too_coarse(ratio):
+    return np.abs(np.angle(ratio)) >= 0.5 * np.pi
 
 
-def _winding(delta, lo: complex, hi: complex, budget: int = 20000) -> int:
-    corners = [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
-    pieces = []
-    for c0, c1 in zip(corners, corners[1:] + corners[:1]):
-        count = 129 if c0.imag == c1.imag else 33
-        pieces.append(c0 + (c1 - c0) * np.linspace(0.0, 1.0, count)[:-1])
-    z = np.concatenate(pieces + [np.array([lo])])
-    v = _eval_contour(delta, z)
+def _log_too_coarse(ratio):
+    return np.abs(np.log(ratio)) > _MOMENT_STEP
+
+
+class _Net:
+    """Delta sampled on the edges of vertical cells cut from one rectangle.
+
+    ``xs`` are the cells' walls, left to right, and [y0, y1] their
+    imaginary range.  Edge 2k is the bottom side of cell k and edge
+    2k + 1 its top side, both left to right; edge 2n + k is the wall at
+    xs[k], bottom to top.  Neighbouring cells share their wall's samples,
+    and every corner is evaluated once.
+    """
+
+    def __init__(self, delta, xs, y0, y1):
+        self.delta, self.xs, self.y0, self.y1 = delta, xs, y0, y1
+        n = self.n = len(xs) - 1
+        corners = np.concatenate([np.asarray(xs) + 1j * y0, np.asarray(xs) + 1j * y1])
+        ends = [(k + side * (n + 1), k + 1 + side * (n + 1)) for k in range(n) for side in (0, 1)]
+        ends += [(k, k + n + 1) for k in range(n + 1)]
+        step = _EDGE_STEP * (y1 - y0)
+        inner = []
+        for a, b in ends:
+            za, zb = corners[a], corners[b]
+            m = max(_MIN_INTERVALS, int(np.ceil(abs(zb - za) / step)))
+            inner.append(za + (zb - za) * (np.arange(1, m) / m))
+        owner = [2 * n + np.arange(2 * n + 2) % (n + 1)]
+        owner += [np.full(p.size, e) for e, p in enumerate(inner)]
+        v = self._eval(np.concatenate([corners, *inner]), np.concatenate(owner))
+        vc = v[: corners.size]
+        vi = np.split(v[corners.size :], np.cumsum([p.size for p in inner])[:-1])
+        self.z = [np.concatenate([[corners[a]], p, [corners[b]]]) for (a, b), p in zip(ends, inner)]
+        self.v = [np.concatenate([[vc[a]], q, [vc[b]]]) for (a, b), q in zip(ends, vi)]
+
+    def _eval(self, z, owner):
+        v = np.asarray(self.delta(z), dtype=complex)
+        close = np.flatnonzero(np.abs(v) <= _ON_CONTOUR * (1.0 + np.abs(z)))
+        if close.size:
+            raise _ContourTooClose(int(owner[close[0]]))
+        return v
+
+    def refine(self, edges, too_coarse):
+        """Bisect the intervals of ``edges`` where ``too_coarse(v1 / v0)``.
+
+        All edges are refined together, one Delta call per round, until
+        no interval is too coarse.
+        """
+        while True:
+            picks = [(e, np.flatnonzero(too_coarse(self.v[e][1:] / self.v[e][:-1]))) for e in edges]
+            picks = [(e, i) for e, i in picks if i.size]
+            if not picks:
+                return
+            mids = [0.5 * (self.z[e][i] + self.z[e][i + 1]) for e, i in picks]
+            if sum(z.size for z in self.z) + sum(m.size for m in mids) > _BUDGET:
+                raise ContourError("contour sampling budget exhausted")
+            owner = np.concatenate([np.full(i.size, e) for e, i in picks])
+            vals = self._eval(np.concatenate(mids), owner)
+            at = 0
+            for (e, i), m in zip(picks, mids):
+                self.z[e] = np.insert(self.z[e], i + 1, m)
+                self.v[e] = np.insert(self.v[e], i + 1, vals[at : at + i.size])
+                at += i.size
+
+    def cell_edges(self, k):
+        """Cell k's boundary, counterclockwise, as (edge, direction) pairs."""
+        n = self.n
+        return ((2 * k, 1), (2 * n + k + 1, 1), (2 * k + 1, -1), (2 * n + k, -1))
+
+    def counts(self):
+        phase = [float(np.sum(np.angle(v[1:] / v[:-1]))) for v in self.v]
+        out = []
+        for k in range(self.n):
+            turns = sum(d * phase[e] for e, d in self.cell_edges(k)) / _TWO_PI
+            count = int(np.rint(turns))
+            if abs(turns - count) > 0.25:
+                raise ContourError(f"accumulated phase {turns:.3f} turns is not an integer")
+            out.append(count)
+        return out
+
+    def moments(self, k, order):
+        """(center, scale, s), s[m] = (1/2 pi i) oint ((z - center) / scale)^m dlog Delta.
+
+        Stieltjes sums over the samples of cell k's boundary: the power
+        is taken at the middle of each interval, dlog Delta is the exact
+        log(v1 / v0) of its ends.
+        """
+        z = np.concatenate([self.z[e][::d][1:] for e, d in self.cell_edges(k)])
+        v = np.concatenate([self.v[e][::d][1:] for e, d in self.cell_edges(k)])
+        z, v = np.concatenate([z[-1:], z]), np.concatenate([v[-1:], v])
+        xs = self.xs
+        center = complex(0.5 * (xs[k] + xs[k + 1]), 0.5 * (self.y0 + self.y1))
+        scale = 0.5 * max(xs[k + 1] - xs[k], self.y1 - self.y0)
+        zm = (0.5 * (z[:-1] + z[1:]) - center) / scale
+        dlog = np.log(v[1:] / v[:-1])
+        return center, scale, np.vander(zm, order, increasing=True).T @ dlog / (2j * np.pi)
+
+
+@dataclass(frozen=True)
+class CellCounts:
+    """Root counts of the vertical cells of one rectangle.
+
+    Cell k is [walls[k], walls[k + 1]] x [im[0], im[1]] and holds
+    counts[k] roots with multiplicity.  moments[k] is None or, for a
+    cell holding more roots than it was told of, (center, scale, s)
+    with s[m] = (1/2 pi i) oint ((z - center) / scale)^m dlog Delta
+    for m < 2 counts[k].
+    """
+
+    walls: tuple
+    im: tuple
+    counts: tuple
+    moments: tuple
+
+
+def _sample_cells(delta, xs, y0, y1, known, per_cell):
+    net = _Net(delta, xs, y0, y1)
+    net.refine(range(len(net.z)), _phase_too_coarse)
+    counts = net.counts()
+    if not per_cell:
+        return counts[0]
+
+    def short(k):
+        inside = sum(xs[k] <= r.real < xs[k + 1] and y0 <= r.imag <= y1 for r in known)
+        return counts[k] > inside
+
+    dense = []
     while True:
-        dphi = np.angle(v[1:] / v[:-1])
-        bad = np.flatnonzero(np.abs(dphi) >= 0.5 * np.pi)
-        if bad.size == 0:
+        todo = [k for k in range(net.n) if k not in dense and short(k)]
+        if not todo:
             break
-        if z.size + bad.size > budget:
-            raise ContourError("contour sampling budget exhausted")
-        mids = 0.5 * (z[bad] + z[bad + 1])
-        mv = _eval_contour(delta, mids)
-        z = np.insert(z, bad + 1, mids)
-        v = np.insert(v, bad + 1, mv)
-    total = float(np.sum(np.angle(v[1:] / v[:-1])))
-    turns = total / _TWO_PI
-    k = int(np.rint(turns))
-    if abs(turns - k) > 0.25:
-        raise ContourError(f"accumulated phase {turns:.3f} turns is not an integer")
-    return k
+        net.refine(sorted({e for k in todo for e, _ in net.cell_edges(k)}), _log_too_coarse)
+        dense += todo
+        counts = net.counts()
+    moments = tuple(
+        net.moments(k, 2 * counts[k]) if k in dense and short(k) else None for k in range(net.n)
+    )
+    return CellCounts(tuple(xs), (y0, y1), tuple(counts), moments)
 
 
-def count_roots(delta, rectangle) -> int:
+def count_roots(delta, rectangle, cuts=None, known=()):
     """Roots (with multiplicity) inside a rectangle, by winding number.
 
     ``rectangle`` is a (lower-left, upper-right) pair of complex
-    corners.  Contour samples too close to a zero of Delta force a 1%
-    dilation about the center, up to five times, after which a contour
-    error is raised.  The phase is accumulated over an adaptively
-    refined sampling where every increment stays below pi/2.
+    corners.  The phase is accumulated over an adaptively refined
+    sampling where every increment stays below pi/2.  A sample too
+    close to a zero of Delta moves the edge it lies on outward, a wall
+    by 1% of the narrower cell beside it and the top and bottom by a 1%
+    dilation of the imaginary range, up to five times, after which a
+    contour error is raised.
+
+    Without ``cuts`` the count is returned as an int.  With ``cuts``
+    (real parts strictly inside the rectangle, possibly none) the
+    rectangle is split into vertical cells there and a ``CellCounts``
+    is returned; all cells come from one sampling in which neighbours
+    share their wall.  A cell holding more roots than ``known`` places
+    in it (roots within 1e-6 relative of each other counted once) is
+    sampled more densely and carries its moments.
     """
     lo, hi = complex(rectangle[0]), complex(rectangle[1])
     if not (hi.real > lo.real and hi.imag > lo.imag):
         raise DomainError("rectangle corners must be ordered lower-left, upper-right")
-    center = 0.5 * (lo + hi)
+    xs = [lo.real, *sorted(float(c) for c in (cuts or ())), hi.real]
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise DomainError("cuts must lie strictly inside the rectangle")
+    y0, y1 = lo.imag, hi.imag
+    distinct = []
+    for r in known:
+        if _is_new(complex(r), distinct):
+            distinct.append(complex(r))
+    n = len(xs) - 1
     for _ in range(6):
         try:
-            return _winding(delta, lo, hi)
-        except _ContourTooClose:
-            lo = center + (lo - center) * 1.01
-            hi = center + (hi - center) * 1.01
-    raise ContourError("a root stayed on the contour through five dilations")
+            return _sample_cells(delta, xs, y0, y1, distinct, cuts is not None)
+        except _ContourTooClose as hit:
+            if hit.edge < 2 * n:
+                mid, half = 0.5 * (y0 + y1), 0.505 * (y1 - y0)
+                y0, y1 = mid - half, mid + half
+            else:
+                k = hit.edge - 2 * n
+                near = float(np.diff(xs)[max(k - 1, 0) : k + 1].min())
+                xs[k] += 0.01 * near if k == n else -0.01 * near
+    raise ContourError("a root stayed on the contour through five moves")
 
 
 def _root_order(roots):
@@ -248,49 +416,161 @@ def _root_order(roots):
     return out
 
 
-def _dedupe(roots):
-    """Cluster near-identical roots; returns (representatives, sizes)."""
-    reps = []
-    sizes = []
-    for lam in roots:
-        for i, rep in enumerate(reps):
-            if abs(lam - rep) < 1e-6 * (1.0 + abs(rep)):
-                sizes[i] += 1
-                break
-        else:
-            reps.append(lam)
-            sizes.append(1)
-    return reps, sizes
+def _hankel_roots(moments, known, count):
+    """The roots a contour holds besides ``known``, from its moments.
 
-
-def _dips(mag: np.ndarray) -> np.ndarray:
-    """Indices of interior local minima of a sampled magnitude."""
-    return np.flatnonzero((mag[1:-1] <= mag[:-2]) & (mag[1:-1] <= mag[2:])) + 1
-
-
-def _secondary_candidates(delta, re_lo, re_hi, im_window):
-    """Fallback starting points: a real sweep plus a coarse complex mesh.
-
-    The real axis contributes midpoints of sign changes of Re Delta and
-    local minima of |Delta|; each mesh row contributes its |Delta| dips.
-    Off-axis rows matter because Newton from a real seed of a function
-    real on the real axis can never leave the axis, and these problems
-    are not self-adjoint, so conjugate root pairs do occur.  Evaluating
-    first and polishing only the dips keeps the fallback much cheaper
-    than polishing the whole mesh.
+    Deflated by the known roots (each counted once), the moments are the
+    power sums of the missing ones, and those are the eigenvalues of the
+    pencil of the power sums' Hankel matrices, as many distinct ones as
+    the first matrix has numerical rank.  Eigenvalues beyond twice the
+    contour's scale are noise and are dropped.
     """
-    cands = []
-    xs = np.linspace(re_lo, re_hi, 513)
-    vals = np.asarray(delta(xs.astype(complex)), dtype=complex)
-    flips = np.flatnonzero(np.signbit(vals.real[:-1]) != np.signbit(vals.real[1:]))
-    cands.extend(complex(0.5 * (xs[i] + xs[i + 1])) for i in flips)
-    cands.extend(complex(xs[i]) for i in _dips(np.abs(vals)))
-    for frac in (0.05, 0.15, 0.3, 0.6):
-        for sign in (1.0, -1.0):
-            zs = np.linspace(re_lo, re_hi, 129) + 1j * (sign * frac * im_window)
-            mag = np.abs(np.asarray(delta(zs), dtype=complex))
-            cands.extend(complex(zs[i]) for i in _dips(mag))
-    return cands
+    center, scale, s = moments
+    d = count - len(known)
+    if d < 1:
+        return []
+    zk = (np.asarray(known, dtype=complex) - center) / scale
+    p = s[: 2 * d] - np.vander(zk, 2 * d, increasing=True).sum(axis=0)
+    idx = np.add.outer(np.arange(d), np.arange(d))
+    h0, h1 = p[idx], p[idx + 1]
+    try:
+        sv = np.linalg.svd(h0, compute_uv=False)
+        r = int(np.sum(sv > 1e-6 * sv[0]))
+        ev = np.linalg.eigvals(np.linalg.solve(h0[:r, :r], h1[:r, :r]))
+    except np.linalg.LinAlgError:
+        return []
+    ev = ev[np.isfinite(ev) & (np.abs(ev) <= 2.0)]
+    return [complex(center + scale * e) for e in ev]
+
+
+_Cell = namedtuple("_Cell", "x0 x1 y0 y1 count moments")
+
+
+class _Census:
+    """The cells certified so far and the distinct roots located in them."""
+
+    def __init__(self, delta, tol):
+        self.delta, self.tol = delta, tol
+        self.cells = []
+        self.roots = []
+
+    def add(self, result: CellCounts):
+        y0, y1 = result.im
+        walls = result.walls
+        for x0, x1, count, mom in zip(walls, walls[1:], result.counts, result.moments):
+            self.cells.append(_Cell(x0, x1, y0, y1, count, mom))
+        self.cells.sort(key=lambda c: c.x0)
+
+    def cell_of(self, lam):
+        for k, c in enumerate(self.cells):
+            if c.x0 <= lam.real < c.x1 and c.y0 <= lam.imag <= c.y1:
+                return k
+        return None
+
+    def inside(self, k):
+        return [r for r in self.roots if self.cell_of(r) == k]
+
+    def nearest(self, lam):
+        return min(self.roots, key=lambda r: abs(r - lam))
+
+    def polish(self, guesses):
+        """Newton from ``guesses``: (landing points, converged flags)."""
+        return _refine_many(self.delta, guesses, self.tol)
+
+    def take(self, lams) -> int:
+        """Add the roots among ``lams`` that are new and lie in a cell; returns how many.
+
+        A root within 1% (relative) of a known one is new only if a
+        contour could pass between the two: |Delta| at their midpoint
+        must exceed 100 times the level at which a contour sample counts
+        as a root.  Closer roots form one cluster (Newton leaves a
+        multiple root only to the residual tolerance), and a count
+        around it reads its size.
+        """
+        added = 0
+        for lam in lams:
+            if not _is_new(lam, self.roots) or self.cell_of(lam) is None:
+                continue
+            if self.roots:
+                mid = 0.5 * (lam + self.nearest(lam))
+                if abs(mid - lam) < 0.005 * (1.0 + abs(mid)):
+                    v = np.asarray(self.delta(np.array([mid])), dtype=complex)[0]
+                    if abs(v) <= 100.0 * _ON_CONTOUR * (1.0 + abs(mid)):
+                        continue
+            self.roots.append(lam)
+            added += 1
+        return added
+
+
+def _locate(census):
+    """Polish what the cells' moments point at until a round finds no new root."""
+    for _ in range(sum(c.count for c in census.cells) + 1):
+        pointers = []
+        for k, c in enumerate(census.cells):
+            if c.moments is not None:
+                pointers += _hankel_roots(c.moments, census.inside(k), c.count)
+        landed, ok = census.polish(pointers)
+        if not census.take(complex(x) for x, good in zip(landed, ok) if good):
+            return
+
+
+def _square(census, k, r):
+    """Count and moments of a square centred on root r of cell k, clear of the other roots."""
+    c = census.cells[k]
+    half = 0.25 * min(c.x1 - c.x0, c.y1 - c.y0)
+    for q in census.roots:
+        if q != r:
+            half = min(half, 0.4 * abs(q - r))
+    corner = half * (1.0 + 1.0j)
+    return count_roots(census.delta, (r - corner, r + corner), cuts=(), known=[r])
+
+
+def _multiplicities(census):
+    """The located roots of every cell, each listed with its multiplicity.
+
+    A cell whose count equals its located roots holds them all simple.
+    Otherwise each root gets a square centred on it and clear of the
+    other known roots.  Deflated by the root, the square's moments point
+    at any root hiding close by (a pair too close for the cell's moments
+    to separate); such a root is added and the squares drawn again.
+    When every pointer polishes back onto its root, the square's count
+    is that root's multiplicity.  A cell whose count still differs from
+    its roots raises an incompleteness error.
+    """
+    mult = {}
+    for k, c in enumerate(census.cells):
+        for _ in range(max(c.count, 0)):
+            inside = census.inside(k)
+            if len(inside) >= c.count:
+                break
+            squares = [_square(census, k, r) for r in inside]
+            pointers = [
+                _hankel_roots(sq.moments[0], [r], sq.counts[0]) if sq.moments[0] is not None else []
+                for r, sq in zip(inside, squares)
+            ]
+            landed, ok = census.polish([p for ps in pointers for p in ps])
+            if census.take(complex(x) for x, good in zip(landed, ok) if good):
+                continue
+            at = 0
+            for r, sq, ps in zip(inside, squares, pointers):
+                back = all(
+                    good and census.nearest(complex(x)) == r
+                    for x, good in zip(landed[at : at + len(ps)], ok[at : at + len(ps)])
+                )
+                at += len(ps)
+                if sq.counts[0] <= 1 or (ps and back):
+                    mult[r] = sq.counts[0]
+            break
+    listed = []
+    for k, c in enumerate(census.cells):
+        roots = [r for r in census.inside(k) for _ in range(mult.get(r, 1))]
+        if len(roots) != c.count:
+            raise IncompleteSpectrumError(
+                f"winding count {c.count} vs {len(roots)} located roots in "
+                f"[{c.x0:.3f}, {c.x1:.3f}] x [{c.y0:.3f}, {c.y1:.3f}]i"
+            )
+        listed += roots
+    return listed
 
 
 def compute_spectrum(
@@ -301,82 +581,59 @@ def compute_spectrum(
     tol: float = 1e-10,
     im_window: float = 10.0,
 ) -> Spectrum:
-    """The first n_max eigenvalues, winding-certified.
+    """The eigenvalues in the first n_max cells, each cell winding-certified.
 
-    Refines every initial guess, deduplicates, then counts roots inside
-    the rectangle [left margin, midpoint beyond guess n_max] x
-    [-im_window, im_window].  A count exceeding the roots in hand
-    triggers a secondary search (sign changes of Re Delta on the real
-    axis, then a coarse complex mesh); a persistent mismatch raises an
-    incompleteness error rather than returning a spectrum with holes.
+    The rectangle [left margin, midpoint beyond seed n_max] x
+    [-im_window, im_window] is cut into n_max cells at the midpoints of
+    the seeds of ``initial_guesses``, and every cell's roots are counted
+    from one contour sampling.  Newton refines every seed; where a
+    cell's count exceeds the roots found in it, the moments of its
+    contour samples locate the missing ones (see the module docstring).
+    A root within 1 of the floor adds a cell of width 5 below it, up to
+    three times.  Multiplicities come from counts on small squares
+    around the roots, and a cell whose count still differs from its
+    roots raises an incompleteness error rather than returning a
+    spectrum with holes.  ``window`` and ``im_window`` of the result are
+    the rectangle's right edge and half-height after any move off a root.
     """
     if n_max < 1:
         raise PreconditionError(f"need n_max >= 1, got {n_max}")
-    guesses = initial_guesses(nu, j, n_max + 1)
-    above = guesses[n_max].real
-    last = guesses[n_max - 1].real
-    first = guesses[0].real
-    second = guesses[1].real if n_max > 1 else above
-    re_hi = 0.5 * (last + above)
+    law = [g.real for g in initial_guesses(nu, j, n_max + 1)]
+    re_hi = 0.5 * (law[-2] + law[-1])
     # The margin below the first seed is a fixed number, not a fraction
     # of the first gap: the low eigenvalues shift by an amount of order
     # one (set by the potential's mean) that does not scale with the
     # seed spacing.
-    re_lo = first - max(1.5 * (second - first), 5.0)
+    re_lo = law[0] - max(1.5 * (law[1] - law[0]), 5.0)
+    cuts = [0.5 * (a + b) for a, b in zip(law[:-2], law[1:-1])]
 
-    roots, ok = _refine_many(delta, guesses[:n_max], tol)
-    polished = [complex(r) for r, good in zip(roots, ok) if good]
+    census = _Census(delta, tol)
+    landed, ok = census.polish(law[:-1])
+    seeds = [complex(x) for x, good in zip(landed, ok) if good]
+    rect = (complex(re_lo, -im_window), complex(re_hi, im_window))
+    census.add(count_roots(delta, rect, cuts=cuts, known=seeds))
+    census.take(seeds)
+    for extension in range(4):
+        _locate(census)
+        floor = census.cells[0]
+        if extension == 3 or all(r.real >= floor.x0 + 1.0 for r in census.roots):
+            break
+        # a root hugging the floor suggests the lowest eigenvalue may lie below
+        below = (complex(floor.x0 - 5.0, floor.y0), complex(floor.x0, floor.y1))
+        census.add(count_roots(delta, below, cuts=(), known=census.roots))
 
-    # Certify against the window, extending its floor if a root sits
-    # close to it: a root hugging the boundary suggests the true lowest
-    # eigenvalue may lie below.
-    for _ in range(3):
-        kept = [
-            r
-            for r in polished
-            if re_lo < r.real < re_hi and abs(r.imag) < im_window
-        ]
-        reps, sizes = _dedupe(kept)
-        rect = (complex(re_lo, -im_window), complex(re_hi, im_window))
-        certified = count_roots(delta, rect)
-        if certified > len(reps):
-            seeds = _secondary_candidates(delta, re_lo, re_hi, im_window)
-            found, good = _refine_many(delta, seeds, tol, max_iter=24)
-            for r, g in zip(found, good):
-                r = complex(r)
-                if not (g and re_lo < r.real < re_hi and abs(r.imag) < im_window):
-                    continue
-                if all(abs(r - rep) >= 1e-6 * (1.0 + abs(rep)) for rep in reps):
-                    reps.append(r)
-                    sizes.append(1)
-                    polished.append(r)
-        if reps and min(r.real for r in reps) < re_lo + 1.0:
-            re_lo -= 5.0
-            continue
-        break
-
-    listed = list(reps)
-    multi = [rep for rep, s in zip(reps, sizes) if s > 1]
-    if multi and certified == len(listed) + len(multi):
-        # guesses that collapsed onto one point mark double roots
-        listed.extend(multi)
-    if certified != len(listed):
-        raise IncompleteSpectrumError(
-            f"winding count {certified} vs {len(listed)} located roots in "
-            f"[{re_lo:.3f}, {re_hi:.3f}] x [-{im_window}, {im_window}]i"
-        )
-
-    listed = _root_order(listed)
+    listed = _root_order(_multiplicities(census))
     resid = np.abs(np.asarray(delta(np.array(listed, dtype=complex)), dtype=complex))
     entries = tuple(
         SpectrumEntry(n=k + 1, lam=lam, residual=float(r))
         for k, (lam, r) in enumerate(zip(listed, resid))
     )
+    top = census.cells[-1]
     return Spectrum(
         entries=entries,
-        window=re_hi,
-        im_window=im_window,
-        certified_count=certified,
+        window=top.x1,
+        im_window=top.y1,
+        certified_count=sum(c.count for c in census.cells),
     )
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaysl import (
     ContourError,
@@ -26,6 +28,8 @@ from delaysl import (
     sample_function,
     skernel,
 )
+from delaysl import spectrum
+from delaysl.spectrum import _root_order
 
 A = np.pi / 4
 
@@ -77,6 +81,18 @@ def test_count_roots_dilates_off_a_contour_root():
     assert count_roots(_s, (-0.5 - 1.0j, 4.0 + 1.0j)) == 2
 
 
+def test_count_roots_moves_a_cut_or_dilates_off_a_root():
+    # the cut at 4 passes through a root: it moves, and the root joins a cell
+    cells = count_roots(_s, (-0.5 - 1.0j, 10.5 + 1.0j), cuts=[4.0])
+    assert cells.counts == (1, 2) and cells.walls[1] < 4.0
+    # a conjugate pair on the top and bottom edges: the imaginary range dilates
+    pair = lambda z: (np.asarray(z, dtype=complex) - 2.0) ** 2 + 1.0
+    cells = count_roots(pair, (-1.0j, 4.0 + 1.0j), cuts=[1.0])
+    assert cells.counts == (0, 2) and cells.im[1] > 1.0
+    with pytest.raises(DomainError):
+        count_roots(_s, (-0.5 - 1.0j, 10.5 + 1.0j), cuts=[11.0])
+
+
 def test_count_roots_rejects_identically_zero_functions():
     dead = lambda z: np.zeros_like(np.asarray(z, dtype=complex))
     with pytest.raises(ContourError):
@@ -103,10 +119,110 @@ def test_double_root_is_reported_with_multiplicity():
     assert [e.n for e in spec.entries] == [1, 2]
 
 
-def test_unreachable_roots_raise_incompleteness():
+def test_triple_root_is_reported_with_multiplicity():
     triple = lambda z: (np.asarray(z, dtype=complex) - 1.5) ** 3
+    spec = compute_spectrum(triple, 0, 0, 2)
+    assert spec.certified_count == 3
+    lams = spec.lambdas()
+    # Newton leaves a triple root only to the residual tolerance
+    assert np.all(lams == lams[0]) and abs(lams[0] - 1.5) < 1e-3
+
+
+def test_unreachable_roots_raise_incompleteness():
+    # conj is not analytic: its winding number about its zero is -1,
+    # a count no set of roots can match
+    mirror = lambda z: np.conj(np.asarray(z, dtype=complex)) - 1.5
     with pytest.raises(IncompleteSpectrumError):
-        compute_spectrum(triple, 0, 0, 2)
+        compute_spectrum(mirror, 0, 0, 2)
+
+
+def _polynomial(roots):
+    roots = np.asarray(roots, dtype=complex)
+    return lambda z: np.prod(np.asarray(z, dtype=complex)[..., None] - roots, axis=-1)
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        [1.0, 3.0, 3.001, 9.0, 9.0, 12.0 + 2.0j, 12.0 - 2.0j],
+        # the seed 4 sits between the pair
+        [1.0, 3.9995, 4.0005, 9.0, 9.0, 12.0 + 2.0j, 12.0 - 2.0j],
+        [1.2, 2.0, 2.001, 16.0, 16.0, 6.0 + 5.0j, 6.0 - 5.0j],
+    ],
+)
+def test_close_pair_double_root_and_conjugate_pair_are_all_found(roots):
+    spec = compute_spectrum(_polynomial(roots), 0, 0, 5)
+    assert spec.certified_count == len(roots)
+    want = np.array(_root_order([complex(r) for r in roots]))
+    assert np.max(np.abs(spec.lambdas() - want)) < 1e-6
+
+
+def test_a_root_near_the_floor_adds_a_cell_below():
+    # the floor sits at 1 - 5 = -4; the root at -3.5 hugs it, -6 lies below
+    roots = [-6.0, -3.5, 1.0, 4.0]
+    spec = compute_spectrum(_polynomial(roots), 0, 0, 2)
+    assert spec.certified_count == 4
+    assert np.max(np.abs(spec.lambdas() - np.array(roots))) < 1e-8
+
+
+def _member_deltas(a, nu, alpha):
+    """Closed-route Delta callables (j = 0, 1) of one family member."""
+    h, e = reference_pair(a)
+    seed = ((-1.0) * h, 1.0, e) if nu == 0 else (h, -1.0, e)
+    member = build_member(*seed, nu, alpha, a)
+    datas = build_w(member.q, DelaySetup(a=a, nu=nu))
+    return [lambda lam, data=data: delta_closed(data, lam) for data in datas]
+
+
+def _small_square_count(delta, lam, lams):
+    """Winding count on a square around lam that excludes every other listed root."""
+    half = min([0.5] + [0.4 * abs(l - lam) for l in lams if l != lam])
+    return count_roots(delta, (lam - half * (1 + 1j), lam + half * (1 + 1j)))
+
+
+def test_conjugate_pair_is_found_and_no_root_repeated_at_a_0_6():
+    # once listed as 0.7181 and 27.4334 twice each, without the pair
+    delta = _member_deltas(0.6, 0, 0.0)[1]
+    spec = compute_spectrum(delta, 0, 1, 20)
+    lams = [complex(l) for l in spec.lambdas()]
+    assert spec.certified_count == 20
+    for want in (5.8614 - 4.5049j, 5.8614 + 4.5049j):
+        assert min(abs(l - want) for l in lams) < 1e-4
+    for want in (0.7181, 27.4334):
+        assert sum(abs(l - want) < 1e-4 for l in lams) == 1
+    for lam in set(lams):
+        assert _small_square_count(delta, lam, lams) == lams.count(lam)
+
+
+@pytest.mark.parametrize("nu", [0, 1])
+@pytest.mark.parametrize("a", [0.3, 0.6, 1.04])
+def test_member_spectra_agree_across_delays(a, nu):
+    # a = 1.04, nu = 0, j = 1 once failed with "winding count 20 vs 18"
+    deltas = [_member_deltas(a, nu, alpha) for alpha in (0.0, 2.0 + 3.0j)]
+    for j in (0, 1):
+        first, second = (compute_spectrum(d[j], nu, j, 20) for d in deltas)
+        assert compare(first, second) <= 1e-6  # the isospec tolerance
+        for s in (first, second):
+            lams = s.lambdas()
+            gaps = np.abs(lams[:, None] - lams[None, :]) / (1.0 + np.abs(lams))
+            assert np.all(gaps[~np.eye(len(lams), dtype=bool)] > 1e-6), "a root listed twice"
+
+
+def test_cell_counts_do_not_depend_on_the_initial_sampling(monkeypatch):
+    # the member the benchmark's spectra workload draws for its seed 11
+    alpha = complex(*np.random.default_rng(11).uniform(-3.0, 3.0, 2))
+    for nu, j in ((0, 0), (1, 0), (1, 1)):
+        delta = _member_deltas(A, nu, alpha)[j]
+        law = [g.real for g in initial_guesses(nu, j, 21)]
+        cuts = [0.5 * (x + y) for x, y in zip(law[:-2], law[1:-1])]
+        rect = (complex(law[0] - 5.0, -10.0), complex(0.5 * (law[-2] + law[-1]), 10.0))
+        with monkeypatch.context() as m:
+            m.setattr(spectrum, "_EDGE_STEP", spectrum._EDGE_STEP / 2)
+            m.setattr(spectrum, "_MIN_INTERVALS", 2 * spectrum._MIN_INTERVALS)
+            doubled = count_roots(delta, rect, cuts=cuts).counts
+        cells = count_roots(delta, rect, cuts=cuts)
+        assert cells.counts == doubled
+        assert sum(cells.counts) == compute_spectrum(delta, nu, j, 20).certified_count
 
 
 def _entries(lams):
@@ -135,6 +251,29 @@ def test_conjugate_pairs_order_by_imaginary_part():
     flipped = [SpectrumEntry(1, 2.0 + 1.0j, 0.0), SpectrumEntry(2, 2.0 - 1.0j, 0.0)]
     with pytest.raises(DomainError):
         Spectrum(flipped, 12.0, 10.0, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(-50.0, 400.0), st.floats(0.0, 10.0), st.integers(0, 4)
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_root_order_ignores_the_input_order(pairs, rnd):
+    # conjugate pairs whose real parts differ by a few ulps
+    roots = []
+    for re, im, ulps in pairs:
+        roots += [complex(re, im), complex(re + ulps * np.spacing(re), -im)]
+    order = _root_order(roots)
+    shuffled = list(roots)
+    rnd.shuffle(shuffled)
+    assert _root_order(shuffled) == order
+    Spectrum(_entries(order), 400.0, 10.0, len(order))
 
 
 def test_csv_rendering():
