@@ -45,6 +45,7 @@ from .errors import (
 )
 from .family import bridge_integral, build_member, omega_of_member, w_of_member
 from .fredholm import (
+    MIN_MODES,
     FredholmOperator,
     apply,
     apply_discrete,
@@ -125,8 +126,8 @@ class RunConfig:
             raise PreconditionError(f"nu must be 0 or 1, got {self.nu}")
         if not self.alphas:
             raise PreconditionError("alphas must not be empty")
-        if self.nystrom_n < 2:
-            raise PreconditionError(f"nystrom_n must be >= 2, got {self.nystrom_n}")
+        if self.nystrom_n < MIN_MODES:
+            raise PreconditionError(f"nystrom_n must be >= {MIN_MODES}, got {self.nystrom_n}")
         if self.seed < 0:
             raise PreconditionError("seed must be a nonnegative integer")
         object.__setattr__(self, "alphas", tuple(complex(al) for al in self.alphas))

@@ -215,14 +215,15 @@ class _March:
         self.Y = np.empty((nlam, n_nodes), dtype=complex)
         self.Yp = np.empty((nlam, n_nodes), dtype=complex)
 
-        # potential on the half grid; left limits kept separately so no
-        # stage ever reads the wrong side of a jump
+        # potential on the half grid; both limits at a jump read off the
+        # segments, so no stage ever reads the wrong side of it
         self.q_right = q.values(self.x_half)
         self.q_left = self.q_right.copy()
-        for b, seg in zip(q.breakpoints(), q.segments[:-1]):
+        for b, seg, nxt in zip(q.breakpoints(), q.segments[:-1], q.segments[1:]):
             i = int(round(b / self.dx))
             if 0 <= i < n_nodes and abs(i * self.dx - b) <= 1e-9 * max(1.0, b):
                 self.q_left[i] = seg.samples[-1]
+                self.q_right[i] = nxt.samples[0]
 
         self._run(init_nu)
 
@@ -462,15 +463,18 @@ class _Blocks:
         self.rem = PI - self.n_full * h
         if self.rem < 1e-9 * h:
             self.rem = 0.0
-        # q at the nodes (right limits), left limits at its jumps, and the
-        # cut nodes: q's breakpoints and the kinks of y(t - a) one delay later
+        # q at the nodes (right limits), both limits at its jumps read off
+        # the segments (a node one rounding below a breakpoint would read
+        # the left one), and the cut nodes: q's breakpoints and the kinks
+        # of y(t - a) one delay later
         self.q_right = q.values(h * np.arange(self.n_full + 1))
         self.q_left = self.q_right.copy()
         cuts = set()
-        for b, seg in zip(q.breakpoints(), q.segments[:-1]):
+        for b, seg, nxt in zip(q.breakpoints(), q.segments[:-1], q.segments[1:]):
             i = int(round(b / h))
             if i <= self.n_full and abs(i * h - b) <= 1e-9 * max(1.0, b):
                 self.q_left[i] = seg.samples[-1]
+                self.q_right[i] = nxt.samples[0]
             cuts.update((i, i + m))
         self.cuts = sorted(cuts)
         self.q = q
@@ -522,14 +526,16 @@ class _Blocks:
         """Simpson integrals of C(t - x0) f(t) and S(t - x0) f(t) between the offsets u.
 
         x0 = start h; the ascending offsets u, at most h apart, must lie in
-        one smooth piece of f, and the result has one column per cell.
-        y(t - a) at the midpoints (and at u off the nodes) is the 4-point
-        Lagrange interpolant of ``hist``; q is one-sided at a last node.
+        one smooth piece of f, u[0] on a node, and the result has one column
+        per cell.  y(t - a) at the midpoints (and at u off the nodes) is the
+        4-point Lagrange interpolant of ``hist``; q is one-sided at the
+        first node and at a last node.
         """
         h = self.h
         pts = np.empty(2 * u.size - 1)
         pts[0::2], pts[1::2] = u, 0.5 * (u[:-1] + u[1:])
         qv = self.q.values(start * h + pts)
+        qv[0] = self.q_right[start + round(u[0] / h)]
         last = u[-1] / h
         if abs(last - round(last)) <= 1e-9 * (1.0 + last):
             qv[-1] = self.q_left[start + round(last)]

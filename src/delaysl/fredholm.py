@@ -7,10 +7,25 @@ For a real h on (5a/2, 3a) let K(s) be the tail integral of h from s to
 
 a Hermitian kernel in disguise: K(x + t - a/2) is symmetric in (x, t).
 Its eigenfunctions with nonzero eigenvalue are what the family
-construction consumes.  Discretization is a Gauss-Legendre Nystrom
-scheme in the symmetrized sqrt-weight form, so the matrix is literally
-real symmetric and any dense symmetric eigensolver applies; continuous
-eigenfunctions are recovered from the same quadrature identity.
+construction consumes.
+
+Two discretizations are kept apart.  ``apply`` integrates the kernel
+directly on the sampling lattice.  ``nystrom`` builds the real
+symmetric matrix of M on the first n orthonormal Legendre polynomials
+of (3a/2, 2a), so any dense symmetric eigensolver applies and
+continuous eigenfunctions are the modes' sums.  Since the kernel
+depends on x + t only, and K vanishes past 3a, that matrix is a
+Legendre convolution matrix: in u = (x - 3a/2)/(a/2) on [0, 1] the
+kernel is g(1 - u - v) with g(d) = K(3a - (a/2) d), and the columns of
+the convolution of each shifted Legendre polynomial with g follow a
+three-term recurrence in the integration operator (Hale & Townsend,
+"An algorithm for the convolution of Legendre series", SIAM J. Sci.
+Comput. 36(3), 2014).  The recurrence is run on and below the diagonal
+only, where it is stable, and the matrix is mirrored from there.  It
+reads g's Legendre coefficients up to degree 2n - 1, taken from one
+Gauss sampling of K on the density's support, which is all any entry
+depends on; the cost is O(n^2) after that sampling.  Checking
+``apply_discrete`` against ``apply`` compares the two routes.
 
 One closed-form witness is built in: ``reference_pair`` returns an
 (h, e) with M_h e = -e exactly and e of zero mean, which downstream
@@ -47,6 +62,7 @@ __all__ = [
     "zero_mean",
 ]
 
+MIN_MODES = 16  # fewest modes the mode matrix accepts
 _ETA_CUTOFF = 1e-10  # relative magnitude below which an eigenvalue reads as zero
 
 
@@ -142,46 +158,75 @@ def _orthobasis(a: float, count: int, xs) -> np.ndarray:
     return rows * scale[:, None]
 
 
-def nystrom(op: FredholmOperator, n: int):
-    """Real symmetric spectral matrix plus reference nodes and weights.
+def nystrom(op: FredholmOperator, n: int) -> np.ndarray:
+    """Real symmetric n x n matrix of the operator on the first n modes.
 
-    A is the operator on the first n orthonormal polynomials of
-    (3a/2, 2a).  Assembly runs in the coordinate s = x + t - a/2: there
-    the kernel's tail cutoff sits at the fixed abscissa 3a, outside the
-    integration range, so every quadrature sees a smooth integrand and
-    the matrix eigenvalues converge spectrally in n.  A plain rule on
-    the square would smear the cutoff line across cells and stall at
-    second order.  Returned alongside are the n-point Gauss-Legendre
-    nodes and weights on (3a/2, 2a) for callers that integrate samples.
+    A[p, q] is the operator between the first n orthonormal polynomials
+    of (3a/2, 2a), built by the Legendre convolution recurrence of Hale
+    and Townsend, "An algorithm for the convolution of Legendre series",
+    SIAM J. Sci. Comput. 36(3), 2014, in O(n^2) operations.
+
+    Coordinates: u = (x - 3a/2)/(a/2) maps both x and t onto [0, 1], and
+    g(d) = K(3a - (a/2) d) is the kernel on the density's support.  As K
+    vanishes past 3a, K(x + t - a/2) = g(1 - u - v) is a convolution, and
+    with b[:, q] the shifted-Legendre coefficients of P_q * g on [0, 1]
+    (P_q the shifted Legendre polynomials, * the convolution from 0),
+
+        A[p, q] = (a/2) (-1)^p sqrt((2q + 1)/(2p + 1)) b[p, q].
+
+    The columns obey b_0 = S c, b_1 = 2 S b_0 - b_0 and
+    b_{k+1} = 2 (2k + 1) S b_k + b_{k-1}, where c holds the coefficients
+    of g and S, integration from 0 in coefficient space, is tridiagonal:
+    (S v)_0 = v_0/2 - v_1/6, (S v)_i = v_{i-1}/(2(2i - 1)) - v_{i+1}/(2(2i + 3)).
+    The recurrence is stable on and below the diagonal and grows without
+    bound above it (it overflows from about n = 512).  Rows j >= k of b_k
+    depend only on the same rows of the earlier columns, so only that
+    lower triangle is run, the rest held at zero, and the upper triangle
+    is its mirror, b[k, j] = (-1)^(j+k) (2k + 1)/(2j + 1) b[j, k], which
+    is the statement that A is symmetric.
+
+    A plain rule on the square would smear the cutoff line u + v = 1
+    across cells and stall at second order.  The recurrence never meets
+    that line: the convolution from 0 carries the cutoff exactly, and the
+    only samples are of g at 2n + 32 Gauss nodes of the density's
+    support, where K is smooth; they give c_m for m < 2n.  That is all
+    the matrix needs: A[p, q] is the integral of K against a polynomial
+    of degree at most 2n - 1 in s = x + t - a/2, so a collapsed Gauss
+    rule in (s, r) on the same s nodes gives the same matrix in exact
+    arithmetic, and the eigenvalues converge spectrally in n.
     """
-    if n < 16:
-        raise PreconditionError(f"need n >= 16 modes, got {n}")
+    if n < MIN_MODES:
+        raise PreconditionError(f"need n >= {MIN_MODES} modes, got {n}")
     a = op.a
-    xi, wi = np.polynomial.legendre.leggauss(n)
-    x = 1.75 * a + 0.25 * a * xi
-    w = 0.25 * a * wi
+    size = 2 * n
+    # c_m = (2m + 1) * integral of g P_m over [0, 1]; at the Gauss node
+    # s = 11a/4 + (a/4) xi, d = (1 - xi)/2 and P_m(d) = (-1)^m P_m(xi)
+    xi, wt = np.polynomial.legendre.leggauss(size + 32)
+    m = np.arange(size)
+    sign = np.where(m % 2 == 0, 1.0, -1.0)
+    g = 0.5 * wt * op.K.values(2.75 * a + 0.25 * a * xi).real
+    c = (2.0 * m + 1.0) * sign * (np.polynomial.legendre.legvander(xi, size - 1).T @ g)
 
-    # outer rule in s over the density's support, inner rule across the
-    # correlation window (3a/2, s - a)
-    sxi, swt = np.polynomial.legendre.leggauss(2 * n + 32)
-    s = 2.75 * a + 0.25 * a * sxi
-    sw = 0.25 * a * swt * op.K.values(s).real
-    rxi, rwt = np.polynomial.legendre.leggauss(n + 2)
-    A = np.zeros((n, n))
-    for lo in range(0, s.size, 16):
-        sb = s[lo : lo + 16]
-        swb = sw[lo : lo + 16]
-        half = 0.5 * (sb - 2.5 * a)
-        mid = 0.5 * sb + 0.25 * a
-        xn = mid[:, None] + half[:, None] * rxi[None, :]
-        wn = (swb * half)[:, None] * rwt[None, :]
-        left = _orthobasis(a, n, xn.ravel())
-        # the right nodes s + a/2 - xn = mid - half * rxi are the left ones
-        # in reverse order, as the Gauss nodes are symmetric
-        right = left.reshape(n, *xn.shape)[:, :, ::-1].reshape(n, -1)
-        A += (left * wn.ravel()) @ right.T
-    A = 0.5 * (A + A.T)
-    return A, x, w
+    below = 0.5 / (2.0 * m + 1.0)  # S: entry i takes below[i - 1] v[i - 1]
+    above = -0.5 / (2.0 * m + 3.0)  # and above[i] v[i + 1]
+
+    def integral(v):
+        out = np.empty_like(v)
+        out[0] = below[0] * v[0]
+        out[1:] = below[:-1] * v[:-1]
+        out[:-1] += above[:-1] * v[1:]
+        return out
+
+    cols = np.zeros((n, size))  # cols[k] = b[:, k], kept from row k down
+    cols[0] = integral(c)
+    cols[1, 1:] = 2.0 * integral(cols[0])[1:] - cols[0, 1:]
+    for k in range(1, n - 1):
+        nxt = 2.0 * (2.0 * k + 1.0) * integral(cols[k]) + cols[k - 1]
+        cols[k + 1, k + 1 :] = nxt[k + 1 :]
+    p = np.arange(n)
+    scale = 0.5 * a * sign[:n, None] * np.sqrt((2.0 * p + 1.0)[None, :] / (2.0 * p + 1.0)[:, None])
+    A = np.tril(scale * cols[:, :n].T)
+    return A + np.tril(A, -1).T
 
 
 def project(op: FredholmOperator, f: PiecewiseFunction, n: int) -> np.ndarray:
@@ -200,7 +245,7 @@ def apply_discrete(op: FredholmOperator, f: PiecewiseFunction, n: int) -> Piecew
     discretization-quality check.
     """
     a = op.a
-    coeff = nystrom(op, n)[0] @ project(op, f, n)
+    coeff = nystrom(op, n) @ project(op, f, n)
     xs = np.linspace(1.5 * a, 2.0 * a, 513)
     samples = coeff @ _orthobasis(a, n, xs)
     return PiecewiseFunction([SampledSegment(Interval(1.5 * a, 2.0 * a), samples.astype(complex))])
@@ -216,7 +261,7 @@ def eigenpairs(op: FredholmOperator, n: int, count: int | None = None) -> list[E
     returned; each pair costs one direct-quadrature residual pass.
     """
     a = op.a
-    A, _, _ = nystrom(op, n)
+    A = nystrom(op, n)
     vals, vecs = np.linalg.eigh(A)
     top = float(np.max(np.abs(vals))) if len(vals) else 0.0
     keep = [m for m in range(len(vals)) if abs(vals[m]) > _ETA_CUTOFF * max(top, 1e-300)]

@@ -366,6 +366,20 @@ def test_direct_route_matches_closed_forms():
             assert np.max(gap) < 1e-6
 
 
+@pytest.mark.parametrize("a", [0.88, 0.9, 0.92])
+def test_direct_route_reads_the_right_side_of_every_jump(a):
+    # on these grids some nodes land one rounding below a breakpoint of q
+    h, e = reference_pair(a)
+    member = build_member(h.map_samples(lambda s, x: -s), 1.0, e, 0, 0.0, a)
+    lam = np.array([1.0, 10.0, 50.0, 3.0 + 3.0j])
+    for nodes in (257, 513):
+        setup = DelaySetup(a=a, nu=0, segment_nodes=nodes, steps_per_delay=0)
+        for j, data in enumerate(build_w(member.q, setup)):
+            closed = delta_closed(data, lam)
+            direct = delta_direct(member.q, setup, j, lam)
+            assert np.max(np.abs(closed - direct) / (1.0 + np.abs(closed))) <= 1e-9
+
+
 def test_direct_route_pads_short_grids():
     full = _grid_q(_bump)
     short = sample_function(_bump, grid_breakpoints(A, 0.0, 3 * A), 129)

@@ -120,6 +120,9 @@ def test_config_gates():
         RunConfig(alphas=())
     with pytest.raises(PreconditionError, match="nystrom_n"):
         RunConfig(nystrom_n=1)
+    with pytest.raises(PreconditionError, match="nystrom_n must be >= 16, got 15"):
+        RunConfig(nystrom_n=15)
+    assert RunConfig(nystrom_n=16).nystrom_n == 16
     with pytest.raises(PreconditionError, match="seed"):
         RunConfig(seed=-1)
     with pytest.raises(PreconditionError, match="segment_nodes must be odd"):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaysl import (
     DomainError,
@@ -86,18 +88,97 @@ def test_apply_validates_the_argument_span():
 
 def test_mode_matrix_is_exactly_symmetric():
     op, _, _ = _witness()
-    M, x, w = nystrom(op, 32)
+    M = nystrom(op, 32)
     assert np.array_equal(M, M.T)
     assert M.shape == (32, 32)
-    assert x.size == 32 and w.size == 32
-    assert w.sum() == pytest.approx(A / 2, abs=1e-13)
     with pytest.raises(PreconditionError):
         nystrom(op, 8)
+    with pytest.raises(PreconditionError, match="n >= 16"):
+        nystrom(op, 15)
+
+
+def _collapsed_gauss(op, n):
+    """The mode matrix by a collapsed Gauss rule in (s, r), the oracle.
+
+    The outer rule runs over s = x + t - a/2 on the density's support,
+    the inner one across the window x in (3a/2, s - a); both are exact
+    for the polynomial factor, which has degree at most 2n - 1 in s.
+    """
+    a = op.a
+
+    def basis(x):
+        xi = (x - 1.75 * a) / (0.25 * a)
+        scale = np.sqrt(2.0 * (2.0 * np.arange(n) + 1.0) / a)
+        return np.polynomial.legendre.legvander(xi, n - 1).T * scale[:, None]
+
+    sxi, swt = np.polynomial.legendre.leggauss(2 * n + 32)
+    s = 2.75 * a + 0.25 * a * sxi
+    sw = 0.25 * a * swt * op.kernel_values(s).real
+    rxi, rwt = np.polynomial.legendre.leggauss(n + 2)
+    half = 0.5 * (s - 2.5 * a)
+    x = (0.5 * s + 0.25 * a)[:, None] + half[:, None] * rxi[None, :]
+    w = (sw * half)[:, None] * rwt[None, :]
+    left = basis(x.ravel())
+    right = basis((s[:, None] + 0.5 * a - x).ravel())
+    M = (left * w.ravel()) @ right.T
+    return 0.5 * (M + M.T)
+
+
+def _oracle_gap(op, n):
+    have = nystrom(op, n)
+    want = _collapsed_gauss(op, n)
+    return float(np.max(np.abs(have - want))), float(np.max(np.abs(want)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [16, 24, 40, 64])
+def test_mode_matrix_matches_the_collapsed_gauss_rule(n):
+    op, _, _ = _witness()
+    gap, size = _oracle_gap(op, n)
+    assert gap <= 1e-12 * size
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a", [0.3, 1.04])
+def test_mode_matrix_matches_the_oracle_at_other_delays(a):
+    h, _ = reference_pair(a)
+    gap, size = _oracle_gap(FredholmOperator(a, h), 40)
+    assert gap <= 1e-12 * size
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_mode_matrix_stays_finite():
+    # run above the diagonal, the recurrence overflows from about n = 512
+    op, _, e = _witness()
+    M = nystrom(op, 512)
+    assert np.all(np.isfinite(M))
+    c = project(op, e, 512)
+    assert np.max(np.abs(M @ c + c)) < 1e-9 * np.max(np.abs(c))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=20, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+    n=st.sampled_from([16, 17, 31]),
+)
+def test_mode_matrix_of_polynomial_densities(coeffs, n):
+    # a cubic density is sampled exactly, so K is a quartic on its support
+    h = sample_function(
+        lambda x: np.polynomial.polynomial.polyval((x - 2.75 * A) / (0.25 * A), coeffs),
+        [2.5 * A, 3.0 * A],
+        33,
+    )
+    op = FredholmOperator(A, h)
+    M = nystrom(op, n)
+    assert np.array_equal(M, M.T)
+    gap, size = _oracle_gap(op, n)
+    assert gap <= 1e-12 * size
 
 
 def test_mode_matrix_reproduces_the_witness():
     op, _, e = _witness()
-    M, _, _ = nystrom(op, 48)
+    M = nystrom(op, 48)
     c = project(op, e, 48)
     assert np.max(np.abs(M @ c + c)) < 1e-9 * np.max(np.abs(c))
 
@@ -147,7 +228,7 @@ def test_zero_density_has_no_eigenvalues():
 
 def test_eigenvalue_squares_sum_to_the_kernel_mass():
     op, _, _ = _witness()
-    M, _, _ = nystrom(op, 256)
+    M = nystrom(op, 256)
     have = float(np.sum(np.linalg.eigvalsh(M) ** 2))
     n = 400
     edges = np.linspace(3 * A / 2, 2 * A, n + 1)
