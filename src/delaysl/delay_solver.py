@@ -77,9 +77,12 @@ _MAX_STEP = PI / 4096.0
 
 # complex numbers per kernel array in one pass of the block solver
 # (128 KiB): the spectral points go through in passes of
-# _PASS_SIZE // (steps + 1), so the working arrays of a pass stay in cache
-# and are small heap allocations, not fresh mmaps
+# _PASS_SIZE // (width of the kernel tables), so the working arrays of a
+# pass stay in cache and are small heap allocations, not fresh mmaps
 _PASS_SIZE = 8192
+
+# fine offsets per coarse step of the block solver's kernel tables
+_FINE = 32
 
 # lattice cells per delay length for the nested integrals of the
 # potential (triangle kernel, weight correction, Fredholm operator)
@@ -425,38 +428,94 @@ def endpoint_values(q: PiecewiseFunction, setup: DelaySetup, init_nu: int, lam):
 
     with C, S the kernels and I_C, I_S the running integrals of
     C(t - x0) f(t) and S(t - x0) f(t) from x0.  t - x0 runs over the
-    same offsets 0, h, ..., a in every block, so C and S are evaluated
-    once; being block-local they also stay free of the cancellation a
-    global S(x) C(t) - C(x) S(t) suffers for lam << 0.  The integrals use
-    the cubic cell rule (``gridfn._cell_integrals``) on each smooth
-    piece of f, cut at q's breakpoints (one-sided q values) and at those
-    breakpoints + a, where y(t - a) kinks; breakpoints are taken at the
-    nearest node.  A piece under 3 cells, and the partial last cell when
-    pi is not a node, get one Simpson panel per cell instead, with y(t - a)
-    interpolated at the midpoints.  The
-    points go through in passes of a few; every operation is elementwise
-    in lam, so a point's value does not depend on the batch it comes in.
+    same offsets 0, h, ..., a in every block, so C and S are tabulated
+    once per point (``_kernel_tables``: two short tables joined by the
+    addition theorems); being block-local they also stay free of the
+    cancellation a global S(x) C(t) - C(x) S(t) suffers for lam << 0.
+    The integrals use the cubic cell rule (``gridfn._cell_integrals``) on
+    each smooth piece of f, cut at q's breakpoints (one-sided q values)
+    and at those breakpoints + a, where y(t - a) kinks; breakpoints are
+    taken at the nearest node.  A piece under 3 cells, and the partial
+    last cell when pi is not a node, get one Simpson panel per cell
+    instead, with y(t - a) interpolated at the midpoints.  A piece where
+    q is zero at every point the rule reads adds nothing and is skipped.
+    The set-up that depends on q and the grid alone (q at the nodes, the
+    pieces, the support check) is kept for the last (q, setup) pair, so
+    q must not be changed in place between calls.  The points go through
+    in passes of a few; every operation is elementwise in lam, so a
+    point's value does not depend on the batch it comes in.
     """
     lam = np.asarray(lam, dtype=complex)
-    blocks = _Blocks(q, setup)
+    blocks = _blocks_for(q, setup)
     flat = lam.ravel()
     y_end = np.empty(flat.shape, dtype=complex)
     yp_end = np.empty(flat.shape, dtype=complex)
-    rows = max(1, _PASS_SIZE // (blocks.m + 1))
+    rows = max(1, _PASS_SIZE // (_FINE * (blocks.m // _FINE + 1)))
     for lo in range(0, flat.size, rows):
         part = slice(lo, lo + rows)
         y_end[part], yp_end[part] = blocks.endpoints(init_nu, flat[part])
     return y_end.reshape(lam.shape), yp_end.reshape(lam.shape)
 
 
+_last_blocks = None  # the block set-up of the last (potential, setup) pair
+
+
+def _blocks_for(q: PiecewiseFunction, setup: DelaySetup) -> "_Blocks":
+    """The block set-up for (q, setup), rebuilt only when either changes.
+
+    q is matched by identity (the kept set-up holds a reference to it, so
+    its id cannot be reused), setup by equality.  Calls racing in threads
+    can only build the same set-up twice.
+    """
+    global _last_blocks
+    blocks = _last_blocks
+    if blocks is None or blocks.q is not q or blocks.setup != setup:
+        blocks = _last_blocks = _Blocks(q, setup)
+    return blocks
+
+
+def _kernel_tables(lam: np.ndarray, h: float, m: int):
+    """C(k h) and S(k h), k = 0..m, one row per point of ``lam``.
+
+    A fine table at the offsets j h, j < _FINE, and a coarse one at
+    _FINE J h come from ``kernels.kernel_pair``; with k = _FINE J + j the
+    addition theorems of the entire kernels,
+
+        C(x + y) = C(x) C(y) - lam S(x) S(y),  S(x + y) = S(x) C(y) + C(x) S(y),
+
+    give the rest.  No 1/rho occurs, so they hold through lam = 0, and
+    each product stays within the envelope e^{|Im rho| (x + y)}.  The
+    rows are views of width _FINE (m // _FINE + 1).
+    """
+    cc, sc = kernels.kernel_pair(lam[:, None], h * (_FINE * np.arange(m // _FINE + 1)))
+    cf, sf = kernels.kernel_pair(lam[:, None], h * np.arange(_FINE))
+    lsc = (lam[:, None] * sc)[:, :, None]
+    cc, sc, cf, sf = cc[:, :, None], sc[:, :, None], cf[:, None, :], sf[:, None, :]
+    C = cc * cf
+    C -= lsc * sf
+    S = sc * cf
+    S += cc * sf
+    return C.reshape(lam.size, -1)[:, : m + 1], S.reshape(lam.size, -1)[:, : m + 1]
+
+
 class _Blocks:
-    """The block solver of ``endpoint_values`` for one potential and grid."""
+    """The block solver of ``endpoint_values`` for one potential and grid.
+
+    The set-up reads q alone: ``plan`` holds one (start, n, pieces) per
+    block, start its first node and n its whole cells, and each piece
+    (i0, i1, pts, qv) the block-local node range of one smooth piece of
+    the forcing with q at the points its rule reads: the nodes for the
+    cell rule (pts is None), the Simpson points pts for panels; qv is None
+    where all of those are zero.  ``tail`` is (pts, qv) for the partial
+    last cell.
+    """
 
     def __init__(self, q: PiecewiseFunction, setup: DelaySetup):
         _check_potential(q, setup.a)
         m = setup.steps
         if m < 4:
             raise DomainError(f"the block solver needs at least 4 steps per delay, got {m}")
+        self.q, self.setup = q, setup
         self.m = m
         self.h = h = setup.a / m
         self.n_full = int(math.floor(PI / h + 1e-9))
@@ -467,80 +526,99 @@ class _Blocks:
         # the segments (a node one rounding below a breakpoint would read
         # the left one), and the cut nodes: q's breakpoints and the kinks
         # of y(t - a) one delay later
-        self.q_right = q.values(h * np.arange(self.n_full + 1))
-        self.q_left = self.q_right.copy()
+        q_right = q.values(h * np.arange(self.n_full + 1))
+        q_left = q_right.copy()
         cuts = set()
         for b, seg, nxt in zip(q.breakpoints(), q.segments[:-1], q.segments[1:]):
             i = int(round(b / h))
             if i <= self.n_full and abs(i * h - b) <= 1e-9 * max(1.0, b):
-                self.q_left[i] = seg.samples[-1]
-                self.q_right[i] = nxt.samples[0]
+                q_left[i] = seg.samples[-1]
+                q_right[i] = nxt.samples[0]
             cuts.update((i, i + m))
-        self.cuts = sorted(cuts)
-        self.q = q
+
+        def simpson(start, u):
+            # the offsets u with their midpoints interleaved, and q there,
+            # one-sided at a first node and at a last node
+            pts = np.empty(2 * u.size - 1)
+            pts[0::2], pts[1::2] = u, 0.5 * (u[:-1] + u[1:])
+            qv = q.values(start * h + pts)
+            qv[0] = q_right[start + round(u[0] / h)]
+            last = u[-1] / h
+            if abs(last - round(last)) <= 1e-9 * (1.0 + last):
+                qv[-1] = q_left[start + round(last)]
+            return pts, qv
+
+        self.plan = []
+        start = m
+        while True:
+            n = min(m, self.n_full - start)
+            edges = sorted({0, n} | {i - start for i in cuts if start < i < start + n})
+            pieces = []
+            for i0, i1 in zip(edges[:-1], edges[1:]):
+                if i1 - i0 < 3:  # too short for the cubic stencil
+                    pts, qv = simpson(start, h * np.arange(i0, i1 + 1))
+                else:
+                    pts = None
+                    qv = q_right[start + i0 : start + i1 + 1].copy()
+                    qv[-1] = q_left[start + i1]
+                pieces.append((i0, i1, pts, qv if np.any(qv) else None))
+            self.plan.append((start, n, pieces))
+            if n < m or (start + n == self.n_full and self.rem == 0.0):
+                break
+            start += m
+        if self.rem > 0.0:
+            self.tail = simpson(start, n * h + np.array([0.0, self.rem]))
 
     def endpoints(self, init_nu: int, lam: np.ndarray):
         """(y(pi), y'(pi)) for a 1-D array of spectral points."""
-        m, h, n_full, rem = self.m, self.h, self.n_full, self.rem
-        q_right, q_left = self.q_right, self.q_left
-        C, S = kernels.kernel_pair(lam[:, None], h * np.arange(m + 1))
+        m, h = self.m, self.h
+        C, S = _kernel_tables(lam, h, m)
         # the first block holds the kernels; y0, yp0 are y, y' at its end
         if init_nu == 0:
             y, y0, yp0 = C, C[:, m], -lam * S[:, m]
         else:
             y, y0, yp0 = S, S[:, m], C[:, m]
-        start = m
-        while True:
+        for b, (start, n, pieces) in enumerate(self.plan):
             # y now holds y(t - a) on this block's nodes
-            n = min(m, n_full - start)  # whole cells in this block
             i_c = np.zeros((lam.shape[0], n + 1), dtype=complex)
             i_s = np.zeros((lam.shape[0], n + 1), dtype=complex)
-            edges = sorted({0, n} | {i - start for i in self.cuts if start < i < start + n})
-            for i0, i1 in zip(edges[:-1], edges[1:]):
-                if i1 - i0 < 3:  # too short for the cubic stencil
-                    cells = self._panels(lam, y, start, h * np.arange(i0, i1 + 1))
+            for i0, i1, pts, qv in pieces:
+                if qv is None:  # no forcing: the running integrals stay put
+                    i_c[:, i0 + 1 : i1 + 1] = i_c[:, i0 : i0 + 1]
+                    i_s[:, i0 + 1 : i1 + 1] = i_s[:, i0 : i0 + 1]
+                    continue
+                if pts is not None:
+                    cells = self._panels(lam, y, pts, qv)
                 else:
-                    qp = q_right[start + i0 : start + i1 + 1].copy()
-                    qp[-1] = q_left[start + i1]
-                    f = qp * y[:, i0 : i1 + 1]
+                    f = qv * y[:, i0 : i1 + 1]
                     cells = [_cell_integrals(k[:, i0 : i1 + 1] * f, h) for k in (C, S)]
                 for acc, cell in zip((i_c, i_s), cells):
                     run = acc[:, i0 + 1 : i1 + 1]
                     np.cumsum(cell, axis=1, out=run)
                     run += acc[:, i0 : i0 + 1]
-            if n < m or (start + n == n_full and rem == 0.0):
-                break
-            y = y0[:, None] * C + yp0[:, None] * S + S * i_c - C * i_s
-            y0, yp0 = _voc(lam, y0, yp0, C[:, m], S[:, m], i_c[:, m], i_s[:, m])
-            start += m
+            if b + 1 < len(self.plan):
+                y = y0[:, None] * C + yp0[:, None] * S + S * i_c - C * i_s
+                y0, yp0 = _voc(lam, y0, yp0, C[:, m], S[:, m], i_c[:, m], i_s[:, m])
 
-        if rem == 0.0:
+        if self.rem == 0.0:
             return _voc(lam, y0, yp0, C[:, n], S[:, n], i_c[:, n], i_s[:, n])
         # the partial cell [x_n, pi]
-        u = n * h + np.array([0.0, rem])
-        cell_c, cell_s = self._panels(lam, y, start, u)
-        c_end, s_end = kernels.kernel_pair(lam, u[1])
+        pts, qv = self.tail
+        cell_c, cell_s = self._panels(lam, y, pts, qv)
+        c_end, s_end = kernels.kernel_pair(lam, pts[-1])
         return _voc(lam, y0, yp0, c_end, s_end, i_c[:, n] + cell_c[:, 0], i_s[:, n] + cell_s[:, 0])
 
-    def _panels(self, lam, hist, start: int, u: np.ndarray):
-        """Simpson integrals of C(t - x0) f(t) and S(t - x0) f(t) between the offsets u.
+    def _panels(self, lam, hist, pts: np.ndarray, qv: np.ndarray):
+        """Simpson integrals of C(t - x0) f(t) and S(t - x0) f(t) over the cells of pts.
 
-        x0 = start h; the ascending offsets u, at most h apart, must lie in
-        one smooth piece of f, u[0] on a node, and the result has one column
-        per cell.  y(t - a) at the midpoints (and at u off the nodes) is the
-        4-point Lagrange interpolant of ``hist``; q is one-sided at the
-        first node and at a last node.
+        x0 is the block's first node; the ascending offsets pts[::2], at
+        most h apart, with their midpoints pts[1::2] between them, must lie
+        in one smooth piece of f, pts[0] on a node, and the result has one
+        column per cell.  qv is q at pts, and y(t - a) there is the 4-point
+        Lagrange interpolant of ``hist``.
         """
-        h = self.h
-        pts = np.empty(2 * u.size - 1)
-        pts[0::2], pts[1::2] = u, 0.5 * (u[:-1] + u[1:])
-        qv = self.q.values(start * h + pts)
-        qv[0] = self.q_right[start + round(u[0] / h)]
-        last = u[-1] / h
-        if abs(last - round(last)) <= 1e-9 * (1.0 + last):
-            qv[-1] = self.q_left[start + round(last)]
-        f = qv * _cubic(hist, pts / h)
-        width = np.diff(u) / 6.0
+        f = qv * _cubic(hist, pts / self.h)
+        width = np.diff(pts[::2]) / 6.0
         cells = []
         for kern in kernels.kernel_pair(lam[:, None], pts):
             g = kern * f

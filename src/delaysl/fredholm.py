@@ -35,6 +35,7 @@ code uses to exercise both branches of the family construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,6 +65,7 @@ __all__ = [
 
 MIN_MODES = 16  # fewest modes the mode matrix accepts
 _ETA_CUTOFF = 1e-10  # relative magnitude below which an eigenvalue reads as zero
+_ETA_TIE = 1e-12  # relative gap in |eta| within which +eta is listed before -eta
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,15 @@ def apply(op: FredholmOperator, f: PiecewiseFunction) -> PiecewiseFunction:
     return PiecewiseFunction([SampledSegment(Interval(1.5 * a, 2.0 * a), out)])
 
 
+@lru_cache(maxsize=16)
+def _gauss(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count, read-only."""
+    xi, wt = np.polynomial.legendre.leggauss(count)
+    xi.flags.writeable = False
+    wt.flags.writeable = False
+    return xi, wt
+
+
 def _orthobasis(a: float, count: int, xs) -> np.ndarray:
     """First ``count`` orthonormal polynomials on (3a/2, 2a), rows at xs."""
     xi = (np.asarray(xs, dtype=float) - 1.75 * a) / (0.25 * a)
@@ -201,7 +212,7 @@ def nystrom(op: FredholmOperator, n: int) -> np.ndarray:
     size = 2 * n
     # c_m = (2m + 1) * integral of g P_m over [0, 1]; at the Gauss node
     # s = 11a/4 + (a/4) xi, d = (1 - xi)/2 and P_m(d) = (-1)^m P_m(xi)
-    xi, wt = np.polynomial.legendre.leggauss(size + 32)
+    xi, wt = _gauss(size + 32)
     m = np.arange(size)
     sign = np.where(m % 2 == 0, 1.0, -1.0)
     g = 0.5 * wt * op.K.values(2.75 * a + 0.25 * a * xi).real
@@ -232,7 +243,7 @@ def nystrom(op: FredholmOperator, n: int) -> np.ndarray:
 def project(op: FredholmOperator, f: PiecewiseFunction, n: int) -> np.ndarray:
     """Coefficients of f in the n-term orthonormal polynomial basis."""
     a = op.a
-    xi, wi = np.polynomial.legendre.leggauss(n + 8)
+    xi, wi = _gauss(n + 8)
     x = 1.75 * a + 0.25 * a * xi
     w = 0.25 * a * wi
     return _orthobasis(a, n, x) @ (w * f.values(x))
@@ -254,6 +265,10 @@ def apply_discrete(op: FredholmOperator, f: PiecewiseFunction, n: int) -> Piecew
 def eigenpairs(op: FredholmOperator, n: int, count: int | None = None) -> list[EigenPair]:
     """Eigenpairs above the nonzero cutoff, by descending |eta|.
 
+    Moduli within 1e-12 (relative) of each other count as tied, and a
+    tie lists +eta before -eta, so a rounding change cannot swap a +-eta
+    pair.
+
     Eigenvectors of the mode matrix are synthesized back to sampled
     functions, normalized to sup norm 1 with a nonnegative leading
     value.  Every returned residual is recomputed through ``apply``,
@@ -267,7 +282,7 @@ def eigenpairs(op: FredholmOperator, n: int, count: int | None = None) -> list[E
     keep = [m for m in range(len(vals)) if abs(vals[m]) > _ETA_CUTOFF * max(top, 1e-300)]
     if top == 0.0 or not keep:
         raise NoEigenvaluesError("operator has no eigenvalue above the cutoff")
-    keep.sort(key=lambda m: -abs(vals[m]))
+    keep = _by_modulus(vals, keep)
     if count is not None:
         keep = keep[:count]
     xs = np.linspace(1.5 * a, 2.0 * a, 513)
@@ -287,6 +302,24 @@ def eigenpairs(op: FredholmOperator, n: int, count: int | None = None) -> list[E
         residual = float(np.max(np.abs(image.all_samples() - eta * e.all_samples())))
         pairs.append(EigenPair(eta, e, residual))
     return pairs
+
+
+def _by_modulus(vals: np.ndarray, idx: list[int]) -> list[int]:
+    """The indices ``idx`` by descending |vals|, near-ties by descending value.
+
+    A run of moduli, each within _ETA_TIE (relative) of the run's first,
+    is one tie.
+    """
+    idx = sorted(idx, key=lambda m: -abs(vals[m]))
+    out = []
+    while idx:
+        top = abs(vals[idx[0]])
+        k = 1
+        while k < len(idx) and top - abs(vals[idx[k]]) <= _ETA_TIE * top:
+            k += 1
+        out += sorted(idx[:k], key=lambda m: -vals[m])
+        idx = idx[k:]
+    return out
 
 
 def reference_pair(a: float, count: int = 2049) -> tuple[PiecewiseFunction, PiecewiseFunction]:

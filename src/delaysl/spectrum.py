@@ -55,6 +55,9 @@ _RE_TIE = 1e-7
 _SAME = 1e-6
 # a contour sample with |Delta| <= _ON_CONTOUR * (1 + |z|) counts as a root
 _ON_CONTOUR = 1e-8
+# Newton steps for the law's seeds; a seed still wandering after them is
+# dropped, and the moments of its cell locate the root it missed
+_SEED_STEPS = 12
 
 # Contour sampling.  An edge starts with samples at most _EDGE_STEP times
 # its rectangle's height apart, and at least _MIN_INTERVALS intervals;
@@ -473,9 +476,9 @@ class _Census:
     def nearest(self, lam):
         return min(self.roots, key=lambda r: abs(r - lam))
 
-    def polish(self, guesses):
+    def polish(self, guesses, max_iter: int = 50):
         """Newton from ``guesses``: (landing points, converged flags)."""
-        return _refine_many(self.delta, guesses, self.tol)
+        return _refine_many(self.delta, guesses, self.tol, max_iter)
 
     def take(self, lams) -> int:
         """Add the roots among ``lams`` that are new and lie in a cell; returns how many.
@@ -586,9 +589,10 @@ def compute_spectrum(
     The rectangle [left margin, midpoint beyond seed n_max] x
     [-im_window, im_window] is cut into n_max cells at the midpoints of
     the seeds of ``initial_guesses``, and every cell's roots are counted
-    from one contour sampling.  Newton refines every seed; where a
-    cell's count exceeds the roots found in it, the moments of its
-    contour samples locate the missing ones (see the module docstring).
+    from one contour sampling.  Newton refines every seed for at most
+    12 steps; where a cell's count exceeds the roots found in it, the
+    moments of its contour samples locate the missing ones (see the
+    module docstring).
     A root within 1 of the floor adds a cell of width 5 below it, up to
     three times.  Multiplicities come from counts on small squares
     around the roots, and a cell whose count still differs from its
@@ -608,7 +612,7 @@ def compute_spectrum(
     cuts = [0.5 * (a + b) for a, b in zip(law[:-2], law[1:-1])]
 
     census = _Census(delta, tol)
-    landed, ok = census.polish(law[:-1])
+    landed, ok = census.polish(law[:-1], _SEED_STEPS)
     seeds = [complex(x) for x, good in zip(landed, ok) if good]
     rect = (complex(re_lo, -im_window), complex(re_hi, im_window))
     census.add(count_roots(delta, rect, cuts=cuts, known=seeds))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaysl import (
     DelaySetup,
@@ -16,6 +18,7 @@ from delaysl import (
     endpoint_values,
     grid_breakpoints,
     integrate,
+    kernel_pair,
     p_function,
     p_kernel,
     q_correction,
@@ -30,7 +33,9 @@ from delaysl import (
     y2_closed,
     y2_closed_prime,
 )
-from delaysl.delay_solver import _March
+from delaysl import delay_solver
+from delaysl.delay_solver import _Blocks, _kernel_tables, _March
+from delaysl.kernels import SERIES_THRESHOLD
 
 A = np.pi / 4
 
@@ -335,19 +340,59 @@ def test_interior_second_differences_recover_the_equation():
     assert res[0] / res[1] > 3.2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_endpoint_values_batch_and_initial_type():
     # identities, bit for bit: only init_nu selects the initial values,
     # and a point's value does not depend on the batch it comes in (at
-    # a = 0.7 through the partial last cell too)
-    lam = np.array([4.0, 90.0, 2.0 + 3.0j, 0.0, 1e-6, -40.0, 4000.0])
+    # a = 0.7 through the partial last cell too); the 22 points span at
+    # least three passes of the block solver at either delay, and a slice
+    # of them starts and ends inside passes
+    lam = np.concatenate(
+        [
+            [4.0, 90.0, 2.0 + 3.0j, 0.0, 1e-6, -40.0, 4000.0, -1e-7 + 2e-7j, 1e-3],
+            np.linspace(-30.0, 420.0, 7) + 1j * np.linspace(-10.0, 10.0, 7),
+            [7.3 - 9.0j, -2000.0, 500.0 + 10.0j, 0.25, 16.0, -3.0 - 1.0j],
+        ]
+    )
     for q, a in ((_confined(), A), (_stepped_delay(0.7, nodes=65), 0.7)):
         setups = [DelaySetup(a=a, nu=nu, segment_nodes=65) for nu in (0, 1)]
         ys, yps = endpoint_values(q, setups[0], 1, lam)
         ys1, yps1 = endpoint_values(q, setups[1], 1, lam)
         assert np.array_equal(ys, ys1) and np.array_equal(yps, yps1)
+        assert 2 * delay_solver._PASS_SIZE < lam.size * (setups[0].steps + 1)
         for k, l in enumerate(lam):
             y, yp = endpoint_values(q, setups[0], 1, l)
             assert y == ys[k] and yp == yps[k]
+        part = endpoint_values(q, setups[0], 1, lam[5:17])
+        assert np.array_equal(part[0], ys[5:17]) and np.array_equal(part[1], yps[5:17])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_block_set_up_follows_the_potential_and_the_grid(monkeypatch):
+    # the kept set-up is reused only for the same potential and an equal
+    # setup; every call returns what a fresh set-up gives, bit for bit
+    lam = np.array([-40.0, 0.0, 3.0 + 2.0j, 90.0, 425.0])
+    q1, q2 = _confined(), _stepped_delay(A, nodes=65)
+    coarse = DelaySetup(a=A, nu=0, segment_nodes=65)
+    fine = DelaySetup(a=A, nu=0, segment_nodes=65, steps_per_delay=1100)
+
+    def fresh(q, setup):
+        with monkeypatch.context() as mp:
+            mp.setattr(delay_solver, "_last_blocks", None)
+            return endpoint_values(q, setup, 0, lam)
+
+    runs = [(q1, coarse), (q2, coarse), (q1, coarse), (q1, fine), (q1, coarse)]
+    seen = [endpoint_values(q, setup, 0, lam) for q, setup in runs]
+    for (q, setup), (y, yp) in zip(runs, seen):
+        want_y, want_yp = fresh(q, setup)
+        assert np.array_equal(y, want_y) and np.array_equal(yp, want_yp)
+    assert not np.array_equal(seen[0][0], seen[1][0])
+    assert not np.array_equal(seen[0][0], seen[3][0])
+    assert np.array_equal(seen[0][0], seen[2][0])
+    # an equal setup built anew hits the kept set-up
+    kept = delay_solver._blocks_for(q1, coarse)
+    assert delay_solver._blocks_for(q1, DelaySetup(a=A, nu=0, segment_nodes=65)) is kept
+    assert delay_solver._blocks_for(_confined(), coarse) is not kept
 
 
 def _stepped_delay(a, jumps=(), nodes=129):
@@ -367,6 +412,25 @@ def _stepped_delay(a, jumps=(), nodes=129):
     return PiecewiseFunction(segs)
 
 
+def _gapped(a, nodes=129):
+    """Levels jumping at every a/2 plus a bump on (3a/2, 5a/2), zero elsewhere.
+
+    Every family member vanishes on (a, 3a/2) and (3a, pi) like this, so
+    the block solver meets whole pieces without forcing; the gap
+    (5a/2, 3a) ends a block that starts with forcing.
+    """
+    bps = grid_breakpoints(a, 0.0, np.pi)
+    segs = []
+    for lo, hi in zip(bps[:-1], bps[1:]):
+        x = np.linspace(lo, hi, nodes)
+        if 1.5 * a - 1e-9 <= lo < 2.5 * a - 1e-9:
+            vals = (-1.0) ** round(2 * lo / a) * (1.0 + lo) + np.sin(np.pi * x / a) ** 2
+        else:
+            vals = np.zeros_like(x)
+        segs.append(SampledSegment(Interval(lo, hi), vals))
+    return PiecewiseFunction(segs)
+
+
 def _refined_rk4(q, a, init_nu, lam):
     """The RK4 march at a step of at most pi/16384 (4096 steps per delay at a = pi/4)."""
     steps = int(np.ceil(a / (np.pi / 16384)))
@@ -375,15 +439,17 @@ def _refined_rk4(q, a, init_nu, lam):
     return march.y_end, march.yp_end
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("a", [A, 0.7, 1.7])
 def test_block_solver_matches_refined_rk4(a):
-    # a = 0.7 and 1.7 put pi off the node grid.  At a = pi/4 a second
+    # a = 0.7 and 1.7 put pi off the node grid.  At a = pi/4 a further
     # potential also jumps at two nodes that are no multiples of a/2, the
     # second one node past the first's kink of y(t - a), which leaves a
-    # piece of one cell.
+    # piece of one cell.  The gapped potential leaves pieces without
+    # forcing, which the solver skips.
     lam = np.array([-40.0, -20.0, 0.0, 1e-6, 3.0 + 10.0j, 100.0 - 10.0j, 425.0])
     setup = DelaySetup(a=a, nu=0, segment_nodes=129)
-    potentials = [_stepped_delay(a)]
+    potentials = [_stepped_delay(a), _gapped(a)]
     if a == A:
         h = a / setup.steps
         potentials.append(_stepped_delay(a, jumps=(1.5 * a + 37 * h, 2.5 * a + 38 * h)))
@@ -395,6 +461,7 @@ def test_block_solver_matches_refined_rk4(a):
             assert np.max(np.abs(yp - want_yp) / np.abs(want_yp)) <= 1e-8
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_block_solver_without_potential_gives_the_kernels():
     lam = np.array([-40.0, 0.0, 1e-6, 7.3, 3.0 + 2.0j, 425.0])
     for a in (A, 0.7):
@@ -408,6 +475,49 @@ def test_block_solver_without_potential_gives_the_kernels():
     # the partial last cell interpolates y(t - a) on 4 nodes of a block
     with pytest.raises(DomainError):
         endpoint_values(_zero(), DelaySetup(a=A, nu=0, segment_nodes=3, steps_per_delay=2), 0, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_skipped_pieces_are_the_ones_without_forcing():
+    a = 0.7
+    q = _gapped(a, nodes=65)
+    blocks = _Blocks(q, DelaySetup(a=a, nu=0, segment_nodes=65))
+    h = blocks.h
+    for start, _, pieces in blocks.plan:
+        for i0, i1, _, qv in pieces:
+            mid = (start + 0.5 * (i0 + i1)) * h
+            assert (qv is None) == (mid < 1.5 * a or mid > 2.5 * a)
+
+
+_LAMBDAS = st.one_of(
+    st.builds(complex, st.floats(-2000.0, 500.0), st.floats(-10.0, 10.0)),
+    # |lam| x^2 crosses SERIES_THRESHOLD inside the tables
+    st.builds(
+        lambda r, t: r * SERIES_THRESHOLD * np.exp(1j * t),
+        st.floats(1e-6, 100.0),
+        st.floats(-np.pi, np.pi),
+    ),
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    lams=st.lists(_LAMBDAS, min_size=1, max_size=5),
+    grid=st.sampled_from([(A, 1024), (A, 4), (A, 31), (A, 64), (0.7, 960), (1.7, 2304)]),
+)
+def test_kernel_tables_match_the_kernels(lams, grid):
+    a, m = grid
+    lam = np.array(lams, dtype=complex)
+    x = (a / m) * np.arange(m + 1)
+    C, S = _kernel_tables(lam, a / m, m)
+    want_c, want_s = kernel_pair(lam[:, None], x)
+    envelope = np.exp(np.abs(np.sqrt(lam).imag)[:, None] * x)
+    assert np.max(np.abs(C - want_c) / envelope) <= 1e-13
+    assert np.max(np.abs(S - want_s) / envelope) <= 1e-13
+    # the coarse offsets are the kernels themselves
+    assert np.array_equal(C[:, ::32], want_c[:, ::32])
+    assert np.array_equal(S[:, ::32], want_s[:, ::32])
 
 
 def test_support_violation_is_rejected():

@@ -21,6 +21,7 @@ from delaysl import (
     sample_function,
     zero_mean,
 )
+from delaysl import fredholm
 
 A = np.pi / 4
 
@@ -217,6 +218,26 @@ def test_eigenpair_gates():
         EigenPair(0.0, e, 0.0)
     with pytest.raises(DomainError):
         EigenPair(-1.0, e, 1e-3)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_plus_minus_pair_lists_plus_first(n, sign):
+    # the witness's +-1 pair has moduli ~1e-15 apart, in either order
+    # across n and the density's sign; the listing order stays fixed
+    _, h, _ = _witness()
+    etas = [p.eta for p in eigenpairs(FredholmOperator(A, sign * h), n, count=3)]
+    assert etas[0] == pytest.approx(1.0, abs=1e-9)
+    assert etas[1] == pytest.approx(-1.0, abs=1e-9)
+    assert abs(etas[2]) < 0.5
+
+
+def test_gauss_nodes_are_computed_once_and_read_only():
+    xi, wt = fredholm._gauss(40)
+    assert fredholm._gauss(40)[0] is xi
+    assert not xi.flags.writeable and not wt.flags.writeable
+    want_xi, want_wt = np.polynomial.legendre.leggauss(40)
+    assert np.array_equal(xi, want_xi) and np.array_equal(wt, want_wt)
 
 
 def test_zero_density_has_no_eigenvalues():
