@@ -75,10 +75,13 @@ PI = math.pi
 # target cap for the step of the auto-sized steppers
 _MAX_STEP = PI / 4096.0
 
-# complex numbers per kernel array in one pass of the block solver
-# (128 KiB): the spectral points go through in passes of
-# _PASS_SIZE // (width of the kernel tables), so the working arrays of a
-# pass stay in cache and are small heap allocations, not fresh mmaps
+# complex numbers per array of the block solver (128 KiB, glibc's
+# default mmap threshold, which the benchmark fixes): the spectral points
+# go through in passes of _PASS_SIZE // (m + 1), so the kernel tables and
+# running integrals of a pass stay in cache and are small heap
+# allocations, not fresh mmaps; the kernels themselves are evaluated once
+# per chunk of at most _PASS_SIZE // (m // _FINE + 1) points, which keeps
+# each short table under the same size
 _PASS_SIZE = 8192
 
 # fine offsets per coarse step of the block solver's kernel tables
@@ -438,21 +441,26 @@ def endpoint_values(q: PiecewiseFunction, setup: DelaySetup, init_nu: int, lam):
     taken at the nearest node.  A piece under 3 cells, and the partial
     last cell when pi is not a node, get one Simpson panel per cell
     instead, with y(t - a) interpolated at the midpoints.  A piece where
-    q is zero at every point the rule reads adds nothing and is skipped.
-    The set-up that depends on q and the grid alone (q at the nodes, the
-    pieces, the support check) is kept for the last (q, setup) pair, so
-    q must not be changed in place between calls.  The points go through
-    in passes of a few; every operation is elementwise in lam, so a
-    point's value does not depend on the batch it comes in.
+    q is zero at every point the rule reads adds nothing and is skipped,
+    and y on a block is built only when the next block reads it; (y, y')
+    at the block's end alone carry the solution across.  The set-up
+    that depends on q and the grid alone (q at the nodes, the pieces,
+    the support check) is kept for the last (q, setup) pair, so q must
+    not be changed in place between calls.
+
+    The points go through in chunks, whose kernels are evaluated once
+    (the short tables, ``_short_tables``, and the kernels at the Simpson
+    points), and each chunk in passes of a few points, whose C and S are
+    built from the chunk's short tables.  Every operation is elementwise
+    in lam, so a point's value does not depend on the batch it comes in.
     """
     lam = np.asarray(lam, dtype=complex)
     blocks = _blocks_for(q, setup)
     flat = lam.ravel()
     y_end = np.empty(flat.shape, dtype=complex)
     yp_end = np.empty(flat.shape, dtype=complex)
-    rows = max(1, _PASS_SIZE // (_FINE * (blocks.m // _FINE + 1)))
-    for lo in range(0, flat.size, rows):
-        part = slice(lo, lo + rows)
+    for lo in range(0, flat.size, blocks.chunk):
+        part = slice(lo, lo + blocks.chunk)
         y_end[part], yp_end[part] = blocks.endpoints(init_nu, flat[part])
     return y_end.reshape(lam.shape), yp_end.reshape(lam.shape)
 
@@ -474,28 +482,36 @@ def _blocks_for(q: PiecewiseFunction, setup: DelaySetup) -> "_Blocks":
     return blocks
 
 
-def _kernel_tables(lam: np.ndarray, h: float, m: int):
-    """C(k h) and S(k h), k = 0..m, one row per point of ``lam``.
+def _short_tables(lam: np.ndarray, h: float, m: int):
+    """The kernels ``_kernel_tables`` joins, one row per point of ``lam``.
 
-    A fine table at the offsets j h, j < _FINE, and a coarse one at
-    _FINE J h come from ``kernels.kernel_pair``; with k = _FINE J + j the
-    addition theorems of the entire kernels,
-
-        C(x + y) = C(x) C(y) - lam S(x) S(y),  S(x + y) = S(x) C(y) + C(x) S(y),
-
-    give the rest.  No 1/rho occurs, so they hold through lam = 0, and
-    each product stays within the envelope e^{|Im rho| (x + y)}.  The
-    rows are views of width _FINE (m // _FINE + 1).
+    Returns (cc, sc, cf, sf): C and S at the coarse offsets _FINE J h,
+    J <= m // _FINE, and at the fine ones j h, j < _FINE.
     """
     cc, sc = kernels.kernel_pair(lam[:, None], h * (_FINE * np.arange(m // _FINE + 1)))
     cf, sf = kernels.kernel_pair(lam[:, None], h * np.arange(_FINE))
-    lsc = (lam[:, None] * sc)[:, :, None]
-    cc, sc, cf, sf = cc[:, :, None], sc[:, :, None], cf[:, None, :], sf[:, None, :]
+    return cc, sc, cf, sf
+
+
+def _kernel_tables(lam: np.ndarray, short, coarse: np.ndarray, fine: np.ndarray):
+    """C(k h) and S(k h), k = 0..m, from the rows of ``_short_tables`` for ``lam``.
+
+    ``coarse`` and ``fine`` are k // _FINE and k % _FINE.  With k =
+    _FINE J + j the addition theorems of the entire kernels,
+
+        C(x + y) = C(x) C(y) - lam S(x) S(y),  S(x + y) = S(x) C(y) + C(x) S(y),
+
+    give C and S.  No 1/rho occurs, so they hold through lam = 0, and
+    each product stays within the envelope e^{|Im rho| (x + y)}.  The
+    tables are C-contiguous, of width m + 1.
+    """
+    cc, sc = (np.take(t, coarse, axis=1) for t in short[:2])
+    cf, sf = (np.take(t, fine, axis=1) for t in short[2:])
     C = cc * cf
-    C -= lsc * sf
+    C -= lam[:, None] * sc * sf
     S = sc * cf
     S += cc * sf
-    return C.reshape(lam.size, -1)[:, : m + 1], S.reshape(lam.size, -1)[:, : m + 1]
+    return C, S
 
 
 class _Blocks:
@@ -503,11 +519,12 @@ class _Blocks:
 
     The set-up reads q alone: ``plan`` holds one (start, n, pieces) per
     block, start its first node and n its whole cells, and each piece
-    (i0, i1, pts, qv) the block-local node range of one smooth piece of
+    (i0, i1, cols, qv) the block-local node range of one smooth piece of
     the forcing with q at the points its rule reads: the nodes for the
-    cell rule (pts is None), the Simpson points pts for panels; qv is None
-    where all of those are zero.  ``tail`` is (pts, qv) for the partial
-    last cell.
+    cell rule (cols is None), the Simpson points ``simpson_pts[cols]`` for
+    panels; qv is None where all of those are zero.  ``tail`` is (cols,
+    qv) for the partial last cell, and ``reads`` holds per block whether
+    any of its pieces, or the tail, reads y(t - a).
     """
 
     def __init__(self, q: PiecewiseFunction, setup: DelaySetup):
@@ -518,6 +535,9 @@ class _Blocks:
         self.q, self.setup = q, setup
         self.m = m
         self.h = h = setup.a / m
+        self.rows = max(1, _PASS_SIZE // (m + 1))  # points per pass
+        self.chunk = self.rows * max(1, _PASS_SIZE // (m // _FINE + 1) // self.rows)
+        self.coarse, self.fine = np.divmod(np.arange(m + 1), _FINE)
         self.n_full = int(math.floor(PI / h + 1e-9))
         self.rem = PI - self.n_full * h
         if self.rem < 1e-9 * h:
@@ -536,9 +556,12 @@ class _Blocks:
                 q_right[i] = nxt.samples[0]
             cuts.update((i, i + m))
 
+        self.simpson_pts = np.empty(0)
+
         def simpson(start, u):
-            # the offsets u with their midpoints interleaved, and q there,
-            # one-sided at a first node and at a last node
+            # the offsets u with their midpoints interleaved, appended to
+            # the Simpson points, and q there, one-sided at a first node and
+            # at a last node
             pts = np.empty(2 * u.size - 1)
             pts[0::2], pts[1::2] = u, 0.5 * (u[:-1] + u[1:])
             qv = q.values(start * h + pts)
@@ -546,7 +569,9 @@ class _Blocks:
             last = u[-1] / h
             if abs(last - round(last)) <= 1e-9 * (1.0 + last):
                 qv[-1] = q_left[start + round(last)]
-            return pts, qv
+            cols = slice(self.simpson_pts.size, self.simpson_pts.size + pts.size)
+            self.simpson_pts = np.append(self.simpson_pts, pts)
+            return cols, qv
 
         self.plan = []
         start = m
@@ -556,39 +581,61 @@ class _Blocks:
             pieces = []
             for i0, i1 in zip(edges[:-1], edges[1:]):
                 if i1 - i0 < 3:  # too short for the cubic stencil
-                    pts, qv = simpson(start, h * np.arange(i0, i1 + 1))
+                    cols, qv = simpson(start, h * np.arange(i0, i1 + 1))
                 else:
-                    pts = None
+                    cols = None
                     qv = q_right[start + i0 : start + i1 + 1].copy()
                     qv[-1] = q_left[start + i1]
-                pieces.append((i0, i1, pts, qv if np.any(qv) else None))
+                pieces.append((i0, i1, cols, qv if np.any(qv) else None))
             self.plan.append((start, n, pieces))
             if n < m or (start + n == self.n_full and self.rem == 0.0):
                 break
             start += m
+        self.reads = [any(qv is not None for *_, qv in pieces) for *_, pieces in self.plan]
         if self.rem > 0.0:
-            self.tail = simpson(start, n * h + np.array([0.0, self.rem]))
+            cols, qv = simpson(start, n * h + np.array([0.0, self.rem]))
+            self.tail = (cols, qv if np.any(qv) else None)
+            self.reads[-1] |= self.tail[1] is not None
 
     def endpoints(self, init_nu: int, lam: np.ndarray):
-        """(y(pi), y'(pi)) for a 1-D array of spectral points."""
+        """(y(pi), y'(pi)) for a 1-D array of spectral points, one chunk.
+
+        The kernels are evaluated once here; the blocks are solved in
+        passes of ``rows`` points.
+        """
+        short = _short_tables(lam, self.h, self.m)
+        pts = self.simpson_pts
+        at_pts = kernels.kernel_pair(lam[:, None], pts) if pts.size else ()
+        y_end = np.empty(lam.shape, dtype=complex)
+        yp_end = np.empty(lam.shape, dtype=complex)
+        for lo in range(0, lam.size, self.rows):
+            p = slice(lo, lo + self.rows)
+            y_end[p], yp_end[p] = self._pass(
+                init_nu, lam[p], [t[p] for t in short], [k[p] for k in at_pts]
+            )
+        return y_end, yp_end
+
+    def _pass(self, init_nu: int, lam: np.ndarray, short, at_pts):
+        """(y(pi), y'(pi)) for one pass, given its rows of the chunk's kernels."""
         m, h = self.m, self.h
-        C, S = _kernel_tables(lam, h, m)
+        C, S = _kernel_tables(lam, short, self.coarse, self.fine)
         # the first block holds the kernels; y0, yp0 are y, y' at its end
         if init_nu == 0:
             y, y0, yp0 = C, C[:, m], -lam * S[:, m]
         else:
             y, y0, yp0 = S, S[:, m], C[:, m]
+        last = len(self.plan) - 1
         for b, (start, n, pieces) in enumerate(self.plan):
-            # y now holds y(t - a) on this block's nodes
+            # y now holds y(t - a) on this block's nodes, if the block reads it
             i_c = np.zeros((lam.shape[0], n + 1), dtype=complex)
             i_s = np.zeros((lam.shape[0], n + 1), dtype=complex)
-            for i0, i1, pts, qv in pieces:
+            for i0, i1, cols, qv in pieces:
                 if qv is None:  # no forcing: the running integrals stay put
                     i_c[:, i0 + 1 : i1 + 1] = i_c[:, i0 : i0 + 1]
                     i_s[:, i0 + 1 : i1 + 1] = i_s[:, i0 : i0 + 1]
                     continue
-                if pts is not None:
-                    cells = self._panels(lam, y, pts, qv)
+                if cols is not None:
+                    cells = self._panels(y, cols, qv, at_pts)
                 else:
                     f = qv * y[:, i0 : i1 + 1]
                     cells = [_cell_integrals(k[:, i0 : i1 + 1] * f, h) for k in (C, S)]
@@ -596,32 +643,39 @@ class _Blocks:
                     run = acc[:, i0 + 1 : i1 + 1]
                     np.cumsum(cell, axis=1, out=run)
                     run += acc[:, i0 : i0 + 1]
-            if b + 1 < len(self.plan):
-                y = y0[:, None] * C + yp0[:, None] * S + S * i_c - C * i_s
+            if b < last:
+                y = None
+                if self.reads[b + 1]:
+                    y = y0[:, None] * C + yp0[:, None] * S + S * i_c - C * i_s
                 y0, yp0 = _voc(lam, y0, yp0, C[:, m], S[:, m], i_c[:, m], i_s[:, m])
 
         if self.rem == 0.0:
             return _voc(lam, y0, yp0, C[:, n], S[:, n], i_c[:, n], i_s[:, n])
-        # the partial cell [x_n, pi]
-        pts, qv = self.tail
-        cell_c, cell_s = self._panels(lam, y, pts, qv)
-        c_end, s_end = kernels.kernel_pair(lam, pts[-1])
-        return _voc(lam, y0, yp0, c_end, s_end, i_c[:, n] + cell_c[:, 0], i_s[:, n] + cell_s[:, 0])
+        # the partial cell [x_n, pi]; the kernels at pi end its Simpson points
+        cols, qv = self.tail
+        c_end, s_end = (k[:, cols.stop - 1] for k in at_pts)
+        i_c, i_s = i_c[:, n], i_s[:, n]
+        if qv is not None:
+            cell_c, cell_s = self._panels(y, cols, qv, at_pts)
+            i_c, i_s = i_c + cell_c[:, 0], i_s + cell_s[:, 0]
+        return _voc(lam, y0, yp0, c_end, s_end, i_c, i_s)
 
-    def _panels(self, lam, hist, pts: np.ndarray, qv: np.ndarray):
+    def _panels(self, hist, cols: slice, qv: np.ndarray, at_pts):
         """Simpson integrals of C(t - x0) f(t) and S(t - x0) f(t) over the cells of pts.
 
-        x0 is the block's first node; the ascending offsets pts[::2], at
-        most h apart, with their midpoints pts[1::2] between them, must lie
-        in one smooth piece of f, pts[0] on a node, and the result has one
-        column per cell.  qv is q at pts, and y(t - a) there is the 4-point
-        Lagrange interpolant of ``hist``.
+        x0 is the block's first node and pts = ``simpson_pts[cols]``: the
+        ascending offsets pts[::2], at most h apart, with their midpoints
+        pts[1::2] between them, must lie in one smooth piece of f, pts[0]
+        on a node, and the result has one column per cell.  qv is q at
+        pts, ``at_pts`` the kernels at the Simpson points, and y(t - a)
+        there is the 4-point Lagrange interpolant of ``hist``.
         """
+        pts = self.simpson_pts[cols]
         f = qv * _cubic(hist, pts / self.h)
         width = np.diff(pts[::2]) / 6.0
         cells = []
-        for kern in kernels.kernel_pair(lam[:, None], pts):
-            g = kern * f
+        for kern in at_pts:
+            g = kern[:, cols] * f
             cells.append(width * (g[:, 0:-1:2] + 4.0 * g[:, 1::2] + g[:, 2::2]))
         return cells
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaysl import (
     CharData,
@@ -344,6 +346,39 @@ def test_json_round_trip():
     lam = np.array([2.0, 60.0, 1.0 + 1.0j])
     gap = np.abs(delta_closed(copy, lam) - delta_closed(data, lam))
     assert np.max(gap) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.floats(0.2, 1.0),
+    nodes=st.sampled_from([3, 5, 17]),
+    nu=st.sampled_from([0, 1]),
+    j=st.sampled_from([0, 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_json_round_trip_is_bit_exact(a, nodes, nu, j, seed):
+    # samples over 200 decades, signed zeros among them
+    rng = np.random.default_rng(seed)
+
+    def draw(x):
+        shape = (2,) + x.shape
+        v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-100.0, 100.0, shape)
+        v[rng.random(v.shape) < 0.1] = -0.0
+        return v[0] + 1j * v[1]
+
+    w = sample_function(draw, grid_breakpoints(a, a, 3 * a), nodes)
+    omega = integrate(w, a, 3 * a) if nu == 0 else complex(*rng.standard_normal(2))
+    data = CharData(DelaySetup(a=a, nu=nu), nu, j, omega, w)
+    text = data.to_json()
+    copy = CharData.from_json(text)
+    assert copy.to_json() == text
+    assert (copy.setup.a, copy.nu, copy.j) == (a, nu, j)
+    assert np.array(copy.omega).tobytes() == np.array(data.omega).tobytes()
+    assert len(copy.w.segments) == len(w.segments)
+    for got, want in zip(copy.w.segments, w.segments):
+        assert (got.interval.lo, got.interval.hi) == (want.interval.lo, want.interval.hi)
+        assert got.nodes().tobytes() == want.nodes().tobytes()
+        assert got.samples.astype(complex).tobytes() == want.samples.astype(complex).tobytes()
 
 
 def test_direct_route_trivial_case():

@@ -33,8 +33,8 @@ from delaysl import (
     y2_closed,
     y2_closed_prime,
 )
-from delaysl import delay_solver
-from delaysl.delay_solver import _Blocks, _kernel_tables, _March
+from delaysl import delay_solver, kernels
+from delaysl.delay_solver import _Blocks, _kernel_tables, _March, _short_tables
 from delaysl.kernels import SERIES_THRESHOLD
 
 A = np.pi / 4
@@ -367,6 +367,58 @@ def test_endpoint_values_batch_and_initial_type():
         assert np.array_equal(part[0], ys[5:17]) and np.array_equal(part[1], yps[5:17])
 
 
+def _one_cell_piece(a, nodes=65):
+    """``_stepped_delay`` with two off-grid jumps, the second leaving a piece of one cell."""
+    h = a / DelaySetup(a=a, nu=0, segment_nodes=nodes).steps
+    return _stepped_delay(a, jumps=(1.5 * a + 37 * h, 2.5 * a + 38 * h), nodes=nodes)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a", [A, 0.7])
+def test_kernels_are_evaluated_once_per_chunk(monkeypatch, a):
+    # 600 points are three chunks of many passes each; a chunk makes one
+    # kernel_pair call per short table and one for the Simpson points,
+    # those of the one-cell piece at a = pi/4 and of the partial last
+    # cell at a = 0.7
+    q = _one_cell_piece(a) if a == A else _stepped_delay(a, nodes=65)
+    setup = DelaySetup(a=a, nu=0, segment_nodes=65)
+    blocks = delay_solver._blocks_for(q, setup)
+    assert blocks.simpson_pts.size > 0
+    assert blocks.chunk <= delay_solver._PASS_SIZE // (blocks.m // 32 + 1)
+    calls = []
+    kernel_pair = kernels.kernel_pair
+    monkeypatch.setattr(kernels, "kernel_pair", lambda *args: calls.append(1) or kernel_pair(*args))
+    endpoint_values(q, setup, 0, np.linspace(-40.0, 425.0, 600) + 2.0j)
+    chunks = -(-600 // blocks.chunk)
+    assert chunks == 3 and 600 > 60 * blocks.rows
+    assert len(calls) == 3 * chunks
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a", [A, 0.7])
+def test_values_do_not_depend_on_the_chunks(a):
+    # one-point calls around every chunk boundary, and batches that
+    # straddle or shift the boundaries, give the batched values bit for
+    # bit (at a = 0.7 through the partial last cell too)
+    q = _one_cell_piece(a) if a == A else _stepped_delay(a, nodes=65)
+    setup = DelaySetup(a=a, nu=0, segment_nodes=65)
+    rng = np.random.default_rng(7)
+    lam = rng.uniform(-40.0, 430.0, 600) + 1j * rng.uniform(-10.0, 10.0, 600)
+    lam[::50] = lam[::50].real  # real points too
+    ys, yps = endpoint_values(q, setup, 1, lam)
+    chunk = delay_solver._blocks_for(q, setup).chunk
+    assert lam.size > 2 * chunk
+    for edge in range(chunk, lam.size, chunk):
+        around = slice(edge - 3, edge + 3)
+        for k in range(edge - 3, edge + 3):
+            y, yp = endpoint_values(q, setup, 1, lam[k])
+            assert y == ys[k] and yp == yps[k]
+        part = endpoint_values(q, setup, 1, lam[around])
+        assert np.array_equal(part[0], ys[around]) and np.array_equal(part[1], yps[around])
+    shifted = endpoint_values(q, setup, 1, lam[5:])
+    assert np.array_equal(shifted[0], ys[5:]) and np.array_equal(shifted[1], yps[5:])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_block_set_up_follows_the_potential_and_the_grid(monkeypatch):
     # the kept set-up is reused only for the same potential and an equal
@@ -431,6 +483,15 @@ def _gapped(a, nodes=129):
     return PiecewiseFunction(segs)
 
 
+def _holed(a, nodes=129):
+    """``_stepped_delay`` with the block [2a, 3a] cut out."""
+    segs = []
+    for seg in _stepped_delay(a, nodes=nodes).segments:
+        cut = 2 * a - 1e-9 <= seg.interval.lo < 3 * a - 1e-9
+        segs.append(SampledSegment(seg.interval, 0.0 * seg.samples if cut else seg.samples))
+    return PiecewiseFunction(segs)
+
+
 def _refined_rk4(q, a, init_nu, lam):
     """The RK4 march at a step of at most pi/16384 (4096 steps per delay at a = pi/4)."""
     steps = int(np.ceil(a / (np.pi / 16384)))
@@ -440,20 +501,35 @@ def _refined_rk4(q, a, init_nu, lam):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("a", [A, 0.7, 1.7])
+@pytest.mark.parametrize("a", [A, A - 1e-6, 0.7, 1.7])
 def test_block_solver_matches_refined_rk4(a):
-    # a = 0.7 and 1.7 put pi off the node grid.  At a = pi/4 a further
-    # potential also jumps at two nodes that are no multiples of a/2, the
-    # second one node past the first's kink of y(t - a), which leaves a
-    # piece of one cell.  The gapped potential leaves pieces without
-    # forcing, which the solver skips.
+    # a = 0.7 and 1.7 put pi off the node grid; at pi/4 - 1e-6 it lies
+    # 4e-6 past the last whole block, so the last block is the partial
+    # cell alone.  At a = pi/4 a further potential also jumps at two
+    # nodes that are no multiples of a/2, the second one node past the
+    # first's kink of y(t - a), which leaves a piece of one cell.  The
+    # gapped potential leaves pieces without forcing, which the solver
+    # skips.
     lam = np.array([-40.0, -20.0, 0.0, 1e-6, 3.0 + 10.0j, 100.0 - 10.0j, 425.0])
     setup = DelaySetup(a=a, nu=0, segment_nodes=129)
-    potentials = [_stepped_delay(a), _gapped(a)]
+    gapped, holed = _gapped(a), _holed(a)
+    potentials = [_stepped_delay(a), gapped]
+    if a < 1.0:
+        potentials.append(holed)
     if a == A:
-        h = a / setup.steps
-        potentials.append(_stepped_delay(a, jumps=(1.5 * a + 37 * h, 2.5 * a + 38 * h)))
+        potentials.append(_one_cell_piece(a, nodes=129))
     for q in potentials:
+        # the history is built before a block only when the block reads it:
+        # not before the last block for the gapped potential (but at a =
+        # 1.7, where that block is the first), and before the block after
+        # the hole although the hole reads none
+        reads = delay_solver._blocks_for(q, setup).reads
+        if q is gapped and a < 1.0:
+            assert reads[:2] == [True, True] and not reads[-1]
+        elif q is holed:
+            assert reads[1:3] == [False, True]
+        else:
+            assert all(reads)
         for nu in (0, 1):
             y, yp = endpoint_values(q, setup, nu, lam)
             want_y, want_yp = _refined_rk4(q, a, nu, lam)
@@ -487,6 +563,8 @@ def test_skipped_pieces_are_the_ones_without_forcing():
         for i0, i1, _, qv in pieces:
             mid = (start + 0.5 * (i0 + i1)) * h
             assert (qv is None) == (mid < 1.5 * a or mid > 2.5 * a)
+    # neither the block [3a, 4a] nor [4a, pi] with its partial last cell reads y
+    assert blocks.reads == [True, True, False, False]
 
 
 _LAMBDAS = st.one_of(
@@ -510,7 +588,8 @@ def test_kernel_tables_match_the_kernels(lams, grid):
     a, m = grid
     lam = np.array(lams, dtype=complex)
     x = (a / m) * np.arange(m + 1)
-    C, S = _kernel_tables(lam, a / m, m)
+    C, S = _kernel_tables(lam, _short_tables(lam, a / m, m), *np.divmod(np.arange(m + 1), 32))
+    assert C.flags.c_contiguous and S.flags.c_contiguous
     want_c, want_s = kernel_pair(lam[:, None], x)
     envelope = np.exp(np.abs(np.sqrt(lam).imag)[:, None] * x)
     assert np.max(np.abs(C - want_c) / envelope) <= 1e-13

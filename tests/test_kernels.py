@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaysl import DomainError, ckernel, kernel_dlambda, kernel_pair, skernel
 from delaysl.kernels import SERIES_THRESHOLD
@@ -35,6 +37,19 @@ def test_series_branch_matches_closed_form_at_the_switch():
         rho = np.sqrt(complex(lam))
         assert abs(ckernel(lam, 1.0) - np.cos(rho)) < 1e-13
         assert abs(skernel(lam, 1.0) - np.sin(rho) / rho) < 1e-13
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(1e-3, 4.0), phase=st.floats(-np.pi, np.pi))
+def test_kernels_are_continuous_across_the_series_switch(x, phase):
+    # |lam| x^2 a relative 1e-12 below and above SERIES_THRESHOLD: the
+    # series on one side, the closed form on the other; the kernels move
+    # by ~1e-15 over that step
+    edge = SERIES_THRESHOLD / x**2 * np.exp(1j * phase)
+    below, above = edge * (1.0 - 1e-12), edge * (1.0 + 1e-12)
+    assert np.abs(below) * x**2 < SERIES_THRESHOLD <= np.abs(above) * x**2
+    assert abs(ckernel(below, x) - ckernel(above, x)) <= 1e-14
+    assert abs(skernel(below, x) - skernel(above, x)) <= 1e-14 * x
 
 
 def test_kernel_pair_is_the_two_kernels_bit_for_bit():

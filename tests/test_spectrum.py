@@ -21,6 +21,7 @@ from delaysl import (
     compute_spectrum,
     count_roots,
     delta_closed,
+    delta_direct,
     grid_breakpoints,
     initial_guesses,
     refine_root,
@@ -165,12 +166,15 @@ def test_a_root_near_the_floor_adds_a_cell_below():
     assert np.max(np.abs(spec.lambdas() - np.array(roots))) < 1e-8
 
 
-def _member_deltas(a, nu, alpha):
-    """Closed-route Delta callables (j = 0, 1) of one family member."""
+def _member_q(a, nu, alpha):
     h, e = reference_pair(a)
     seed = ((-1.0) * h, 1.0, e) if nu == 0 else (h, -1.0, e)
-    member = build_member(*seed, nu, alpha, a)
-    datas = build_w(member.q, DelaySetup(a=a, nu=nu))
+    return build_member(*seed, nu, alpha, a).q
+
+
+def _member_deltas(a, nu, alpha):
+    """Closed-route Delta callables (j = 0, 1) of one family member."""
+    datas = build_w(_member_q(a, nu, alpha), DelaySetup(a=a, nu=nu))
     return [lambda lam, data=data: delta_closed(data, lam) for data in datas]
 
 
@@ -198,11 +202,17 @@ def test_conjugate_pair_is_found_and_no_root_repeated_at_a_0_6():
 @pytest.mark.parametrize("a", [0.3, 0.6, 1.04])
 def test_member_spectra_agree_across_delays(a, nu):
     # a = 1.04, nu = 0, j = 1 once failed with "winding count 20 vs 18"
-    deltas = [_member_deltas(a, nu, alpha) for alpha in (0.0, 2.0 + 3.0j)]
+    # the direct route (j = 0) must find the closed route's spectrum too
+    alpha = 2.0 + 3.0j
+    deltas = [_member_deltas(a, nu, z) for z in (0.0, alpha)]
+    q, setup = _member_q(a, nu, alpha), DelaySetup(a=a, nu=nu)
+    direct = compute_spectrum(lambda lam: delta_direct(q, setup, 0, lam), nu, 0, 20)
     for j in (0, 1):
         first, second = (compute_spectrum(d[j], nu, j, 20) for d in deltas)
         assert compare(first, second) <= 1e-6  # the isospec tolerance
-        for s in (first, second):
+        if j == 0:
+            assert compare(second, direct) <= 1e-6  # isospec's closed-vs-direct tolerance
+        for s in (first, second) + ((direct,) if j == 0 else ()):
             lams = s.lambdas()
             gaps = np.abs(lams[:, None] - lams[None, :]) / (1.0 + np.abs(lams))
             assert np.all(gaps[~np.eye(len(lams), dtype=bool)] > 1e-6), "a root listed twice"
