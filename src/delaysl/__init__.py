@@ -20,9 +20,7 @@ from .delay_solver import (
     series_term,
     solve_direct,
     y1_closed,
-    y1_closed_prime,
     y2_closed,
-    y2_closed_prime,
 )
 from .errors import (
     ConsistencyError,
@@ -65,7 +63,7 @@ from .gridfn import (
     simpson_rule,
     write_csv,
 )
-from .kernels import ckernel, kernel_dlambda, kernel_pair, skernel
+from .kernels import ckernel, kernel_pair, skernel
 from .spectrum import (
     Spectrum,
     SpectrumEntry,
@@ -94,9 +92,7 @@ __all__ = [
     "series_term",
     "solve_direct",
     "y1_closed",
-    "y1_closed_prime",
     "y2_closed",
-    "y2_closed_prime",
     "ConsistencyError",
     "ContourError",
     "DomainError",
@@ -131,7 +127,6 @@ __all__ = [
     "simpson_rule",
     "write_csv",
     "ckernel",
-    "kernel_dlambda",
     "kernel_pair",
     "skernel",
     "Spectrum",

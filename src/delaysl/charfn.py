@@ -43,7 +43,6 @@ from .delay_solver import (
     _p_on_pieces,
     _p_values,
     endpoint_values,
-    grid_breakpoints,
 )
 from .errors import DomainError, GridMismatchError, PreconditionError
 from .gridfn import (
@@ -53,7 +52,6 @@ from .gridfn import (
     cumulative,
     integrate,
     _cell_coefficients,
-    sample_function,
 )
 from .kernels import ckernel, skernel
 
@@ -135,6 +133,8 @@ class CharData:
         ]
         payload = {
             "a": self.setup.a,
+            "segment_nodes": self.setup.segment_nodes,
+            "steps_per_delay": self.setup.steps_per_delay,
             "nu": self.nu,
             "j": self.j,
             "omega": [self.omega.real, self.omega.imag],
@@ -153,7 +153,12 @@ class CharData:
         xs = [row[0] for row in raw["w"]]
         vs = [complex(row[1], row[2]) for row in raw["w"]]
         return CharData(
-            DelaySetup(a=float(raw["a"]), nu=int(raw["nu"])),
+            DelaySetup(
+                a=float(raw["a"]),
+                nu=int(raw["nu"]),
+                segment_nodes=int(raw["segment_nodes"]),
+                steps_per_delay=int(raw["steps_per_delay"]),
+            ),
             int(raw["nu"]),
             int(raw["j"]),
             complex(raw["omega"][0], raw["omega"][1]),
@@ -510,20 +515,5 @@ def delta_direct(q: PiecewiseFunction, setup: DelaySetup, j: int, lam):
     if j not in (0, 1):
         raise DomainError(f"j must be 0 or 1, got {j}")
     _require_zero(q, 0.0, setup.a, "(0, a)")
-    qq = _padded_to_pi(q, setup)
-    ys, yps = endpoint_values(qq, setup, 1 - setup.nu, lam)
+    ys, yps = endpoint_values(q, setup, 1 - setup.nu, lam)
     return (ys if j == 0 else yps)[()]
-
-
-def _padded_to_pi(q: PiecewiseFunction, setup: DelaySetup) -> PiecewiseFunction:
-    snap = 1e-9 * (1.0 + PI)
-    if q.lo > snap:
-        raise DomainError("potential grid must start at 0")
-    if q.hi >= PI - snap:
-        return q
-    tail = sample_function(
-        lambda x: np.zeros_like(x, dtype=complex),
-        grid_breakpoints(setup.a, q.hi, PI),
-        setup.segment_nodes,
-    )
-    return PiecewiseFunction(list(q.segments) + list(tail.segments))

@@ -26,12 +26,11 @@ from .charfn import build_w, delta_closed, delta_direct
 from .delay_solver import (
     PI,
     DelaySetup,
-    grid_breakpoints,
+    _zero_on,
     p_function,
     series_term,
     y1_closed,
     y2_closed,
-    y2_closed_prime,
 )
 from .errors import (
     ConsistencyError,
@@ -53,7 +52,7 @@ from .fredholm import (
     reference_pair,
     zero_mean,
 )
-from .gridfn import integrate, sample_function, write_csv
+from .gridfn import integrate, write_csv
 from .kernels import ckernel, skernel
 from .spectrum import compare, compute_spectrum
 
@@ -332,12 +331,10 @@ def _second_term_worst(config: RunConfig, q) -> float:
         for lam in lams:
             ser = series_term(q, su, 2, complex(lam))
             for x, pfn in zip(xs, pfns):
+                y, yp = y2_closed(q, su, complex(lam), float(x), pfn)
                 pairs = (
-                    (y2_closed(q, su, complex(lam), float(x), pfn), complex(ser.y.values(float(x)))),
-                    (
-                        y2_closed_prime(q, su, complex(lam), float(x), pfn),
-                        complex(ser.yprime.values(float(x))),
-                    ),
+                    (y, complex(ser.y.values(float(x)))),
+                    (yp, complex(ser.yprime.values(float(x)))),
                 )
                 for have, want in pairs:
                     worst = max(worst, abs(have - want) / (1.0 + abs(want)))
@@ -507,14 +504,6 @@ def cmd_fredholm(config: RunConfig, out: Path) -> int:
 # spectrum and isospec
 
 
-def _zero_potential(config: RunConfig):
-    return sample_function(
-        lambda x: np.zeros_like(x, dtype=complex),
-        grid_breakpoints(config.a, 0.0, PI),
-        config.grid.segment_nodes,
-    )
-
-
 def _classical_values(nu: int, j: int, count: int) -> np.ndarray:
     if nu != j:
         return np.array([(k - 0.5) ** 2 for k in range(1, count + 1)])
@@ -543,7 +532,8 @@ def _baseline(config: RunConfig, spectrum):
     when the caller has recorded a failure; that j is then skipped.
     Yields (j, spectrum, gap, gap within _BASELINE_TOL).
     """
-    datas = build_w(_zero_potential(config), _setup(config))
+    setup = _setup(config)
+    datas = build_w(_zero_on(setup), setup)
     for j in (0, 1):
         s = spectrum(f"baseline_j{j}", lambda lam, data=datas[j]: delta_closed(data, lam), j)
         if s is None:

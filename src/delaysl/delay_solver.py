@@ -26,12 +26,13 @@ Three routes to the same solution:
   integrals against the trigonometric kernels, which keeps the cost
   linear in the grid size.
 
-Closed forms for the first and second iterates (``y1_closed``,
-``y2_closed`` and their derivatives) are provided for cross-checking.
+Closed forms for the first and second iterates and their derivatives
+(``y1_closed``, ``y2_closed``) are provided for cross-checking.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,9 +64,7 @@ __all__ = [
     "series_term",
     "series_sum",
     "y1_closed",
-    "y1_closed_prime",
     "y2_closed",
-    "y2_closed_prime",
     "p_kernel",
     "p_function",
 ]
@@ -170,6 +169,15 @@ def grid_breakpoints(a: float, lo: float, hi: float) -> np.ndarray:
         k += 1
     pts.append(hi)
     return np.array(pts)
+
+
+def _zero_on(setup: DelaySetup, lo: float = 0.0) -> PiecewiseFunction:
+    """Zero on [lo, pi], sampled on the standard grid of ``setup``."""
+    return sample_function(
+        lambda x: np.zeros_like(x, dtype=complex),
+        grid_breakpoints(setup.a, lo, PI),
+        setup.segment_nodes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +451,11 @@ def endpoint_values(q: PiecewiseFunction, setup: DelaySetup, init_nu: int, lam):
     instead, with y(t - a) interpolated at the midpoints.  A piece where
     q is zero at every point the rule reads adds nothing and is skipped,
     and y on a block is built only when the next block reads it; (y, y')
-    at the block's end alone carry the solution across.  The set-up
-    that depends on q and the grid alone (q at the nodes, the pieces,
-    the support check) is kept for the last (q, setup) pair, so q must
-    not be changed in place between calls.
+    at the block's end alone carry the solution across.  A q sampled
+    short of pi is zero-extended to pi on the standard grid.  The set-up
+    that depends on q and the grid alone (the extension, q at the nodes,
+    the pieces, the support check) is kept for the last (q, setup) pair,
+    so q must not be changed in place between calls.
 
     The points go through in chunks, whose kernels are evaluated once
     (the short tables, ``_short_tables``, and the kernels at the Simpson
@@ -528,11 +537,13 @@ class _Blocks:
     """
 
     def __init__(self, q: PiecewiseFunction, setup: DelaySetup):
+        self.q, self.setup = q, setup
+        if q.hi < PI - 1e-9 * (1.0 + PI):
+            q = PiecewiseFunction(list(q.segments) + list(_zero_on(setup, q.hi).segments))
         _check_potential(q, setup.a)
         m = setup.steps
         if m < 4:
             raise DomainError(f"the block solver needs at least 4 steps per delay, got {m}")
-        self.q, self.setup = q, setup
         self.m = m
         self.h = h = setup.a / m
         self.rows = max(1, _PASS_SIZE // (m + 1))  # points per pass
@@ -692,11 +703,6 @@ def _voc(lam, y0, yp0, c, s, i_c, i_s):
 # successive approximation terms
 
 
-def _standard_zero(setup: DelaySetup) -> PiecewiseFunction:
-    bps = grid_breakpoints(setup.a, 0.0, PI)
-    return sample_function(lambda x: np.zeros_like(x, dtype=complex), bps, setup.segment_nodes)
-
-
 def _resample_sided(q: PiecewiseFunction, structure: PiecewiseFunction) -> PiecewiseFunction:
     """Resample q on another function's grid keeping one-sided endpoint values."""
     segs = []
@@ -714,6 +720,13 @@ def _resample_sided(q: PiecewiseFunction, structure: PiecewiseFunction) -> Piece
     return PiecewiseFunction(segs)
 
 
+def _on_grid(grid: PiecewiseFunction, samples) -> PiecewiseFunction:
+    """The function with one sample array per segment of ``grid``."""
+    return PiecewiseFunction(
+        SampledSegment(seg.interval, v) for seg, v in zip(grid.segments, samples)
+    )
+
+
 def _trace_from_parts(setup, lam, y_fn, yp_fn) -> SolutionTrace:
     return SolutionTrace(
         y_fn, yp_fn, complex(y_fn.values(PI)), complex(yp_fn.values(PI)), complex(lam), setup
@@ -728,10 +741,7 @@ def series_term(q: PiecewiseFunction, setup: DelaySetup, k: int, lam: complex) -
     """
     if k < 0:
         raise DomainError("term index must be >= 0")
-    term = None
-    for j in range(k + 1):
-        term = _next_series_term(q, setup, j, lam, term)
-    return term
+    return next(itertools.islice(_series_terms(q, setup, lam), k, None))
 
 
 def series_sum(
@@ -740,67 +750,62 @@ def series_sum(
     """Sum of the series through term ``n_terms`` (default: all that survive)."""
     if n_terms is None:
         n_terms = setup.levels
-    total = None
-    term = None
-    for j in range(n_terms + 1):
-        term = _next_series_term(q, setup, j, lam, term)
-        if total is None:
-            total = term
-        else:
-            total = SolutionTrace(
-                total.y + term.y,
-                total.yprime + term.yprime,
-                total.y_end + term.y_end,
-                total.yp_end + term.yp_end,
-                complex(lam),
-                setup,
-            )
+    terms = itertools.islice(_series_terms(q, setup, lam), n_terms + 1)
+    total = next(terms, None)
+    for term in terms:
+        total = SolutionTrace(
+            total.y + term.y,
+            total.yprime + term.yprime,
+            total.y_end + term.y_end,
+            total.yp_end + term.yp_end,
+            complex(lam),
+            setup,
+        )
     return total
 
 
-def _next_series_term(q, setup, k, lam, prev: SolutionTrace | None) -> SolutionTrace:
+def _series_terms(q, setup, lam):
+    """The terms 0, 1, 2, ... of the series, as traces on the standard grid.
+
+    The kernels at the grid nodes are evaluated, and q is resampled on
+    the grid, once for all terms.
+    """
     a = setup.a
-    if k == 0:
-        zero = _standard_zero(setup)
-        segs_y, segs_p = [], []
-        for seg in zero.segments:
+    grid = _zero_on(setup)
+    cs = [kernels.kernel_pair(lam, seg.nodes()) for seg in grid.segments]
+    if setup.nu == 0:
+        y, yp = [c for c, _ in cs], [-lam * s for _, s in cs]
+    else:
+        y, yp = [s for _, s in cs], [c for c, _ in cs]
+    term = _trace_from_parts(setup, lam, _on_grid(grid, y), _on_grid(grid, yp))
+    yield term
+    qs = _resample_sided(q, grid)
+    k = 1
+    while k * a < PI - 1e-12:
+        # g(t) = q(t) * y_{k-1}(t - a), zero below k a by support of the previous term
+        gc, gs = [], []
+        for seg, qseg, (c, s) in zip(grid.segments, qs.segments, cs):
             x = seg.nodes()
-            y, yp = _kernel_trace(setup.nu, [lam], x)
-            segs_y.append(SampledSegment(seg.interval, y[0]))
-            segs_p.append(SampledSegment(seg.interval, yp[0]))
-        return _trace_from_parts(setup, lam, PiecewiseFunction(segs_y), PiecewiseFunction(segs_p))
-    if k * a >= PI - 1e-12:
-        z = _standard_zero(setup)
-        return _trace_from_parts(setup, lam, z, z)
-
-    # g(t) = q(t) * y_{k-1}(t - a), zero below k a by support of the previous term
-    structure = _standard_zero(setup)
-    qs = _resample_sided(q, structure)
-    gc_segs, gs_segs = [], []
-    for seg, qseg in zip(structure.segments, qs.segments):
-        x = seg.nodes()
-        g = np.zeros(x.shape, dtype=complex)
-        live = x >= a - 1e-12
-        if np.any(live):
-            shifted = np.clip(x[live] - a, 0.0, PI)
-            g[live] = qseg.samples[live] * prev.y.values(shifted)
-        gc_segs.append(SampledSegment(seg.interval, g * kernels.ckernel(lam, x)))
-        gs_segs.append(SampledSegment(seg.interval, g * kernels.skernel(lam, x)))
-    anchor = min(k * a, PI)
-    pc = cumulative(PiecewiseFunction(gc_segs), anchor)
-    ps = cumulative(PiecewiseFunction(gs_segs), anchor)
-
-    segs_y, segs_p = [], []
-    for seg_pc, seg_ps in zip(pc.segments, ps.segments):
-        x = seg_pc.nodes()
-        c = kernels.ckernel(lam, x)
-        s = kernels.skernel(lam, x)
-        live = x >= anchor - 1e-12
-        y = np.where(live, s * seg_pc.samples - c * seg_ps.samples, 0.0)
-        yp = np.where(live, c * seg_pc.samples + lam * s * seg_ps.samples, 0.0)
-        segs_y.append(SampledSegment(seg_pc.interval, y))
-        segs_p.append(SampledSegment(seg_pc.interval, yp))
-    return _trace_from_parts(setup, lam, PiecewiseFunction(segs_y), PiecewiseFunction(segs_p))
+            g = np.zeros(x.shape, dtype=complex)
+            live = x >= a - 1e-12
+            if np.any(live):
+                shifted = np.clip(x[live] - a, 0.0, PI)
+                g[live] = qseg.samples[live] * term.y.values(shifted)
+            gc.append(g * c)
+            gs.append(g * s)
+        anchor = k * a
+        pc = cumulative(_on_grid(grid, gc), anchor)
+        ps = cumulative(_on_grid(grid, gs), anchor)
+        y, yp = [], []
+        for seg_pc, seg_ps, (c, s) in zip(pc.segments, ps.segments, cs):
+            live = seg_pc.nodes() >= anchor - 1e-12
+            y.append(np.where(live, s * seg_pc.samples - c * seg_ps.samples, 0.0))
+            yp.append(np.where(live, c * seg_pc.samples + lam * s * seg_ps.samples, 0.0))
+        term = _trace_from_parts(setup, lam, _on_grid(grid, y), _on_grid(grid, yp))
+        yield term
+        k += 1
+    while True:
+        yield _trace_from_parts(setup, lam, grid, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -809,73 +814,51 @@ def _next_series_term(q, setup, k, lam, prev: SolutionTrace | None) -> SolutionT
 
 def _first_term_parts(q, setup, lam):
     """Running integrals of q(t) ckernel(lam, 2t) and q(t) skernel(lam, 2t) from a."""
-    structure = _standard_zero(setup)
-    qs = _resample_sided(q, structure)
+    grid = _zero_on(setup)
+    qs = _resample_sided(q, grid)
     c_segs, s_segs = [], []
-    for seg, qseg in zip(structure.segments, qs.segments):
-        x = seg.nodes()
-        c_segs.append(SampledSegment(seg.interval, qseg.samples * kernels.ckernel(lam, 2.0 * x)))
-        s_segs.append(SampledSegment(seg.interval, qseg.samples * kernels.skernel(lam, 2.0 * x)))
+    for seg, qseg in zip(grid.segments, qs.segments):
+        c, s = kernels.kernel_pair(lam, 2.0 * seg.nodes())
+        c_segs.append(qseg.samples * c)
+        s_segs.append(qseg.samples * s)
     a = setup.a
     return (
-        cumulative(PiecewiseFunction(c_segs), a),
-        cumulative(PiecewiseFunction(s_segs), a),
+        cumulative(_on_grid(grid, c_segs), a),
+        cumulative(_on_grid(grid, s_segs), a),
         cumulative(qs, a),
     )
 
 
 def y1_closed(q: PiecewiseFunction, setup: DelaySetup, lam: complex) -> SolutionTrace:
-    """First series term in closed form (trace on the standard grid).
+    """First series term and its x-derivative in closed form (trace on the standard grid).
 
-    For nu = 1 the formula carries a removable 1/lam; near lam = 0 the
-    quadrature recursion is used instead.
+    For nu = 1 the value carries a removable 1/lam; near lam = 0 the
+    value comes from the series recursion instead.  The derivative has
+    no 1/lam and is always the closed form.
     """
     nu = setup.nu
-    if nu == 1 and abs(lam) < 1e-3:
-        return series_term(q, setup, 1, lam)
     a = setup.a
+    near_zero = nu == 1 and abs(lam) < 1e-3
     qc, qms, om = _first_term_parts(q, setup, lam)
     segs_y, segs_p = [], []
     for seg_c, seg_s, seg_o in zip(qc.segments, qms.segments, om.segments):
         x = seg_c.nodes()
-        live = x >= a - 1e-12
-        ca = kernels.ckernel(lam, x + a)
-        sa = kernels.skernel(lam, x + a)
+        (ca, cm), (sa, sm) = kernels.kernel_pair(lam, np.stack([x + a, x - a]))
+        # integrals of q(t) S(x - 2t + a) and of q(t) C(x - 2t + a)
+        s_int = sa * seg_c.samples - ca * seg_s.samples
+        c_int = ca * seg_c.samples + lam * sa * seg_s.samples
         if nu == 0:
-            # integral of q(t) S(x - 2t + a): S(x+a) qC - C(x+a) qS
-            intval = sa * seg_c.samples - ca * seg_s.samples
-            bnd = 0.5 * seg_o.samples * kernels.skernel(lam, x - a)
-            y = bnd + 0.5 * intval
+            y = 0.5 * seg_o.samples * sm + 0.5 * s_int
+            yp = 0.5 * seg_o.samples * cm + 0.5 * c_int
         else:
-            intval = ca * seg_c.samples + lam * sa * seg_s.samples
-            bnd = -0.5 / lam * seg_o.samples * kernels.ckernel(lam, x - a)
-            y = bnd + 0.5 / lam * intval
-        segs_y.append(SampledSegment(seg_c.interval, np.where(live, y, 0.0)))
-    yfn = PiecewiseFunction(segs_y)
-    pfn = y1_closed_prime(q, setup, lam)
-    return _trace_from_parts(setup, lam, yfn, pfn)
-
-
-def y1_closed_prime(q: PiecewiseFunction, setup: DelaySetup, lam: complex) -> PiecewiseFunction:
-    """x-derivative of the first series term, in closed form (no 1/lam)."""
-    nu = setup.nu
-    a = setup.a
-    qc, qs, om = _first_term_parts(q, setup, lam)
-    segs = []
-    sign = -1.0 if nu else 1.0
-    for seg_c, seg_s, seg_o in zip(qc.segments, qs.segments, om.segments):
-        x = seg_c.nodes()
+            y = None if near_zero else -0.5 / lam * seg_o.samples * cm + 0.5 / lam * c_int
+            yp = 0.5 * seg_o.samples * sm - 0.5 * s_int
         live = x >= a - 1e-12
-        ca = kernels.ckernel(lam, x + a)
-        sa = kernels.skernel(lam, x + a)
-        if nu == 0:
-            intval = ca * seg_c.samples + lam * sa * seg_s.samples
-            bnd = 0.5 * seg_o.samples * kernels.ckernel(lam, x - a)
-        else:
-            intval = sa * seg_c.samples - ca * seg_s.samples
-            bnd = 0.5 * seg_o.samples * kernels.skernel(lam, x - a)
-        segs.append(SampledSegment(seg_c.interval, np.where(live, bnd + sign * 0.5 * intval, 0.0)))
-    return PiecewiseFunction(segs)
+        if y is not None:
+            segs_y.append(np.where(live, y, 0.0))
+        segs_p.append(np.where(live, yp, 0.0))
+    yfn = series_term(q, setup, 1, lam).y if near_zero else _on_grid(qc, segs_y)
+    return _trace_from_parts(setup, lam, yfn, _on_grid(qc, segs_p))
 
 
 # ---------------------------------------------------------------------------
@@ -995,8 +978,8 @@ def p_function(q: PiecewiseFunction, setup: DelaySetup, x: float) -> PiecewiseFu
     return PiecewiseFunction(SampledSegment(iv, v) for iv, v in zip(ivs, vals))
 
 
-def _second_term_quad(setup, lam, x, pfn, kernel_kind: str) -> complex:
-    """Integral of P(x, t) K(lam, x - 2t + a) dt over the kernel triangle."""
+def _second_term_quad(setup, lam, x, pfn) -> tuple[complex, complex]:
+    """Integrals of P(x, t) K(lam, x - 2t + a) dt over the kernel triangle, K = S, C."""
     rho = math.sqrt(abs(lam))
     # resolve both the kernel oscillation (frequency 2 rho in t) and the
     # kernel-free variation already captured by the sampled P
@@ -1004,11 +987,8 @@ def _second_term_quad(setup, lam, x, pfn, kernel_kind: str) -> complex:
     bps = np.concatenate([[pfn.lo], pfn.breakpoints(), [pfn.hi]])
     ts, ws = simpson_rule(bps, step)
     pv = pfn.values(ts)
-    if kernel_kind == "s":
-        kv = kernels.skernel(lam, x - 2.0 * ts + setup.a)
-    else:
-        kv = kernels.ckernel(lam, x - 2.0 * ts + setup.a)
-    return complex(np.dot(ws, pv * kv))
+    c, s = kernels.kernel_pair(lam, x - 2.0 * ts + setup.a)
+    return complex(np.dot(ws, pv * s)), complex(np.dot(ws, pv * c))
 
 
 def y2_closed(
@@ -1017,44 +997,25 @@ def y2_closed(
     lam: complex,
     x: float,
     pfn: PiecewiseFunction | None = None,
-) -> complex:
-    """Second series term at one point, 2a <= x <= pi.
+) -> tuple[complex, complex]:
+    """Second series term and its x-derivative at one point, 2a <= x <= pi.
 
-    nu = 1 near lam = 0 falls back to the quadrature recursion (the
-    closed form carries a removable 1/lam there).  ``pfn`` may supply a
-    precomputed ``p_function(q, setup, x)``.
+    For nu = 1 the value carries a removable 1/lam; near lam = 0 the
+    value comes from the series recursion instead (the derivative has no
+    1/lam).  ``pfn`` may supply a precomputed ``p_function(q, setup, x)``.
     """
     nu = setup.nu
     a = setup.a
     if not 2.0 * a - 1e-12 <= x <= PI + 1e-12:
         raise DomainError(f"x = {x} outside [2a, pi]")
-    if nu == 1 and abs(lam) < 1e-3:
-        return complex(series_term(q, setup, 2, lam).y.values(min(x, PI)))
     if pfn is None:
         pfn = p_function(q, setup, x)
-    if pfn is None:
-        return 0.0 + 0.0j
+    s_int = c_int = 0.0 + 0.0j
+    if pfn is not None:
+        s_int, c_int = _second_term_quad(setup, lam, x, pfn)
     if nu == 0:
-        return complex(0.5 * _second_term_quad(setup, lam, x, pfn, "s"))
-    return complex(0.5 / lam * _second_term_quad(setup, lam, x, pfn, "c"))
-
-
-def y2_closed_prime(
-    q: PiecewiseFunction,
-    setup: DelaySetup,
-    lam: complex,
-    x: float,
-    pfn: PiecewiseFunction | None = None,
-) -> complex:
-    """x-derivative of the second series term at one point (no 1/lam)."""
-    nu = setup.nu
-    a = setup.a
-    if not 2.0 * a - 1e-12 <= x <= PI + 1e-12:
-        raise DomainError(f"x = {x} outside [2a, pi]")
-    if pfn is None:
-        pfn = p_function(q, setup, x)
-    if pfn is None:
-        return 0.0 + 0.0j
-    sign = -1.0 if nu else 1.0
-    kind = "c" if nu == 0 else "s"
-    return complex(sign * 0.5 * _second_term_quad(setup, lam, x, pfn, kind))
+        return complex(0.5 * s_int), complex(0.5 * c_int)
+    yp = complex(-0.5 * s_int)
+    if abs(lam) < 1e-3:
+        return complex(series_term(q, setup, 2, lam).y.values(min(x, PI))), yp
+    return complex(0.5 / lam * c_int), yp

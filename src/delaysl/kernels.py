@@ -8,19 +8,13 @@ computed from their Maclaurin series in lam to avoid 0/0 noise.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import DomainError
-
-__all__ = ["ckernel", "skernel", "kernel_pair", "kernel_dlambda"]
+__all__ = ["ckernel", "skernel", "kernel_pair"]
 
 # switch to the series when |lam| * x^2 drops below this
 SERIES_THRESHOLD = 1e-3
 _SERIES_TERMS = 8
-
-_FACT = np.array([float(math.factorial(k)) for k in range(2 * _SERIES_TERMS + 2)])
 
 
 def _prep(lam, x):
@@ -70,14 +64,6 @@ def _s_series(lam, x):
     return acc * x
 
 
-def _ds_series(lam, x):
-    # d/dlam of the skernel series: sum_{k>=1} k (-1)^k lam^(k-1) x^(2k+1)/(2k+1)!
-    acc = np.zeros(lam.shape, dtype=complex)
-    for k in range(1, _SERIES_TERMS):
-        acc += k * (-1) ** k * lam ** (k - 1) * x ** (2 * k + 1) / _FACT[2 * k + 1]
-    return acc
-
-
 def _evaluate(lam, x, kinds):
     """Kernels at broadcast (lam, x), one array per (closed form, series) pair.
 
@@ -114,24 +100,3 @@ def kernel_pair(lam, x):
     """(ckernel(lam, x), skernel(lam, x)), bit for bit, from one shared evaluation."""
     c, s = _evaluate(lam, x, (_COS, _SIN))
     return c, s
-
-
-def kernel_dlambda(lam, x, kind: str):
-    """lam-derivative of a kernel: kind "c" or "s".
-
-    d/dlam cos(rho x) = -(x/2) skernel(lam, x) everywhere;
-    d/dlam [sin(rho x)/rho] = (x ckernel - skernel)/(2 lam), with the
-    series value -x^3/6 + O(lam) taking over near lam = 0.
-    """
-    if kind == "c":
-        return -0.5 * np.asarray(x) * skernel(lam, x)
-    if kind != "s":
-        raise DomainError(f"kind must be 'c' or 's', got {kind!r}")
-    lam, x, small, shape = _prep(lam, x)
-    out = np.empty(lam.shape, dtype=complex)
-    if np.any(~small):
-        lb, xb = lam[~small], x[~small]
-        out[~small] = (xb * ckernel(lb, xb) - skernel(lb, xb)) / (2.0 * lb)
-    if np.any(small):
-        out[small] = _ds_series(lam[small], x[small])
-    return out.reshape(shape)[()]

@@ -327,12 +327,10 @@ class CellCounts:
     moments: tuple
 
 
-def _sample_cells(delta, xs, y0, y1, known, per_cell):
+def _sample_cells(delta, xs, y0, y1, known):
     net = _Net(delta, xs, y0, y1)
     net.refine(range(len(net.z)), _phase_too_coarse)
     counts = net.counts()
-    if not per_cell:
-        return counts[0]
 
     def short(k):
         inside = sum(xs[k] <= r.real < xs[k + 1] and y0 <= r.imag <= y1 for r in known)
@@ -352,7 +350,7 @@ def _sample_cells(delta, xs, y0, y1, known, per_cell):
     return CellCounts(tuple(xs), (y0, y1), tuple(counts), moments)
 
 
-def count_roots(delta, rectangle, cuts=None, known=()):
+def count_roots(delta, rectangle, cuts=(), known=()) -> CellCounts:
     """Roots (with multiplicity) inside a rectangle, by winding number.
 
     ``rectangle`` is a (lower-left, upper-right) pair of complex
@@ -363,18 +361,17 @@ def count_roots(delta, rectangle, cuts=None, known=()):
     dilation of the imaginary range, up to five times, after which a
     contour error is raised.
 
-    Without ``cuts`` the count is returned as an int.  With ``cuts``
-    (real parts strictly inside the rectangle, possibly none) the
-    rectangle is split into vertical cells there and a ``CellCounts``
-    is returned; all cells come from one sampling in which neighbours
-    share their wall.  A cell holding more roots than ``known`` places
-    in it (roots within 1e-6 relative of each other counted once) is
-    sampled more densely and carries its moments.
+    The rectangle is split into vertical cells at ``cuts`` (real parts
+    strictly inside it, none by default) and the counts are returned as
+    a ``CellCounts``; all cells come from one sampling in which
+    neighbours share their wall.  A cell holding more roots than
+    ``known`` places in it (roots within 1e-6 relative of each other
+    counted once) is sampled more densely and carries its moments.
     """
     lo, hi = complex(rectangle[0]), complex(rectangle[1])
     if not (hi.real > lo.real and hi.imag > lo.imag):
         raise DomainError("rectangle corners must be ordered lower-left, upper-right")
-    xs = [lo.real, *sorted(float(c) for c in (cuts or ())), hi.real]
+    xs = [lo.real, *sorted(float(c) for c in cuts), hi.real]
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise DomainError("cuts must lie strictly inside the rectangle")
     y0, y1 = lo.imag, hi.imag
@@ -385,7 +382,7 @@ def count_roots(delta, rectangle, cuts=None, known=()):
     n = len(xs) - 1
     for _ in range(6):
         try:
-            return _sample_cells(delta, xs, y0, y1, distinct, cuts is not None)
+            return _sample_cells(delta, xs, y0, y1, distinct)
         except _ContourTooClose as hit:
             if hit.edge < 2 * n:
                 mid, half = 0.5 * (y0 + y1), 0.505 * (y1 - y0)
@@ -525,7 +522,7 @@ def _square(census, k, r):
         if q != r:
             half = min(half, 0.4 * abs(q - r))
     corner = half * (1.0 + 1.0j)
-    return count_roots(census.delta, (r - corner, r + corner), cuts=(), known=[r])
+    return count_roots(census.delta, (r - corner, r + corner), known=[r])
 
 
 def _multiplicities(census):
@@ -624,7 +621,7 @@ def compute_spectrum(
             break
         # a root hugging the floor suggests the lowest eigenvalue may lie below
         below = (complex(floor.x0 - 5.0, floor.y0), complex(floor.x0, floor.y1))
-        census.add(count_roots(delta, below, cuts=(), known=census.roots))
+        census.add(count_roots(delta, below, known=census.roots))
 
     listed = _root_order(_multiplicities(census))
     resid = np.abs(np.asarray(delta(np.array(listed, dtype=complex)), dtype=complex))

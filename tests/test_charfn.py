@@ -29,6 +29,7 @@ from delaysl import (
     series_sum,
     skernel,
 )
+from delaysl import delay_solver
 from delaysl.charfn import SERIES_THRESHOLD, _moments
 
 A = np.pi / 4
@@ -342,7 +343,7 @@ def test_json_round_trip():
     copy = CharData.from_json(data.to_json())
     assert copy.nu == data.nu and copy.j == data.j
     assert abs(copy.omega - data.omega) < 1e-15
-    assert copy.setup.a == pytest.approx(data.setup.a, abs=1e-15)
+    assert copy.setup == data.setup
     lam = np.array([2.0, 60.0, 1.0 + 1.0j])
     gap = np.abs(delta_closed(copy, lam) - delta_closed(data, lam))
     assert np.max(gap) < 1e-12
@@ -354,9 +355,10 @@ def test_json_round_trip():
     nodes=st.sampled_from([3, 5, 17]),
     nu=st.sampled_from([0, 1]),
     j=st.sampled_from([0, 1]),
+    steps=st.integers(0, 4096),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_json_round_trip_is_bit_exact(a, nodes, nu, j, seed):
+def test_json_round_trip_is_bit_exact(a, nodes, nu, j, steps, seed):
     # samples over 200 decades, signed zeros among them
     rng = np.random.default_rng(seed)
 
@@ -368,11 +370,13 @@ def test_json_round_trip_is_bit_exact(a, nodes, nu, j, seed):
 
     w = sample_function(draw, grid_breakpoints(a, a, 3 * a), nodes)
     omega = integrate(w, a, 3 * a) if nu == 0 else complex(*rng.standard_normal(2))
-    data = CharData(DelaySetup(a=a, nu=nu), nu, j, omega, w)
+    setup = DelaySetup(a=a, nu=nu, segment_nodes=nodes, steps_per_delay=steps)
+    data = CharData(setup, nu, j, omega, w)
     text = data.to_json()
     copy = CharData.from_json(text)
     assert copy.to_json() == text
-    assert (copy.setup.a, copy.nu, copy.j) == (a, nu, j)
+    assert copy.setup == data.setup
+    assert (copy.nu, copy.j) == (nu, j)
     assert np.array(copy.omega).tobytes() == np.array(data.omega).tobytes()
     assert len(copy.w.segments) == len(w.segments)
     for got, want in zip(copy.w.segments, w.segments):
@@ -423,6 +427,26 @@ def test_direct_route_pads_short_grids():
     a = delta_direct(full, setup, 0, lam)
     b = delta_direct(short, setup, 0, lam)
     assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_direct_route_pads_a_short_grid_once(monkeypatch):
+    # the zero-extended potential is part of the kept block set-up, so
+    # repeated calls with one short potential build it once
+    short = sample_function(_bump, grid_breakpoints(A, 0.0, 3 * A), 129)
+    setup = _setup(0, nodes=129, steps=256)
+    built = []
+
+    class Counted(delay_solver._Blocks):
+        def __init__(self, q, setup):
+            built.append(q)
+            super().__init__(q, setup)
+
+    monkeypatch.setattr(delay_solver, "_Blocks", Counted)
+    monkeypatch.setattr(delay_solver, "_last_blocks", None)
+    first = delta_direct(short, setup, 0, 4.0)
+    for _ in range(4):
+        assert delta_direct(short, setup, 0, 4.0) == first
+    assert built == [short]
 
 
 def test_direct_route_validation():

@@ -29,9 +29,7 @@ from delaysl import (
     skernel,
     solve_direct,
     y1_closed,
-    y1_closed_prime,
     y2_closed,
-    y2_closed_prime,
 )
 from delaysl import delay_solver, kernels
 from delaysl.delay_solver import _Blocks, _kernel_tables, _March, _short_tables
@@ -181,8 +179,8 @@ def test_first_term_prime_matches_finite_differences():
     for nu in (0, 1):
         setup = _setup(nu, nodes=129)
         lam = 30.0
-        yfun = y1_closed(q, setup, lam).y
-        pfun = y1_closed_prime(q, setup, lam)
+        closed = y1_closed(q, setup, lam)
+        yfun, pfun = closed.y, closed.yprime
         xs = np.array([A + 0.05, 2.1, 2.9])
         fd = (yfun(xs + h) - yfun(xs - h)) / (2.0 * h)
         assert np.max(np.abs(pfun(xs) - fd)) < 1e-6
@@ -288,16 +286,15 @@ def test_second_term_closed_form_matches_quadrature():
         for lam in (9.0, 150.0, 2.0 + 1.0j):
             quad = series_term(q, setup, 2, lam)
             want = quad.y(x)
-            have = y2_closed(q, setup, lam, x, pfn=pfn)
+            have, have_p = y2_closed(q, setup, lam, x, pfn=pfn)
             assert abs(have - want) < 1e-7 * (1 + abs(want))
             want_p = quad.yprime(x)
-            have_p = y2_closed_prime(q, setup, lam, x, pfn=pfn)
             assert abs(have_p - want_p) < 1e-6 * (1 + abs(want_p))
 
 
 def test_second_term_domain_and_trivial_cases():
     setup = _setup(0)
-    assert y2_closed(_zero(), setup, 10.0, 2.9) == 0.0
+    assert y2_closed(_zero(), setup, 10.0, 2.9) == (0.0, 0.0)
     with pytest.raises(DomainError):
         y2_closed(_confined(), setup, 10.0, 2 * A - 0.05)
 
@@ -314,7 +311,7 @@ def test_three_term_sum_closes_the_oracle_triangle():
             y1t = y1_closed(q, setup, lam)
             for x in xs:
                 y0, _ = _kernel_pair(nu, lam, x)
-                closed = y0 + y1t.y(x) + y2_closed(q, setup, lam, x, pfn=pfns[x])
+                closed = y0 + y1t.y(x) + y2_closed(q, setup, lam, x, pfn=pfns[x])[0]
                 scale = 1.0 + abs(direct.y(x))
                 assert abs(direct.y(x) - summed.y(x)) < 1e-7 * scale
                 assert abs(direct.y(x) - closed) < 1e-7 * scale

@@ -147,6 +147,54 @@ def test_cumulative_matches_integrate_at_nodes():
     assert shifted(1.3) == 0.0
 
 
+def _random_piecewise(seed, pieces, nodes):
+    """Normal samples on random pieces, so f jumps at every breakpoint; ~10% of
+    the real and imaginary parts are signed zeros."""
+    rng = np.random.default_rng(seed)
+    bps = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, pieces))])
+
+    def draw(x):
+        z = np.empty(x.shape, dtype=complex)
+        z.real, z.imag = rng.standard_normal((2,) + x.shape)
+        z.real[rng.random(x.shape) < 0.1] = -0.0
+        z.imag[rng.random(x.shape) < 0.1] = -0.0
+        return z
+
+    return sample_function(draw, bps, nodes), rng
+
+
+_PIECEWISE = dict(
+    seed=st.integers(0, 2**32 - 1),
+    pieces=st.integers(1, 5),
+    nodes=st.sampled_from([3, 5, 9, 17]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.complex_numbers(max_magnitude=10.0, allow_nan=False), **_PIECEWISE)
+def test_integrate_is_additive_and_linear_on_random_data(seed, pieces, nodes, c):
+    f, rng = _random_piecewise(seed, pieces, nodes)
+    g = f.map_samples(lambda s, x: rng.standard_normal(s.shape) + 1j * np.cos(x))
+    lo, split, hi = np.sort(rng.uniform(f.lo, f.hi, 3))
+    tol = 1e-12 * (1.0 + abs(c)) * (1.0 + np.max(np.abs(f.all_samples()))) * f.hi
+    whole = integrate(f, lo, hi)
+    assert abs(integrate(f, lo, split) + integrate(f, split, hi) - whole) <= tol
+    combo = integrate(f + c * g, lo, hi)
+    assert abs(combo - (whole + c * integrate(g, lo, hi))) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_PIECEWISE)
+def test_cumulative_is_integrate_at_every_node(seed, pieces, nodes):
+    f, rng = _random_piecewise(seed, pieces, nodes)
+    anchor = float(rng.choice(f.nodes()))
+    g = cumulative(f, anchor)
+    tol = 1e-12 * (1.0 + np.max(np.abs(f.all_samples()))) * f.hi
+    for seg in g.segments:
+        want = np.array([integrate(f, anchor, x) for x in seg.nodes()])
+        assert np.max(np.abs(seg.samples - want)) <= tol
+
+
 def test_cell_integrals_work_row_by_row():
     # the block solver runs the segment rule on many rows at once; each
     # row must come out bit for bit as the one-row call
@@ -254,6 +302,21 @@ def test_csv_round_trip_is_exact(tmp_path):
     g = read_csv(path)
     assert np.array_equal(f.breakpoints(), g.breakpoints())
     assert np.array_equal(f.all_samples(), g.all_samples())
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_PIECEWISE)
+def test_csv_round_trip_is_bit_exact_through_jumps_and_signed_zeros(
+    tmp_path_factory, seed, pieces, nodes
+):
+    f, _ = _random_piecewise(seed, pieces, nodes)
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    write_csv(f, path)
+    g = read_csv(path)
+    assert len(g.segments) == len(f.segments)
+    for got, want in zip(g.segments, f.segments):
+        assert (got.interval.lo, got.interval.hi) == (want.interval.lo, want.interval.hi)
+        assert got.samples.tobytes() == want.samples.tobytes()
 
 
 def test_csv_reader_validates_input(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaysl import DomainError, ckernel, kernel_dlambda, kernel_pair, skernel
+from delaysl import ckernel, kernel_pair, skernel
 from delaysl.kernels import SERIES_THRESHOLD
 
 
@@ -99,35 +99,3 @@ def test_x_derivatives_by_finite_differences():
     ds = (skernel(lam, x + h) - skernel(lam, x - h)) / (2.0 * h)
     assert np.max(np.abs(dc + lam * skernel(lam, x))) < 1e-8 * (1.0 + np.max(np.abs(lam)))
     assert np.max(np.abs(ds - ckernel(lam, x))) < 1e-8
-
-
-def test_lambda_derivative_known_values():
-    assert kernel_dlambda(0.0, 1.0, "c") == pytest.approx(-0.5, abs=1e-14)
-    assert kernel_dlambda(0.0, 1.0, "s") == pytest.approx(-1.0 / 6.0, abs=1e-14)
-    assert kernel_dlambda(4.0, np.pi, "c") == pytest.approx(0.0, abs=1e-14)
-    assert kernel_dlambda(4.0, np.pi, "s") == pytest.approx(np.pi / 8.0, abs=1e-14)
-
-
-def test_lambda_derivative_matches_finite_differences():
-    rng = np.random.default_rng(31)
-    lam = rng.uniform(-20.0, 300.0, 20) + 1j * rng.uniform(-2.0, 2.0, 20)
-    x = rng.uniform(0.2, np.pi, 20)
-    h = 1e-5 * (1.0 + np.abs(lam))
-    for kind, fn in (("c", ckernel), ("s", skernel)):
-        fd = (fn(lam + h, x) - fn(lam - h, x)) / (2.0 * h)
-        have = kernel_dlambda(lam, x, kind)
-        assert np.max(np.abs(have - fd) / (1.0 + np.abs(fd))) < 1e-6
-
-
-def test_lambda_derivative_is_smooth_through_zero():
-    x = 1.3
-    for kind in ("c", "s"):
-        lo = kernel_dlambda(-1e-9, x, kind)
-        mid = kernel_dlambda(0.0, x, kind)
-        hi = kernel_dlambda(1e-9, x, kind)
-        assert abs(hi + lo - 2.0 * mid) < 1e-12
-
-
-def test_unknown_kind_rejected():
-    with pytest.raises(DomainError):
-        kernel_dlambda(1.0, 1.0, "x")
