@@ -26,9 +26,9 @@ from .charfn import build_w, delta_closed, delta_direct
 from .delay_solver import (
     PI,
     DelaySetup,
+    _series_terms,
     _zero_on,
     p_function,
-    series_term,
     y1_closed,
     y2_closed,
 )
@@ -306,21 +306,62 @@ def _draw_points(config: RunConfig, x_lo: float):
     return xs, lams
 
 
-def _first_term_worst(config: RunConfig, q) -> float:
+def _series_samples(config: RunConfig, q) -> dict:
+    """Series terms 1 and 2 where the closed-form checks read them, one pass per series.
+
+    Keyed by (nu, index of the lambda of ``_draw_points``): term 1's y
+    and y' at the x of the first-term check, and term 2's (y, y') at
+    each x of the second-term check.  A term whose building raised holds
+    the error instead.  Only the samples are kept, not the terms.
+    """
+    xs1, lams = _draw_points(config, 2.0 * config.a)
+    xs2, _ = _draw_points(config, 2.5 * config.a)
+    table = {}
+    for nu in (0, 1):
+        su = DelaySetup(a=config.a, nu=nu, segment_nodes=config.grid.segment_nodes)
+        for i, lam in enumerate(lams):
+            got = []
+            try:
+                terms = _series_terms(q, su, complex(lam))
+                next(terms)  # term 0, the kernels
+                term = next(terms)
+                got.append((term.y.values(xs1), term.yprime.values(xs1)))
+                term = next(terms)
+                got.append(
+                    [
+                        (complex(term.y.values(float(x))), complex(term.yprime.values(float(x))))
+                        for x in xs2
+                    ]
+                )
+            except _NUMERIC_ERRORS as exc:
+                got += [exc] * (2 - len(got))
+            table[nu, i] = got
+    return table
+
+
+def _samples(series: dict, nu: int, i: int, k: int):
+    """Term k's (1 or 2) entry of ``_series_samples``; raises the error that building it raised."""
+    got = series[nu, i][k - 1]
+    if isinstance(got, Exception):
+        raise got
+    return got
+
+
+def _first_term_worst(config: RunConfig, q, series: dict) -> float:
     xs, lams = _draw_points(config, 2.0 * config.a)
     worst = 0.0
     for nu in (0, 1):
         su = DelaySetup(a=config.a, nu=nu, segment_nodes=config.grid.segment_nodes)
-        for lam in lams:
-            ser = series_term(q, su, 1, complex(lam))
+        for i, lam in enumerate(lams):
+            wants = _samples(series, nu, i, 1)
             clo = y1_closed(q, su, complex(lam))
-            for have, want in ((clo.y, ser.y), (clo.yprime, ser.yprime)):
-                hv, wv = have.values(xs), want.values(xs)
+            for have, wv in zip((clo.y, clo.yprime), wants):
+                hv = have.values(xs)
                 worst = max(worst, float(np.max(np.abs(hv - wv) / (1.0 + np.abs(wv)))))
     return worst
 
 
-def _second_term_worst(config: RunConfig, q) -> float:
+def _second_term_worst(config: RunConfig, q, series: dict) -> float:
     # a family member vanishes on (a, 3a/2), so P(x, .) is identically
     # zero for x <= 5a/2 and the closed form would only check 0 = 0 there
     xs, lams = _draw_points(config, 2.5 * config.a)
@@ -328,16 +369,12 @@ def _second_term_worst(config: RunConfig, q) -> float:
     for nu in (0, 1):
         su = DelaySetup(a=config.a, nu=nu, segment_nodes=config.grid.segment_nodes)
         pfns = [p_function(q, su, float(x)) for x in xs]
-        for lam in lams:
-            ser = series_term(q, su, 2, complex(lam))
-            for x, pfn in zip(xs, pfns):
-                y, yp = y2_closed(q, su, complex(lam), float(x), pfn)
-                pairs = (
-                    (y, complex(ser.y.values(float(x)))),
-                    (yp, complex(ser.yprime.values(float(x)))),
-                )
-                for have, want in pairs:
-                    worst = max(worst, abs(have - want) / (1.0 + abs(want)))
+        for i, lam in enumerate(lams):
+            wants = _samples(series, nu, i, 2)
+            for x, pfn, want in zip(xs, pfns, wants):
+                have = y2_closed(q, su, complex(lam), float(x), pfn)
+                for h, w in zip(have, want):
+                    worst = max(worst, abs(h - w) / (1.0 + abs(w)))
     return worst
 
 
@@ -391,11 +428,18 @@ def cmd_verify(config: RunConfig, out: Path, *, tamper: float = 1.0) -> int:
     _run_check(
         checks, "kernel_addition_identity", 1e-10, lambda: _kernel_identity_worst(config.seed)
     )
+    series = _series_samples(config, member.q)
     _run_check(
-        checks, "first_term_closed_form", 1e-7, lambda: _first_term_worst(config, member.q)
+        checks,
+        "first_term_closed_form",
+        1e-7,
+        lambda: _first_term_worst(config, member.q, series),
     )
     _run_check(
-        checks, "second_term_closed_form", 1e-7, lambda: _second_term_worst(config, member.q)
+        checks,
+        "second_term_closed_form",
+        1e-7,
+        lambda: _second_term_worst(config, member.q, series),
     )
     _run_check(
         checks, "char_direct_vs_closed", 1e-6, lambda: _char_route_worst(config, member)

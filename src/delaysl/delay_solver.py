@@ -46,6 +46,7 @@ from .gridfn import (
     SampledSegment,
     _breaks,
     _cell_integrals,
+    _cell_weights,
     _cubic,
     _lagrange4,
     cumulative,
@@ -74,14 +75,19 @@ PI = math.pi
 # target cap for the step of the auto-sized steppers
 _MAX_STEP = PI / 4096.0
 
-# complex numbers per array of the block solver (128 KiB, glibc's
-# default mmap threshold, which the benchmark fixes): the spectral points
-# go through in passes of _PASS_SIZE // (m + 1), so the kernel tables and
-# running integrals of a pass stay in cache and are small heap
-# allocations, not fresh mmaps; the kernels themselves are evaluated once
-# per chunk of at most _PASS_SIZE // (m // _FINE + 1) points, which keeps
-# each short table under the same size
+# complex numbers per array of the block solver: the spectral points go
+# through in passes of _PASS_SIZE // (m + 1) (fewer points per pass pay
+# more numpy calls per point, more bought nothing measurable from 7 to 28
+# points at m = 1024), and the _PASS_ARRAYS arrays of a pass stay under
+# 1 MB; the kernels themselves are evaluated once per chunk of at most
+# _PASS_SIZE // (m // _FINE + 1) points, which keeps each short table as
+# small as a pass array
 _PASS_SIZE = 8192
+
+# pass-sized arrays of the block solver, one workspace allocated per call
+# of endpoint_values: the kernel tables C and S, the history y, the
+# varying constants U and V, and two products
+_PASS_ARRAYS = 7
 
 # fine offsets per coarse step of the block solver's kernel tables
 _FINE = 32
@@ -184,17 +190,15 @@ def _zero_on(setup: DelaySetup, lo: float = 0.0) -> PiecewiseFunction:
 # the march
 
 
-def _kernel_trace(nu: int, lam, x):
-    """Kernel pair on [0, a]: (cos, -lam sin/rho) for nu=0, (sin/rho, cos) for nu=1."""
+def _kernel_trace(nu, lam, x):
+    """Kernel pair on [0, a], one row per point of lam with its own initial type nu.
+
+    (cos, -lam sin/rho) where nu = 0 and (sin/rho, cos) where nu = 1.
+    """
     lam = np.asarray(lam, dtype=complex)[:, None]
-    x = np.asarray(x, dtype=float)[None, :]
-    if nu == 0:
-        y = kernels.ckernel(lam, x)
-        yp = -lam * kernels.skernel(lam, x)
-    else:
-        y = kernels.skernel(lam, x)
-        yp = kernels.ckernel(lam, x)
-    return y, yp
+    c, s = kernels.kernel_pair(lam, np.asarray(x, dtype=float)[None, :])
+    zero = np.broadcast_to(np.asarray(nu) == 0, lam.shape[:1])[:, None]
+    return np.where(zero, c, s), np.where(zero, -lam * s, c)
 
 
 def _check_potential(q: PiecewiseFunction, a: float) -> None:
@@ -207,9 +211,12 @@ def _check_potential(q: PiecewiseFunction, a: float) -> None:
 
 
 class _March:
-    """One method-of-steps integration for a batch of spectral points."""
+    """One method-of-steps integration for a batch of spectral points.
 
-    def __init__(self, q: PiecewiseFunction, setup: DelaySetup, init_nu: int, lam):
+    ``init_nu`` is the initial type, one for all points or one per point.
+    """
+
+    def __init__(self, q: PiecewiseFunction, setup: DelaySetup, init_nu, lam):
         _check_potential(q, setup.a)
         self.setup = setup
         self.q = q
@@ -341,7 +348,7 @@ class _March:
             Y[:, j + 2] = y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
             Yp[:, j + 2] = p + sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
 
-    def _run(self, init_nu: int) -> None:
+    def _run(self, init_nu) -> None:
         m = self.m
         # exact kernel fill on [0, a], both parities
         kz = 2 * m + 1
@@ -435,7 +442,7 @@ def endpoint_values(q: PiecewiseFunction, setup: DelaySetup, init_nu: int, lam):
     setup.steps.  On the block [x0, x0 + a], x0 = k a, the forcing
     f(t) = q(t) y(t - a) is known from the block before, and
 
-        y(x) = y0 C(x - x0) + y0' S(x - x0) + S(x - x0) I_C(x) - C(x - x0) I_S(x),
+        y(x) = C(x - x0) U(x) + S(x - x0) V(x),  U = y0 - I_S,  V = y0' + I_C,
 
     with C, S the kernels and I_C, I_S the running integrals of
     C(t - x0) f(t) and S(t - x0) f(t) from x0.  t - x0 runs over the
@@ -449,28 +456,35 @@ def endpoint_values(q: PiecewiseFunction, setup: DelaySetup, init_nu: int, lam):
     taken at the nearest node.  A piece under 3 cells, and the partial
     last cell when pi is not a node, get one Simpson panel per cell
     instead, with y(t - a) interpolated at the midpoints.  A piece where
-    q is zero at every point the rule reads adds nothing and is skipped,
-    and y on a block is built only when the next block reads it; (y, y')
-    at the block's end alone carry the solution across.  A q sampled
+    q is zero at every point the rule reads adds nothing and is skipped.
+    y on a block is built only when the next block reads it, and only
+    then are the running integrals formed at every node; any other block
+    needs U and V at its end alone, which carry the solution across, and
+    takes I_C and I_S there as one sum per row of q y(t - a) C (or S)
+    against the composite weights of the same rules.  A q sampled
     short of pi is zero-extended to pi on the standard grid.  The set-up
     that depends on q and the grid alone (the extension, q at the nodes,
-    the pieces, the support check) is kept for the last (q, setup) pair,
-    so q must not be changed in place between calls.
+    the pieces, the folded weights, the support check) is kept for the
+    last (q, setup) pair, so q must not be changed in place between calls.
 
     The points go through in chunks, whose kernels are evaluated once
     (the short tables, ``_short_tables``, and the kernels at the Simpson
     points), and each chunk in passes of a few points, whose C and S are
-    built from the chunk's short tables.  Every operation is elementwise
-    in lam, so a point's value does not depend on the batch it comes in.
+    built from the chunk's short tables.  Every pass-sized array is a
+    view of one workspace, allocated per call, so calls in threads share
+    nothing but the kept set-up, which they only read.  Every operation
+    is elementwise in lam or a sum along one row, so a point's value
+    does not depend on the batch it comes in.
     """
     lam = np.asarray(lam, dtype=complex)
     blocks = _blocks_for(q, setup)
     flat = lam.ravel()
     y_end = np.empty(flat.shape, dtype=complex)
     yp_end = np.empty(flat.shape, dtype=complex)
+    work = np.empty((_PASS_ARRAYS, min(blocks.rows, flat.size), blocks.m + 1), dtype=complex)
     for lo in range(0, flat.size, blocks.chunk):
         part = slice(lo, lo + blocks.chunk)
-        y_end[part], yp_end[part] = blocks.endpoints(init_nu, flat[part])
+        y_end[part], yp_end[part] = blocks.endpoints(init_nu, flat[part], work)
     return y_end.reshape(lam.shape), yp_end.reshape(lam.shape)
 
 
@@ -502,25 +516,59 @@ def _short_tables(lam: np.ndarray, h: float, m: int):
     return cc, sc, cf, sf
 
 
-def _kernel_tables(lam: np.ndarray, short, coarse: np.ndarray, fine: np.ndarray):
-    """C(k h) and S(k h), k = 0..m, from the rows of ``_short_tables`` for ``lam``.
+def _spread(out: np.ndarray, tables: np.ndarray, coarse: bool) -> None:
+    """Write short tables across the offsets k = 0..m of ``out``, one row per point.
 
-    ``coarse`` and ``fine`` are k // _FINE and k % _FINE.  With k =
-    _FINE J + j the addition theorems of the entire kernels,
+    ``tables`` (n, rows, J) and ``out`` (n, rows, m + 1) hold n tables
+    each; column k of ``out`` gets column k // _FINE of its table
+    (``coarse``) or column k % _FINE.  ``out`` is seen as (n, rows, J,
+    _FINE), first the whole coarse steps, then the partial last one, and
+    filled by a broadcast copy.
+    """
+    shape, width = out.shape[:-1], out.shape[-1]
+    whole, part = divmod(width, _FINE)
+    for j0, n_j, n_f in ((0, whole, _FINE), (whole, 1, part)):
+        if n_j * n_f:
+            view = out[..., j0 * _FINE : j0 * _FINE + n_j * n_f].reshape(shape + (n_j, n_f))
+            view[...] = tables[..., j0 : j0 + n_j, None] if coarse else tables[..., None, :n_f]
+
+
+def _kernel_tables(lam: np.ndarray, short, C: np.ndarray, S: np.ndarray, work: np.ndarray) -> None:
+    """Write C(k h) and S(k h), k = 0..m, into C and S, from the rows of ``_short_tables``.
+
+    C and S are C-contiguous, one row per point of ``lam``, of width
+    m + 1, and ``work`` holds five more such arrays.  With k = _FINE J + j
+    the addition theorems of the entire kernels,
 
         C(x + y) = C(x) C(y) - lam S(x) S(y),  S(x + y) = S(x) C(y) + C(x) S(y),
 
-    give C and S.  No 1/rho occurs, so they hold through lam = 0, and
-    each product stays within the envelope e^{|Im rho| (x + y)}.  The
-    tables are C-contiguous, of width m + 1.
+    give C and S from the short tables spread across the offsets
+    (``_spread``), in products of whole rows.  No 1/rho occurs, so they
+    hold through lam = 0, and each product stays within the envelope
+    e^{|Im rho| (x + y)}.
     """
-    cc, sc = (np.take(t, coarse, axis=1) for t in short[:2])
-    cf, sf = (np.take(t, fine, axis=1) for t in short[2:])
-    C = cc * cf
-    C -= lam[:, None] * sc * sf
-    S = sc * cf
-    S += cc * sf
-    return C, S
+    cc, sc, cf, sf = short
+    _spread(work[:3], np.stack([cc, sc, lam[:, None] * sc]), True)
+    _spread(work[3:], np.stack([cf, sf]), False)
+    cc, sc, lsc, cf, sf = work
+    # complex products are not bitwise commutative, so each keeps its
+    # factors in the order (coarse, fine)
+    np.multiply(cc, cf, out=C)
+    lsc *= sf
+    C -= lsc
+    np.multiply(sc, cf, out=S)
+    cc *= sf
+    S += cc
+
+
+def _simpson_weights(pts: np.ndarray) -> np.ndarray:
+    """Weights of the sum of ``_Blocks._panels``' cells over the Simpson points pts."""
+    width = np.diff(pts[::2]) / 6.0
+    w = np.zeros(pts.size)
+    w[0:-1:2] += width
+    w[1::2] = 4.0 * width
+    w[2::2] += width
+    return w
 
 
 class _Blocks:
@@ -531,9 +579,19 @@ class _Blocks:
     (i0, i1, cols, qv) the block-local node range of one smooth piece of
     the forcing with q at the points its rule reads: the nodes for the
     cell rule (cols is None), the Simpson points ``simpson_pts[cols]`` for
-    panels; qv is None where all of those are zero.  ``tail`` is (cols,
-    qv) for the partial last cell, and ``reads`` holds per block whether
-    any of its pieces, or the tail, reads y(t - a).
+    panels; qv is None where all of those are zero.  The last block ends
+    with the partial last cell [x_n, pi] as a piece (n, n, cols, qv) when
+    pi is no node, and ``end`` is then the column of pi among the Simpson
+    points.  ``reads`` holds per block whether any of its pieces reads
+    y(t - a).
+
+    ``sums`` holds per block None when the block after it reads y, so
+    that its running integrals are needed at every node, and otherwise
+    (for the last block and one before a block that reads no y) the
+    terms whose sums are its integrals at its end: (i0, i1, cols, wq)
+    with wq q times the weights of the rule, one term for all the cell
+    rule's pieces (their weights add up at the nodes they share) and one
+    per Simpson piece.
     """
 
     def __init__(self, q: PiecewiseFunction, setup: DelaySetup):
@@ -548,7 +606,6 @@ class _Blocks:
         self.h = h = setup.a / m
         self.rows = max(1, _PASS_SIZE // (m + 1))  # points per pass
         self.chunk = self.rows * max(1, _PASS_SIZE // (m // _FINE + 1) // self.rows)
-        self.coarse, self.fine = np.divmod(np.arange(m + 1), _FINE)
         self.n_full = int(math.floor(PI / h + 1e-9))
         self.rem = PI - self.n_full * h
         if self.rem < 1e-9 * h:
@@ -568,6 +625,10 @@ class _Blocks:
             cuts.update((i, i + m))
 
         self.simpson_pts = np.empty(0)
+
+        def forcing(qv):
+            # q as complex, so that no product with it casts; None where zero
+            return qv.astype(complex) if np.any(qv) else None
 
         def simpson(start, u):
             # the offsets u with their midpoints interleaved, appended to
@@ -597,22 +658,46 @@ class _Blocks:
                     cols = None
                     qv = q_right[start + i0 : start + i1 + 1].copy()
                     qv[-1] = q_left[start + i1]
-                pieces.append((i0, i1, cols, qv if np.any(qv) else None))
+                pieces.append((i0, i1, cols, forcing(qv)))
             self.plan.append((start, n, pieces))
             if n < m or (start + n == self.n_full and self.rem == 0.0):
                 break
             start += m
-        self.reads = [any(qv is not None for *_, qv in pieces) for *_, pieces in self.plan]
+        self.end = None
         if self.rem > 0.0:
             cols, qv = simpson(start, n * h + np.array([0.0, self.rem]))
-            self.tail = (cols, qv if np.any(qv) else None)
-            self.reads[-1] |= self.tail[1] is not None
+            pieces.append((n, n, cols, forcing(qv)))
+            self.end = cols.stop - 1
+        self.reads = [any(qv is not None for *_, qv in pieces) for *_, pieces in self.plan]
+        self.sums = [
+            None if reads else self._sums(pieces)
+            for reads, (_, _, pieces) in zip(self.reads[1:], self.plan)
+        ]
+        self.sums.append(self._sums(self.plan[-1][2]))
 
-    def endpoints(self, init_nu: int, lam: np.ndarray):
+    def _sums(self, pieces) -> list:
+        """The terms of a block's integrals at its end: see the class docstring."""
+        live = [(i0, i1, cols, qv) for i0, i1, cols, qv in pieces if qv is not None]
+        terms = [
+            (i0, i1, cols, qv * _simpson_weights(self.simpson_pts[cols]))
+            for i0, i1, cols, qv in live
+            if cols is not None
+        ]
+        cells = [(i0, i1, qv) for i0, i1, cols, qv in live if cols is None]
+        if cells:
+            lo, hi = cells[0][0], cells[-1][1]
+            wq = np.zeros(hi - lo + 1, dtype=complex)
+            for i0, i1, qv in cells:
+                wq[i0 - lo : i1 - lo + 1] += self.h * _cell_weights(i1 - i0 + 1) * qv
+            terms.append((lo, hi, None, wq))
+        return terms
+
+    def endpoints(self, init_nu: int, lam: np.ndarray, work: np.ndarray):
         """(y(pi), y'(pi)) for a 1-D array of spectral points, one chunk.
 
         The kernels are evaluated once here; the blocks are solved in
-        passes of ``rows`` points.
+        passes of ``rows`` points, each in the rows of ``work`` it needs
+        (``_PASS_ARRAYS`` arrays of ``rows`` rows and m + 1 columns).
         """
         short = _short_tables(lam, self.h, self.m)
         pts = self.simpson_pts
@@ -621,55 +706,101 @@ class _Blocks:
         yp_end = np.empty(lam.shape, dtype=complex)
         for lo in range(0, lam.size, self.rows):
             p = slice(lo, lo + self.rows)
+            rows = work[:, : lam[p].size]
             y_end[p], yp_end[p] = self._pass(
-                init_nu, lam[p], [t[p] for t in short], [k[p] for k in at_pts]
+                init_nu, lam[p], [t[p] for t in short], [k[p] for k in at_pts], rows
             )
         return y_end, yp_end
 
-    def _pass(self, init_nu: int, lam: np.ndarray, short, at_pts):
-        """(y(pi), y'(pi)) for one pass, given its rows of the chunk's kernels."""
-        m, h = self.m, self.h
-        C, S = _kernel_tables(lam, short, self.coarse, self.fine)
+    def _pass(self, init_nu: int, lam: np.ndarray, short, at_pts, work):
+        """(y(pi), y'(pi)) for one pass, given its rows of the chunk's kernels.
+
+        Every pass-sized array is a view of ``work``: the kernel tables C
+        and S, the history y, U = y0 - I_S and V = y0' + I_C, and two
+        products.  On a block y = C U + S V, and (U, V) at its end carry
+        the solution to the next.
+        """
+        m = self.m
+        C, S, Y, U, V, _, G = work
+        _kernel_tables(lam, short, C, S, work[2:])
         # the first block holds the kernels; y0, yp0 are y, y' at its end
         if init_nu == 0:
             y, y0, yp0 = C, C[:, m], -lam * S[:, m]
         else:
             y, y0, yp0 = S, S[:, m], C[:, m]
-        last = len(self.plan) - 1
-        for b, (start, n, pieces) in enumerate(self.plan):
+        for (_, _, pieces), sums in zip(self.plan[:-1], self.sums):
             # y now holds y(t - a) on this block's nodes, if the block reads it
-            i_c = np.zeros((lam.shape[0], n + 1), dtype=complex)
-            i_s = np.zeros((lam.shape[0], n + 1), dtype=complex)
-            for i0, i1, cols, qv in pieces:
-                if qv is None:  # no forcing: the running integrals stay put
-                    i_c[:, i0 + 1 : i1 + 1] = i_c[:, i0 : i0 + 1]
-                    i_s[:, i0 + 1 : i1 + 1] = i_s[:, i0 : i0 + 1]
-                    continue
-                if cols is not None:
-                    cells = self._panels(y, cols, qv, at_pts)
-                else:
-                    f = qv * y[:, i0 : i1 + 1]
-                    cells = [_cell_integrals(k[:, i0 : i1 + 1] * f, h) for k in (C, S)]
-                for acc, cell in zip((i_c, i_s), cells):
-                    run = acc[:, i0 + 1 : i1 + 1]
-                    np.cumsum(cell, axis=1, out=run)
-                    run += acc[:, i0 : i0 + 1]
-            if b < last:
+            if sums is not None:
+                u, v = self._ends(y, sums, y0, yp0, at_pts, work)
                 y = None
-                if self.reads[b + 1]:
-                    y = y0[:, None] * C + yp0[:, None] * S + S * i_c - C * i_s
-                y0, yp0 = _voc(lam, y0, yp0, C[:, m], S[:, m], i_c[:, m], i_s[:, m])
+            else:
+                self._running(y, pieces, y0, yp0, at_pts, work)
+                # the next block reads y on this one's nodes, built over the old
+                np.multiply(C, U, out=Y)
+                np.multiply(S, V, out=G)
+                Y += G
+                y = Y
+                u, v = U[:, m], V[:, m]
+            y0, yp0 = _voc(lam, C[:, m], S[:, m], u, v)
+        _, n, _ = self.plan[-1]
+        u, v = self._ends(y, self.sums[-1], y0, yp0, at_pts, work)
+        if self.end is None:
+            return _voc(lam, C[:, n], S[:, n], u, v)
+        # the partial last cell ends at pi, the last Simpson point
+        return _voc(lam, *(k[:, self.end] for k in at_pts), u, v)
 
-        if self.rem == 0.0:
-            return _voc(lam, y0, yp0, C[:, n], S[:, n], i_c[:, n], i_s[:, n])
-        # the partial cell [x_n, pi]; the kernels at pi end its Simpson points
-        cols, qv = self.tail
-        c_end, s_end = (k[:, cols.stop - 1] for k in at_pts)
-        i_c, i_s = i_c[:, n], i_s[:, n]
-        if qv is not None:
-            cell_c, cell_s = self._panels(y, cols, qv, at_pts)
-            i_c, i_s = i_c + cell_c[:, 0], i_s + cell_s[:, 0]
-        return _voc(lam, y0, yp0, c_end, s_end, i_c, i_s)
+    def _running(self, hist, pieces, y0, yp0, at_pts, work):
+        """U = y0 - I_S and V = y0' + I_C at every node of a whole block, into U and V.
+
+        Each piece writes its cells into its columns of U and V (the
+        cells of U negated), and one running sum per row then turns them
+        into the running integrals.
+        """
+        h = self.h
+        C, S, _, U, V, F, G = work
+        U[:, 0], V[:, 0] = y0, yp0
+        for i0, i1, cols, qv in pieces:
+            u, v = U[:, i0 + 1 : i1 + 1], V[:, i0 + 1 : i1 + 1]
+            if qv is None:  # no forcing: the running integrals stay put
+                u[...] = v[...] = 0.0
+            elif cols is not None:
+                cell_c, cell_s = self._panels(hist, cols, qv, at_pts)
+                v[...] = cell_c
+                np.negative(cell_s, out=u)
+            else:
+                # the C cells borrow U's columns, written next, as work
+                k = i1 - i0
+                f, g = F[:, : k + 1], G[:, : k + 1]
+                np.multiply(qv, hist[:, i0 : i1 + 1], out=f)
+                np.multiply(C[:, i0 : i1 + 1], f, out=g)
+                _cell_integrals(g, h, out=v, work=u[:, : k - 2])
+                np.multiply(S[:, i0 : i1 + 1], f, out=g)
+                _cell_integrals(g, -h, out=u, work=f[:, : k - 2])
+        np.cumsum(U, axis=1, out=U)
+        np.cumsum(V, axis=1, out=V)
+
+    def _ends(self, hist, sums, y0, yp0, at_pts, work):
+        """(U, V) at a block's end from the terms of ``sums``, one weighted sum each.
+
+        Each sum runs over the last axis, row by row, so a point's value
+        does not depend on the pass it is in.
+        """
+        C, S, *_, F, G = work
+        i_c = i_s = 0.0
+        for i0, i1, cols, wq in sums:
+            if cols is not None:
+                kerns = [k[:, cols] for k in at_pts]
+                src = _cubic(hist, self.simpson_pts[cols] / self.h)
+            else:
+                kerns = [C[:, i0 : i1 + 1], S[:, i0 : i1 + 1]]
+                src = hist[:, i0 : i1 + 1]
+            f, g = F[:, : wq.size], G[:, : wq.size]
+            np.multiply(wq, src, out=f)
+            np.multiply(kerns[0], f, out=g)
+            i_c = i_c + np.sum(g, axis=-1)
+            np.multiply(kerns[1], f, out=g)
+            i_s = i_s + np.sum(g, axis=-1)
+        return y0 - i_s, yp0 + i_c
 
     def _panels(self, hist, cols: slice, qv: np.ndarray, at_pts):
         """Simpson integrals of C(t - x0) f(t) and S(t - x0) f(t) over the cells of pts.
@@ -691,12 +822,9 @@ class _Blocks:
         return cells
 
 
-def _voc(lam, y0, yp0, c, s, i_c, i_s):
-    """(y, y') from the block formula, given the kernels and running integrals at x."""
-    return (
-        y0 * c + yp0 * s + s * i_c - c * i_s,
-        -lam * y0 * s + yp0 * c + c * i_c + lam * s * i_s,
-    )
+def _voc(lam, c, s, u, v):
+    """(y, y') = (c u + s v, c v - lam s u) at x, given the kernels and U, V there."""
+    return c * u + s * v, c * v - lam * (s * u)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,8 @@ def _cell_matrices():
 
 
 _VINV, _FULL_W = _cell_matrices()
+# the weights of the first and the last cell side by side, per stencil node
+_END_W = np.stack([_FULL_W[0], _FULL_W[2]], axis=1)
 
 # A 3-node segment cannot host a 4-point stencil; it carries one
 # quadratic through all three samples instead (exact for constants and
@@ -127,14 +129,17 @@ def _cubic(samples, u):
     )
 
 
-def _cell_integrals(samples, spacing):
+def _cell_integrals(samples, spacing, out=None, work=None):
     """Integral of the cubic interpolant over each cell, along the last axis.
 
     Each cell uses the 4-node stencil of ``SampledSegment`` (shifted
     inwards at both ends); three samples carry one quadratic.  The
     stencil weights are written out as sums, never as a matrix product,
     so every row of a 2-D call is bit-identical to the 1-D call on that
-    row.
+    row.  For 4 or more samples ``out`` (one column per cell) and
+    ``work`` (three columns fewer than the samples) may be given; the
+    cells are then written into ``out``, and the only array allocated
+    is two columns wide.
     """
     s = np.asarray(samples)
     n = s.shape[-1]
@@ -148,16 +153,36 @@ def _cell_integrals(samples, spacing):
             axis=-1,
         )
         return out * spacing
-    out = np.empty(s.shape[:-1] + (n - 1,), dtype=complex)
-    w = _FULL_W[0]
-    out[..., 0] = w[0] * s[..., 0] + w[1] * s[..., 1] + w[2] * s[..., 2] + w[3] * s[..., 3]
-    w = _FULL_W[2]
-    out[..., -1] = w[0] * s[..., -4] + w[1] * s[..., -3] + w[2] * s[..., -2] + w[3] * s[..., -1]
-    w = _FULL_W[1]
-    out[..., 1:-1] = (
-        w[0] * s[..., :-3] + w[1] * s[..., 1:-2] + w[2] * s[..., 2:-1] + w[3] * s[..., 3:]
+    if out is None:
+        out = np.empty(s.shape[:-1] + (n - 1,), dtype=complex)
+    if work is None:
+        work = np.empty(s.shape[:-1] + (n - 3,), dtype=complex)
+    # the interior cells, whose stencils start one node to their left, then
+    # the first and the last cell side by side: their stencils start n - 4
+    # nodes apart (on the same nodes for n = 4), so node j of every stencil
+    # of a group is one strided slice of s
+    ends = out[..., 0 : n - 1 : n - 2]
+    groups = (
+        (out[..., 1 : n - 2], 1, _FULL_W[1], work[..., : n - 3]),
+        (ends, max(n - 4, 1), _END_W, np.empty(ends.shape, dtype=complex)),
     )
-    return out * spacing
+    for o, step, w, t in groups:
+        np.multiply(w[0], s[..., 0 : n - 3 : step], out=o)
+        for j in (1, 2, 3):
+            np.multiply(w[j], s[..., j : j + n - 3 : step], out=t)
+            o += t
+    out *= spacing
+    return out
+
+
+def _cell_weights(n):
+    """Weights at unit spacing of the sum of ``_cell_integrals`` over n >= 4 samples."""
+    w = np.zeros(n)
+    w[:4] += _FULL_W[0]
+    w[n - 4 :] += _FULL_W[2]
+    for j, cw in enumerate(_FULL_W[1]):
+        w[j : j + n - 3] += cw
+    return w
 
 
 def _cell_coefficients(samples) -> np.ndarray:

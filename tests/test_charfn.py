@@ -359,14 +359,18 @@ def test_json_round_trip():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_json_round_trip_is_bit_exact(a, nodes, nu, j, steps, seed):
-    # samples over 200 decades, signed zeros among them
+    # samples over 200 decades, signed zeros among them in both parts (set
+    # part by part: 1j * -0.0 has imaginary part +0.0)
     rng = np.random.default_rng(seed)
 
     def draw(x):
         shape = (2,) + x.shape
         v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-100.0, 100.0, shape)
         v[rng.random(v.shape) < 0.1] = -0.0
-        return v[0] + 1j * v[1]
+        v[0, 0] = v[1, -1] = -0.0
+        z = np.empty(x.shape, dtype=complex)
+        z.real, z.imag = v
+        return z
 
     w = sample_function(draw, grid_breakpoints(a, a, 3 * a), nodes)
     omega = integrate(w, a, 3 * a) if nu == 0 else complex(*rng.standard_normal(2))
@@ -383,6 +387,14 @@ def test_json_round_trip_is_bit_exact(a, nodes, nu, j, steps, seed):
         assert (got.interval.lo, got.interval.hi) == (want.interval.lo, want.interval.hi)
         assert got.nodes().tobytes() == want.nodes().tobytes()
         assert got.samples.astype(complex).tobytes() == want.samples.astype(complex).tobytes()
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(got.samples)), np.signbit(part(want.samples)))
+    negative_zeros = [
+        np.sum((part(seg.samples) == 0.0) & np.signbit(part(seg.samples)))
+        for seg in w.segments
+        for part in (np.real, np.imag)
+    ]
+    assert min(negative_zeros) >= 1
 
 
 def test_direct_route_trivial_case():

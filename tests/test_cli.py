@@ -21,7 +21,9 @@ from delaysl.cli import (
     load_config,
     main,
 )
+from delaysl import cli
 from delaysl.errors import DomainError, PreconditionError
+from delaysl.family import build_member
 
 CHECK_NAMES = [
     "kernel_addition_identity",
@@ -200,7 +202,7 @@ def test_verify_flags_tampered_seed(tmp_path, monkeypatch, capsys):
 
     # Stub the two slow checks that tampering cannot touch; the eigenpair
     # check itself still runs the real computation.
-    monkeypatch.setattr("delaysl.cli._second_term_worst", lambda config, q: 0.0)
+    monkeypatch.setattr("delaysl.cli._second_term_worst", lambda config, q, series: 0.0)
     monkeypatch.setattr(
         "delaysl.cli._weight_invariance_worst", lambda config, h, eta, e: 0.0
     )
@@ -212,6 +214,44 @@ def test_verify_flags_tampered_seed(tmp_path, monkeypatch, capsys):
     assert failing == ["eigenpair_residual"]
     assert "verify: FAIL" in capsys.readouterr().out
 
+
+
+def test_verify_builds_each_series_once_and_reports_its_errors(monkeypatch):
+    # terms 1 and 2 of the series come from one pass per (nu, lambda) and
+    # serve both closed-form checks; a term whose building raises is an
+    # error in each check that reads it
+    cfg = _small()
+    h, eta, e = _seed_pair(cfg)
+    q = build_member(h, eta, e, cfg.nu, 1.0, cfg.a).q
+    real = cli._series_terms
+    passes = []
+
+    def counted(q, su, lam):
+        passes.append((su.nu, lam))
+        return real(q, su, lam)
+
+    monkeypatch.setattr(cli, "_series_terms", counted)
+    series = cli._series_samples(cfg, q)
+    assert len(passes) == len(set(passes)) == 4
+    assert cli._first_term_worst(cfg, q, series) <= 1e-7
+
+    def failing_after(count):
+        def terms(q, su, lam):
+            built = real(q, su, lam)
+            for _ in range(count):
+                yield next(built)
+            raise DomainError("no term here")
+
+        return terms
+
+    for count, errors in ((2, [False, True]), (1, [True, True])):
+        monkeypatch.setattr(cli, "_series_terms", failing_after(count))
+        series = cli._series_samples(cfg, q)
+        checks = []
+        cli._run_check(checks, "first", 1e-7, lambda: cli._first_term_worst(cfg, q, series))
+        cli._run_check(checks, "second", 1e-7, lambda: cli._second_term_worst(cfg, q, series))
+        assert ["error" in c for c in checks] == errors
+        assert all(c["error"] == "no term here" for c in checks if "error" in c)
 
 def test_family_deterministic(tmp_path):
     cfg = _small()

@@ -1,5 +1,7 @@
 """Method-of-steps solver, series terms, and the closed-form second term."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -489,12 +491,16 @@ def _holed(a, nodes=129):
     return PiecewiseFunction(segs)
 
 
-def _refined_rk4(q, a, init_nu, lam):
-    """The RK4 march at a step of at most pi/16384 (4096 steps per delay at a = pi/4)."""
+def _refined_rk4(q, a, lam):
+    """The RK4 march at a step of at most pi/16384 (4096 steps per delay at a = pi/4).
+
+    One march for both initial types: rows nu of the results are for
+    init_nu = nu.
+    """
     steps = int(np.ceil(a / (np.pi / 16384)))
     setup = DelaySetup(a=a, nu=0, segment_nodes=129, steps_per_delay=steps)
-    march = _March(q, setup, init_nu, lam)
-    return march.y_end, march.yp_end
+    march = _March(q, setup, np.repeat([0, 1], lam.size), np.tile(lam, 2))
+    return march.y_end.reshape(2, -1), march.yp_end.reshape(2, -1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -527,11 +533,11 @@ def test_block_solver_matches_refined_rk4(a):
             assert reads[1:3] == [False, True]
         else:
             assert all(reads)
+        want_y, want_yp = _refined_rk4(q, a, lam)
         for nu in (0, 1):
             y, yp = endpoint_values(q, setup, nu, lam)
-            want_y, want_yp = _refined_rk4(q, a, nu, lam)
-            assert np.max(np.abs(y - want_y) / np.abs(want_y)) <= 1e-9
-            assert np.max(np.abs(yp - want_yp) / np.abs(want_yp)) <= 1e-8
+            assert np.max(np.abs(y - want_y[nu]) / np.abs(want_y[nu])) <= 1e-9
+            assert np.max(np.abs(yp - want_yp[nu]) / np.abs(want_yp[nu])) <= 1e-8
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -564,6 +570,101 @@ def test_skipped_pieces_are_the_ones_without_forcing():
     assert blocks.reads == [True, True, False, False]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_running_integrals_only_where_the_next_block_reads_y(monkeypatch):
+    # at a = pi/4 the gapped potential, shaped like a family member,
+    # leaves the block [3a, 4a] without forcing: nothing reads the
+    # running integrals of [2a, 3a] but their values at its end, so that
+    # block and the last one take weighted sums, and only the block
+    # [a, 2a] runs the cell rule, twice per pass (C and S)
+    q = _gapped(A, nodes=65)
+    setup = DelaySetup(a=A, nu=0, segment_nodes=65)
+    monkeypatch.setattr(delay_solver, "_last_blocks", None)
+    blocks = delay_solver._blocks_for(q, setup)
+    assert blocks.reads == [True, True, False]
+    assert [sums is not None for sums in blocks.sums] == [False, True, True]
+    assert blocks.sums[-1] == []
+    assert sum(cols is None and qv is not None for *_, cols, qv in blocks.plan[0][2]) == 1
+    calls = []
+    cell_integrals = delay_solver._cell_integrals
+    monkeypatch.setattr(
+        delay_solver,
+        "_cell_integrals",
+        lambda *args, **kw: calls.append(1) or cell_integrals(*args, **kw),
+    )
+    lam = np.linspace(-40.0, 425.0, 3 * blocks.rows) + 1.0j
+    y, yp = endpoint_values(q, setup, 1, lam)
+    assert len(calls) == 2 * 3
+    # the weighted sums are the running integrals at the block's end
+    blocks.sums[1] = None
+    calls.clear()
+    y_run, yp_run = endpoint_values(q, setup, 1, lam)
+    assert len(calls) == 4 * 3
+    assert np.max(np.abs(y_run - y) / np.abs(y)) <= 1e-13
+    assert np.max(np.abs(yp_run - yp) / np.abs(yp)) <= 1e-13
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_workspace_is_per_call(monkeypatch):
+    # calls of every batch size around a pass (7 or 8 points) and a chunk
+    # (245 points at a = pi/4), interleaved over two potentials, two
+    # delays and both initial types, give what a fresh set-up gives, bit
+    # for bit; so do two threads calling on one kept set-up
+    rng = np.random.default_rng(11)
+    lam = rng.uniform(-40.0, 430.0, 246) + 1j * rng.uniform(-10.0, 10.0, 246)
+    cases = [
+        (q, DelaySetup(a=a, nu=0, segment_nodes=65))
+        for a in (A, 0.7)
+        for q in (_gapped(a, nodes=65), _stepped_delay(a, nodes=65))
+    ]
+
+    def fresh(q, setup, init_nu, points):
+        with monkeypatch.context() as mp:
+            mp.setattr(delay_solver, "_last_blocks", None)
+            return endpoint_values(q, setup, init_nu, points)
+
+    for size in (1, 246, 7, 245, 8):
+        for k, (q, setup) in enumerate(cases):
+            init_nu = (size + k) % 2
+            got = endpoint_values(q, setup, init_nu, lam[:size])
+            want = fresh(q, setup, init_nu, lam[:size])
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    q, setup = cases[0]
+    jobs = [(0, 246), (1, 7), (1, 245), (0, 8)]
+    serial = [endpoint_values(q, setup, nu, lam[:size]) for nu, size in jobs]
+    kept = delay_solver._blocks_for(q, setup)
+    seen = {}
+
+    def run(name, order):
+        seen[name] = [(k, endpoint_values(q, setup, jobs[k][0], lam[: jobs[k][1]])) for k in order]
+
+    threads = [
+        threading.Thread(target=run, args=(name, order))
+        for name, order in (("ahead", [0, 1, 2, 3] * 2), ("behind", [3, 2, 1, 0] * 2))
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120.0)
+        assert not t.is_alive()
+    assert delay_solver._blocks_for(q, setup) is kept
+    for results in seen.values():
+        assert len(results) == 8
+        for k, (y, yp) in results:
+            assert np.array_equal(y, serial[k][0]) and np.array_equal(yp, serial[k][1])
+
+
+def test_march_takes_an_initial_type_per_point():
+    lam = np.array([-20.0, 0.0, 3.0 + 2.0j, 90.0])
+    setup = _setup(0, steps=256)
+    both = _March(_confined(), setup, np.repeat([0, 1], lam.size), np.tile(lam, 2))
+    for nu in (0, 1):
+        one = _March(_confined(), setup, nu, lam)
+        for got, want in ((both.y_end, one.y_end), (both.yp_end, one.yp_end)):
+            got = got[nu * lam.size : (nu + 1) * lam.size]
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
 _LAMBDAS = st.one_of(
     st.builds(complex, st.floats(-2000.0, 500.0), st.floats(-10.0, 10.0)),
     # |lam| x^2 crosses SERIES_THRESHOLD inside the tables
@@ -585,7 +686,8 @@ def test_kernel_tables_match_the_kernels(lams, grid):
     a, m = grid
     lam = np.array(lams, dtype=complex)
     x = (a / m) * np.arange(m + 1)
-    C, S = _kernel_tables(lam, _short_tables(lam, a / m, m), *np.divmod(np.arange(m + 1), 32))
+    C, S, *_ = work = np.empty((7, lam.size, m + 1), dtype=complex)
+    _kernel_tables(lam, _short_tables(lam, a / m, m), C, S, work[2:])
     assert C.flags.c_contiguous and S.flags.c_contiguous
     want_c, want_s = kernel_pair(lam[:, None], x)
     envelope = np.exp(np.abs(np.sqrt(lam).imag)[:, None] * x)

@@ -23,6 +23,7 @@ from delaysl import (
 from delaysl.gridfn import (
     _cell_coefficients,
     _cell_integrals,
+    _cell_weights,
     lattice_product_integrals,
     shifted_product_integrals,
 )
@@ -212,6 +213,22 @@ def test_cell_integrals_work_row_by_row():
         assert np.max(np.abs(_cell_integrals(x**deg, 0.3) - want) / (1.0 + want)) < 1e-12
     seg = SampledSegment(Interval(0.0, 1.2), block[0])
     assert np.array_equal(seg.cell_integrals(), _cell_integrals(block[0], seg.spacing))
+
+
+def test_cell_integrals_into_given_arrays_and_their_sum_as_weights():
+    # the block solver passes strided views of its workspace as out and
+    # work, and takes the sum of all cells as one weighted sum
+    rng = np.random.default_rng(6)
+    for n in (4, 5, 6, 65):
+        block = rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n))
+        out = np.full((7, n + 2), np.nan, dtype=complex)[:, 1:n]
+        work = np.full((7, n + 1), np.nan, dtype=complex)[:, 2 : n - 1]
+        assert _cell_integrals(block, -0.3, out=out, work=work) is out
+        assert np.array_equal(out, _cell_integrals(block, -0.3))
+        assert np.array_equal(out, -_cell_integrals(block, 0.3))
+        total = np.sum(_cell_integrals(block, 0.3), axis=-1)
+        by_weights = np.sum(block * (0.3 * _cell_weights(n)), axis=-1)
+        assert np.max(np.abs(by_weights - total)) <= 1e-15 * n * np.max(np.abs(block))
 
 
 def test_cell_coefficients_are_the_interpolant():
