@@ -21,19 +21,24 @@ Filon-type product rules (Filon, Proc. R. Soc. Edinb. 49, 1928;
 Iserles & Norsett, Proc. R. Soc. A 461, 2005): w's own piecewise cubic
 is integrated against the kernel's exponentials exactly, cell by cell,
 so the cost per spectral point does not grow with |lambda| and no
-resampling of w is involved.  Near lambda = 0, where the 1/rho and 1/lam
-factors of the kernels would cancel, a Maclaurin series in lambda built
-from exact polynomial moments of w takes over, chosen per point from
-|lambda| alone.  Each value is computed by operations on its own
-spectral point only, so it is bit-identical alone and in any batch.
+resampling of w is involved.  The cell sums of a chunk of points are
+real matrix products whose rows are the (point, sign) pairs, fed by
+short tables of exponentials joined by products.  Near lambda = 0,
+where the 1/rho and 1/lam factors of the kernels would cancel, a
+Maclaurin series in lambda built from exact polynomial moments of w
+takes over, chosen per point from |lambda| alone.  Every operation acts
+on one point's own values, or is a product in which the point's rows
+sit among two or more rows, so a value is bit-identical alone and in
+any batch.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +58,8 @@ from .gridfn import (
     integrate,
     _cell_coefficients,
 )
-from .kernels import ckernel, skernel
+# ckernel and skernel stay bound here: perfbench's tracer patches them in this namespace
+from .kernels import ckernel, kernel_pair, skernel  # noqa: F401
 
 __all__ = ["CharData", "q_correction", "build_w", "delta_closed", "delta_direct"]
 
@@ -103,6 +109,9 @@ class CharData:
     j: int
     omega: complex
     w: PiecewiseFunction
+    # the tables of w for delta_closed, built on first use and shared by
+    # the records of one weight (build_w's pair, dataclasses.replace)
+    _rule: "_WeightRule" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         a = self.setup.a
@@ -124,6 +133,9 @@ class CharData:
                     "for nu = 0 omega must equal the integral of w, "
                     f"got {self.omega} vs {total}"
                 )
+        rule = self._rule
+        if rule is None or rule.w is not self.w or rule.a != a:
+            object.__setattr__(self, "_rule", _WeightRule(self.w, a))
 
     def to_json(self) -> str:
         rows = [
@@ -141,11 +153,6 @@ class CharData:
             "w": rows,
         }
         return json.dumps(payload, sort_keys=True)
-
-    @cached_property
-    def _rule(self) -> "_WeightRule":
-        # the tables of w for delta_closed, built on first use
-        return _WeightRule(self.w, self.setup.a)
 
     @staticmethod
     def from_json(text: str) -> "CharData":
@@ -196,7 +203,8 @@ def build_w(q: PiecewiseFunction, setup: DelaySetup) -> tuple[CharData, CharData
     window.  The correction is computed on the lattice of spacing
     a/4096, so every breakpoint of q must be a multiple of it
     (GridMismatchError otherwise).  Both returned records share one
-    weight function and one omega; only j differs.
+    weight function, one omega and one set of tables for
+    ``delta_closed``, built on first use; only j differs.
     """
     a = setup.a
     _validate_confined(q, a)
@@ -225,11 +233,8 @@ def build_w(q: PiecewiseFunction, setup: DelaySetup) -> tuple[CharData, CharData
             continue
         vals = seg.samples + next(corrections) if seg in window else seg.samples.copy()
         segs.append(SampledSegment(seg.interval, vals))
-    w = PiecewiseFunction(segs)
-    return (
-        CharData(setup, setup.nu, 0, omega, w),
-        CharData(setup, setup.nu, 1, omega, w),
-    )
+    first = CharData(setup, setup.nu, 0, omega, PiecewiseFunction(segs))
+    return first, replace(first, j=1)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +252,11 @@ def delta_closed(data: CharData, lam, *, literal: bool = False):
     x - a), that stays accurate through lambda = 0.  ``literal=True``
     switches it to the textbook expression carrying a removable
     1/lambda; that path exists for cross-validation only and refuses
-    small |lambda|.  The integrals are exact for w's own interpolant and
-    every operation is elementwise in lambda, so a point's value is the
-    same alone and in any batch.
+    small |lambda|.  The kernels at pi and pi - a come from one
+    ``kernel_pair`` evaluation.  The integrals are exact for w's own
+    interpolant, and every operation is elementwise in lambda or a matrix
+    product in which a point's rows sit among two rows or more, so a
+    point's value is the same alone and in any batch.
     """
     lam = np.asarray(lam, dtype=complex)
     shape = lam.shape
@@ -262,36 +269,28 @@ def delta_closed(data: CharData, lam, *, literal: bool = False):
             raise DomainError("the literal form only exists for nu = j = 0")
         if np.any(np.abs(lamf) < 1e-6):
             raise DomainError("the literal diagonal form is singular near lambda = 0")
+    # ckernel and skernel at pi and pi - a, from one evaluation
+    (c_pi, c_span), (s_pi, s_span) = (k.T for k in kernel_pair(lamf[:, None], [PI, PI - a]))
     rule = data._rule
     if not diag:
         sign = 1.0 if data.j == 0 else -1.0
-        vals = (
-            ckernel(lamf, PI)
-            + 0.5 * omega * skernel(lamf, PI - a)
-            + 0.5 * sign * rule.integrals(lamf, "s")
-        )
+        vals = c_pi + 0.5 * omega * s_span + 0.5 * sign * rule.integrals(lamf, "s")
     elif data.nu == 1:
-        vals = (
-            -lamf * skernel(lamf, PI)
-            + 0.5 * omega * ckernel(lamf, PI - a)
-            + 0.5 * rule.integrals(lamf, "c")
-        )
+        vals = -lamf * s_pi + 0.5 * omega * c_span + 0.5 * rule.integrals(lamf, "c")
     elif literal:
-        vals = (
-            skernel(lamf, PI)
-            - 0.5 * omega * ckernel(lamf, PI - a) / lamf
-            + 0.5 * rule.integrals(lamf, "c") / lamf
-        )
+        vals = s_pi - 0.5 * omega * c_span / lamf + 0.5 * rule.integrals(lamf, "c") / lamf
     else:
-        vals = skernel(lamf, PI) + rule.integrals(lamf, "ss")
+        vals = s_pi + rule.integrals(lamf, "ss", c_span)
     return vals.reshape(shape)[()]
 
 
 # ---------------------------------------------------------------------------
 # the weight integrals
 
-_BLOCK = 64  # cells per block of an exponential sum
-_PASS = 8  # spectral points per pass; keeps each array of a pass under 128 KiB
+_BLOCK = 128  # cells per block of an exponential sum
+_FINE = 8  # the power row r^i of a block is r^(_FINE J) r^j, j < _FINE
+# the largest array of a chunk of points, under glibc's 128 KiB mmap threshold
+_CHUNK_BYTES = 1 << 16
 _MOMENT_TERMS = 20  # Taylor terms of M_m(zeta) for |zeta| < 1
 # switch to the Maclaurin series in lam when |lam| (pi - a)^2 drops below this
 SERIES_THRESHOLD = 1.0
@@ -323,30 +322,88 @@ def _gauss_legendre(n: int):
 _GAUSS = _gauss_legendre(_GAUSS_NODES)
 
 
-def _moments(zeta):
-    """M_m(zeta), the integral of xi^m e^(zeta xi) over (0, 1), for m = 0..3.
+def _real_form(table: np.ndarray) -> np.ndarray:
+    """The real (2k, 2n) matrix that multiplies (re, im) pairs as ``table`` (k, n) does."""
+    real = np.empty((2 * table.shape[0], 2 * table.shape[1]))
+    real[0::2, 0::2], real[1::2, 1::2] = table.real, table.real
+    real[0::2, 1::2], real[1::2, 0::2] = table.imag, -table.imag
+    return real
 
-    The values run along a new last axis.  |zeta| < 1 takes the Taylor
-    series sum_k zeta^k / (k! (m + k + 1)); otherwise the forward
-    recurrence M_m = (e^zeta - m M_(m-1)) / zeta, which loses at most a
-    factor 3!/|zeta|^3 there.
+
+# for |zeta| >= 1, M_m(zeta) = e^zeta sum_k _FAR[k, m] zeta^-(k+1) - _FAR_END[m] zeta^-(m+1),
+# the forward recurrence M_m = (e^zeta - m M_(m-1)) / zeta unrolled
+_FAR = np.array(
+    [
+        [(-1) ** k * math.factorial(m) / math.factorial(m - k) if k <= m else 0.0 for m in range(4)]
+        for k in range(4)
+    ]
+)
+_FAR_END = np.array([(-1) ** m * math.factorial(m) for m in range(4)], dtype=float)
+
+
+class _Moments:
+    """M_m(c u), the integral of xi^m e^(c u xi) over (0, 1), for m = 0..3 and fixed scales c.
+
+    Called with a 1-D array of points u, it returns shape (points, scales,
+    4).  zeta = c u with |zeta| < 1 takes the Taylor series sum_k zeta^k /
+    (k! (m + k + 1)) to _MOMENT_TERMS terms; otherwise the recurrence
+    M_m = (e^zeta - m M_(m-1)) / zeta, unrolled (``_FAR``), which loses at
+    most a factor 3!/|zeta|^3 there.  Each branch is one real product of
+    rows of powers of the points, u^k (k < _MOMENT_TERMS) or u^-(k+1) (k
+    < 4), with a table that carries the powers of every scale; a branch
+    no value takes is skipped.
     """
-    out = np.empty(zeta.shape + (4,), dtype=complex)
-    near = np.abs(zeta) < 1.0
-    z = zeta[near]
-    powers = np.ones((z.size, 1, _MOMENT_TERMS), dtype=complex)
-    np.cumprod(
-        np.broadcast_to(z[:, None], (z.size, _MOMENT_TERMS - 1)), axis=-1, out=powers[:, 0, 1:]
-    )
-    out[near] = (powers @ _TAYLOR)[:, 0]  # one (1, terms) @ (terms, 4) product per value
-    if not np.all(near):
-        z = zeta[~near]
-        e = np.exp(z)
-        acc = [(e - 1.0) / z]
-        for m in range(1, 4):
-            acc.append((e - m * acc[-1]) / z)
-        out[~near] = np.stack(acc, axis=-1)
-    return out
+
+    def __init__(self, scales):
+        self.scales = np.asarray(scales, dtype=float)
+        k = np.arange(_MOMENT_TERMS)[:, None, None]
+        c = self.scales[:, None]
+        self.taylor = _real_form((c**k * _TAYLOR[:, None, :]).reshape(_MOMENT_TERMS, -1))
+        inv = c ** -np.arange(1.0, 5.0)[:, None, None]  # c^-(k+1), (k, scale, 1)
+        far = np.concatenate([inv * _FAR[:, None, :], inv * np.diag(_FAR_END)[:, None, :]], -1)
+        self.far = _real_form(far.reshape(4, -1))
+
+    def __call__(self, u):
+        zeta = u[:, None] * self.scales
+        near = np.abs(zeta) < 1.0
+        count = np.count_nonzero(near)
+        if count:
+            taylor = _power_product(u, 0, _MOMENT_TERMS, self.taylor).reshape(zeta.shape + (4,))
+            if count == near.size:
+                return taylor
+        with np.errstate(divide="ignore", invalid="ignore"):  # u = 0 is always near
+            far = _power_product(1.0 / u, 1, 4, self.far).reshape(zeta.shape + (8,))
+            far = np.exp(zeta)[..., None] * far[..., :4] - far[..., 4:]
+        return np.where(near[..., None], taylor, far) if count else far
+
+
+def _power_product(u, first, terms, table):
+    """The rows u^(first + k), k < terms, one per point of u, times the real form ``table``.
+
+    The product has two rows at least, as a one-row product rounds
+    differently from the same row among others.
+    """
+    n, ones = u.size, 1 - first  # the leading columns u^0
+    rows = np.ones((max(n, 2), terms), dtype=complex)
+    np.cumprod(np.broadcast_to(u[:, None], (n, terms - ones)), 1, out=rows[:n, ones:])
+    return (rows.view(float) @ table).view(complex)[:n]
+
+
+class _Group(NamedTuple):
+    """The cells of w of one spacing h, in blocks of one segment each."""
+
+    fine: slice  # the short table's columns r^j, r = e^(-2 i rho h)
+    coarse: slice  # and r^(fine J)
+    phases: slice  # and e^(i rho (pi + a - 2X)), X the start of each block
+    table: np.ndarray  # the real form of [i, (m, b)] = h p_m of cell i of block b
+    points: int  # points per chunk
+
+
+class _Tables(NamedTuple):
+    steps: np.ndarray  # the exponents t of the short table e^(i rho t)
+    groups: list
+    moments: _Moments  # M_m(-2 s i rho h) for s = +1, then s = -1, for each group
+    total: complex  # the integral of w
 
 
 class _WeightRule:
@@ -361,148 +418,195 @@ class _WeightRule:
 
     exactly.  Cells of one spacing form a group, cut into blocks of at
     most _BLOCK cells of one segment; in a block starting at X,
-    e^(-2 s i rho x_c) = e^(-2 s i rho X) r^i with r = e^(-2 s i rho h),
-    so the sums over every block are one product of the row of powers
-    r^i with a table of coefficients, taken per point.  The 1/rho of
-    skernel and the 1/lam of the product form are applied after the
-    sums.  Where they would cancel, |lam| (pi - a)^2 < SERIES_THRESHOLD,
-    the integrals come from their Maclaurin series in lam instead, whose
-    coefficients are exact polynomial moments of w (Gauss-Legendre on
-    each cell).  The choice depends on each point alone.
+    e^(-2 s i rho x_c) = e^(-2 s i rho X) r^i with r = e^(-2 s i rho h).
+    The rows of a chunk of points are the (point, sign) pairs.  For each
+    group one real product of the chunk's power rows r^i with a table of
+    the blocks' coefficients gives every block's four sums; these are
+    contracted with the block phases e^(s i rho (pi + a - 2X)), and then
+    with the group's four moments M_m.  The power rows and the phases
+    come from one short table of exponentials per point, the rows as
+    products r^(_FINE J) r^j.  The 1/rho of skernel and the 1/lam of the
+    product form are applied after the sums.  Where they would cancel,
+    |lam| (pi - a)^2 < SERIES_THRESHOLD, the integrals come from their
+    Maclaurin series in lam instead, whose coefficients are exact
+    polynomial moments of w (Gauss-Legendre on each cell).  The choice
+    depends on each point alone, and every product has two rows or more,
+    so a point's value does not depend on its batch.
+
+    Both sets of tables are built on first use.  The records of one
+    weight share one rule (``build_w``).
     """
 
     def __init__(self, w: PiecewiseFunction, a: float):
+        self.w = w
         self.a = a
         self.phi = PI + a
         self.span = PI - a  # the largest |y|, and (pi - x) + (x - a)
-        coefs = [_cell_coefficients(seg.samples) for seg in w.segments]
+        self._maclaurin = {}
+
+    @cached_property
+    def _cells(self):
+        return [(seg, _cell_coefficients(seg.samples)) for seg in self.w.segments]
+
+    @cached_property
+    def _tables(self) -> "_Tables":
+        """The short table's exponents, the groups, their moments and the integral of w.
+
+        A block where w is zero adds nothing and is left out, and so is a
+        group left without blocks.
+        """
         groups = {}  # spacing -> [(segment, cell coefficients)]
-        for seg, coef in zip(w.segments, coefs):
+        for seg, coef in self._cells:
             h = next((g for g in groups if abs(g - seg.spacing) <= 1e-12 * g), seg.spacing)
             groups.setdefault(h, []).append((seg, coef))
-        # per group: its columns of the power row and its table, with
-        # table[i, 4 b + m] = h p_m of cell i of block b; per block: its
-        # group and pi + a - 2 X
-        steps, self.tables, block_group, starts = [], [], [], []
-        for g, (h, members) in enumerate(groups.items()):
+        steps, parts, spacings = [np.empty(0)], [], []
+        total = 0.0
+        for h, members in groups.items():
             size = min(_BLOCK, max(coef.shape[0] for _, coef in members))
-            blocks = []
+            fine = min(_FINE, size)
+            coarse = -(-size // fine)
+            blocks, starts = [], []
             for seg, coef in members:
                 count = -(-coef.shape[0] // size)
                 padded = np.zeros((count * size, 4), dtype=complex)
                 padded[: coef.shape[0]] = h * coef
-                blocks.append(padded.reshape(count, size, 4))
-                starts.append(seg.interval.lo + size * seg.spacing * np.arange(count))
-                block_group += [g] * count
-            table = np.concatenate(blocks).transpose(1, 0, 2).reshape(size, -1)
-            # the complex product in real arithmetic: (re, im) pairs of the
-            # powers times this table give (re, im) pairs of the sums
-            real = np.empty((2 * size, 2 * table.shape[1]))
-            real[0::2, 0::2], real[1::2, 1::2] = table.real, table.real
-            real[0::2, 1::2], real[1::2, 0::2] = table.imag, -table.imag
-            first = 2 * sum(s.size for s in steps)
-            steps.append(-2.0 * h * np.arange(size))
-            self.tables.append((slice(first, first + 2 * size), real))
-        self.power_steps = np.concatenate(steps)
-        self.moment_steps = -2.0 * np.array(list(groups))
-        self.block_group = np.array(block_group)
-        self.offsets = self.phi - 2.0 * np.concatenate(starts)
+                live = np.any(padded.reshape(count, -1) != 0.0, axis=1)
+                blocks.append(padded.reshape(count, size, 4)[live])
+                starts.append((seg.interval.lo + size * seg.spacing * np.arange(count))[live])
+                total += np.sum(padded @ (1.0 / np.arange(1, 5)))
+            cells = np.concatenate(blocks)
+            if not cells.size:
+                continue
+            table = np.zeros((coarse * fine, 4, cells.shape[0]), dtype=complex)
+            table[:size] = cells.transpose(1, 2, 0)
+            cols = []
+            for part in (
+                -2.0 * h * np.arange(fine),
+                -2.0 * h * fine * np.arange(coarse),
+                self.phi - 2.0 * np.concatenate(starts),
+            ):
+                first = sum(p.size for p in steps)
+                cols.append(slice(first, first + part.size))
+                steps.append(part)
+            # a chunk's power rows and block sums (4 per block), two complex
+            # rows of each per point, stay within _CHUNK_BYTES
+            points = max(1, _CHUNK_BYTES // (32 * max(coarse * fine, 4 * len(cells))))
+            parts.append(_Group(*cols, _real_form(table.reshape(coarse * fine, -1)), points))
+            spacings.append(h)
+        # zeta = -2 s i rho h: the scales of i rho, first s = +1, then s = -1
+        scales = -2.0 * np.array(spacings)
+        moments = _Moments(np.concatenate([scales, -scales]))
+        return _Tables(np.concatenate(steps), parts, moments, complex(total))
 
-        xi, wt = _GAUSS
-        xs, ws = [], []
-        for seg, coef in zip(w.segments, coefs):
-            left = seg.nodes()[:-1]
-            xs.append((left[:, None] + seg.spacing * xi).ravel())
-            ws.append((seg.spacing * wt * (coef @ xi[None, :] ** np.arange(4)[:, None])).ravel())
-        self.gauss_x = np.concatenate(xs)
-        self.gauss_w = np.concatenate(ws)
-        self.total = complex(np.sum(self.gauss_w))  # the integral of w
-        self._maclaurin = {}
-
-    def integrals(self, lam: np.ndarray, kind: str) -> np.ndarray:
+    def integrals(self, lam: np.ndarray, kind: str, c_span=None) -> np.ndarray:
         """The integral of w(x) K(lam, x) over (a, 3a) at each point of a 1-D lam.
 
         K is ckernel(lam, y) for kind "c", skernel(lam, y) for "s" (y =
-        pi + a - 2x) and skernel(lam, pi - x) skernel(lam, x - a) for "ss".
+        pi + a - 2x) and skernel(lam, pi - x) skernel(lam, x - a) for
+        "ss", which also needs c_span = ckernel(lam, pi - a).
         """
         out = np.empty(lam.shape, dtype=complex)
         small = np.abs(lam) * self.span**2 < SERIES_THRESHOLD
-        if np.any(small):
+        count = np.count_nonzero(small)
+        if count:
             coeffs = self._series_coefficients(kind)
             ls = lam[small]
             acc = np.zeros(ls.shape, dtype=complex)
             for c in coeffs[::-1]:
                 acc = acc * (-ls) + c
             out[small] = acc
-        if not np.all(small):
-            out[~small] = self._oscillatory(lam[~small], kind)
+        if count < lam.size:
+            far = ~small
+            lf = lam[far]
+            rho = np.sqrt(lf)
+            t = self._sums(rho)
+            cos_part = 0.5 * (t[:, 0] + t[:, 1])
+            if kind == "c":
+                out[far] = cos_part
+            elif kind == "s":
+                out[far] = (t[:, 0] - t[:, 1]) / (2j * rho)
+            else:
+                # sin(rho (pi - x)) sin(rho (x - a)) = (cos(rho y) - cos(rho (pi - a))) / 2
+                out[far] = (cos_part - c_span[far] * self._tables.total) / (2.0 * lf)
         return out
 
-    def _oscillatory(self, lam, kind):
-        rho = np.sqrt(lam)
-        irho = 1j * rho[:, None] * np.array([1.0, -1.0])  # s i rho, s = +1, -1
-        mom = _moments(irho[..., None] * self.moment_steps)
-        t = np.empty(irho.shape, dtype=complex)
-        for lo in range(0, lam.size, _PASS):
-            part = slice(lo, lo + _PASS)
-            powers = np.exp(irho[part, :, None] * self.power_steps).view(float)
-            # one real (2, 2 size) @ (2 size, 8 x blocks) product per point
-            # and group, so every point takes the same arithmetic whatever
-            # its batch
-            sums = np.concatenate([powers[..., cols] @ table for cols, table in self.tables], -1)
-            sums = sums.view(complex).reshape(sums.shape[0], 2, -1, 4)
-            cells = np.sum(sums * mom[part][:, :, self.block_group], axis=-1)
-            phase = np.exp(irho[part, :, None] * self.offsets)
-            t[part] = np.sum(phase * cells, axis=-1)
-        cos_part = 0.5 * (t[:, 0] + t[:, 1])
-        if kind == "c":
-            return cos_part
-        if kind == "s":
-            return (t[:, 0] - t[:, 1]) / (2j * rho)
-        # sin(rho (pi - x)) sin(rho (x - a)) = (cos(rho y) - cos(rho (pi - a))) / 2
-        return (cos_part - ckernel(lam, self.span) * self.total) / (2.0 * lam)
+    def _sums(self, rho):
+        """The integrals of w(x) e^(s i rho y), s = +1, -1, one row per point of rho."""
+        steps, groups, moments, _ = self._tables
+        n = rho.size
+        if not groups:
+            return np.zeros((n, 2), dtype=complex)
+        # the short table, one row per (point, sign): e^(i rho t), then
+        # e^(-i rho t) = 1 / e^(i rho t)
+        short = np.empty((n, 2, steps.size), dtype=complex)
+        np.exp((1j * rho)[:, None] * steps, out=short[:, 0])
+        np.reciprocal(short[:, 0], out=short[:, 1])
+        rows = short.reshape(2 * n, -1)
+        # sums[row, group, m]: the group's block sums, contracted with the phases
+        sums = np.empty((2 * n, len(groups), 4), dtype=complex)
+        for g, group in enumerate(groups):
+            coarse_rows = rows[:, group.coarse, None]
+            fine_rows = rows[:, None, group.fine]
+            phase_rows, out = rows[:, group.phases, None], sums[:, g, :, None]
+            size = 2 * min(n, group.points)
+            powers = np.empty((size, coarse_rows.shape[1], fine_rows.shape[2]), complex)
+            flat = powers.reshape(size, -1).view(float)
+            blocks = np.empty((size, group.table.shape[1]))
+            block_sums = blocks.view(complex).reshape(size, 4, -1)
+            for lo in range(0, 2 * n, size):
+                hi = min(lo + size, 2 * n)
+                k = hi - lo
+                np.multiply(coarse_rows[lo:hi], fine_rows[lo:hi], out=powers[:k])
+                np.matmul(flat[:k], group.table, out=blocks[:k])
+                np.matmul(block_sums[:k], phase_rows[lo:hi], out=out[lo:hi])
+        mom = moments(1j * rho).reshape(n, 2, -1, 4)
+        return np.sum((sums.reshape(mom.shape) * mom).reshape(n, 2, -1), axis=-1)
+
+    @cached_property
+    def _gauss(self):
+        """Gauss-Legendre nodes on every cell, and their weights times w."""
+        xi, wt = _GAUSS
+        xs, ws = [], []
+        for seg, coef in self._cells:
+            left = seg.nodes()[:-1]
+            xs.append((left[:, None] + seg.spacing * xi).ravel())
+            ws.append((seg.spacing * wt * (coef @ xi[None, :] ** np.arange(4)[:, None])).ravel())
+        return np.concatenate(xs), np.concatenate(ws)
 
     def _series_coefficients(self, kind):
-        """G_n with the integral equal to sum_n (-lam)^n G_n, n < _SERIES_TERMS."""
-        if kind not in self._maclaurin:
-            y = self.phi - 2.0 * self.gauss_x
-            if kind == "ss":
-                terms = self._product_terms(y)
-            else:
-                terms = _kernel_terms(y, 1 if kind == "s" else 0)
-            wr, wi = self.gauss_w.real, self.gauss_w.imag
-            self._maclaurin[kind] = np.array([t @ wr + 1j * (t @ wi) for t in terms])
-        return self._maclaurin[kind]
+        """G_n with the integral equal to sum_n (-lam)^n G_n, n < _SERIES_TERMS.
 
-    def _product_terms(self, y):
-        """Maclaurin terms in -lam of skernel(lam, pi - x) skernel(lam, x - a).
-
-        The product is (ckernel(lam, y) - ckernel(lam, L)) / (2 lam) with
-        L = pi - a, so term n is (L^(2n+2) - y^(2n+2)) / (2 (2n+2)!), taken
-        as 2 (pi - x)(x - a) sum_(i <= n) y^(2i) L^(2(n-i)) / (2n+2)!:
-        (pi - x)(x - a) = (L^2 - y^2) / 4, and no term cancels.
+        The kernels' Maclaurin terms in -lam are y^(2n)/(2n)! (kind "c"),
+        y^(2n+1)/(2n+1)! ("s") and, for the product form (ckernel(lam, y)
+        - ckernel(lam, L))/(2 lam) with L = pi - a, (L^(2n+2) - y^(2n+2))
+        / (2 (2n+2)!) = 2 (pi - x)(x - a) sum_(i <= n) y^(2i) L^(2(n-i)) /
+        (2n+2)!, as (pi - x)(x - a) = (L^2 - y^2) / 4.  So each G_n comes
+        from the moments mu_i = integral of w f y^(2i), f = 1, y or 2 (pi -
+        x)(x - a), with no cancelling term.
         """
-        x = self.gauss_x
-        scale = 2.0 * (PI - x) * (x - self.a)
-        power, part = np.ones_like(y), np.ones_like(y)
-        for n in range(_SERIES_TERMS):
-            if n:
-                power = power * (y * y)
-                part = part * self.span**2 + power
-            yield scale * part / math.factorial(2 * n + 2)
-
-
-def _kernel_terms(y, odd: int):
-    """Maclaurin terms in -lam of skernel(lam, y) (odd = 1) or ckernel(lam, y) (odd = 0).
-
-    Term n is y^(2n + odd) / (2n + odd)!, for n < _SERIES_TERMS.
-    """
-    term = y if odd else np.ones_like(y)
-    for n in range(_SERIES_TERMS):
-        if n:
-            k = 2 * n + odd
-            term = term * (y * y / ((k - 1) * k))
-        yield term
+        if kind not in self._maclaurin:
+            x, wx = self._gauss
+            y = self.phi - 2.0 * x
+            y2 = y * y
+            if kind == "ss":
+                power = 2.0 * (PI - x) * (x - self.a)
+            else:
+                power = y if kind == "s" else np.ones_like(y)
+            wr, wi = wx.real.copy(), wx.imag.copy()
+            mu = np.empty(_SERIES_TERMS, dtype=complex)
+            for i in range(_SERIES_TERMS):
+                if i:
+                    power *= y2
+                mu[i] = complex(power @ wr, power @ wi)
+            n = np.arange(_SERIES_TERMS)
+            if kind == "ss":
+                lift = np.tril(self.span ** (2.0 * np.maximum(n[:, None] - n, 0)))
+                coeffs = (lift @ mu) / [math.factorial(2 * k + 2) for k in n]
+            else:
+                odd = 1 if kind == "s" else 0
+                coeffs = mu / [math.factorial(2 * k + odd) for k in n]
+            self._maclaurin[kind] = coeffs
+        return self._maclaurin[kind]
 
 
 def delta_direct(q: PiecewiseFunction, setup: DelaySetup, j: int, lam):

@@ -17,24 +17,16 @@ SERIES_THRESHOLD = 1e-3
 _SERIES_TERMS = 8
 
 
-def _prep(lam, x):
-    lam = np.asarray(lam, dtype=complex)
-    x = np.asarray(x, dtype=float)
-    shape = np.broadcast_shapes(lam.shape, x.shape)
-    lam = np.broadcast_to(lam, shape).ravel()
-    x = np.broadcast_to(x, shape).ravel()
-    small = np.abs(lam) * x**2 < SERIES_THRESHOLD
-    return lam, x, small, shape
-
-
 def _ck_from_rho(rho, x):
     return np.cos(rho * x)
 
 
 def _sk_from_rho(rho, x):
     z = rho * x
-    out = np.empty(np.broadcast(rho, x).shape, dtype=complex)
-    nz = rho != 0
+    if np.count_nonzero(rho) == np.size(rho):
+        return np.sin(z) / rho
+    out = np.empty(z.shape, dtype=complex)
+    nz = np.broadcast_to(rho != 0, z.shape)
     out[nz] = np.sin(z[nz]) / np.broadcast_to(rho, z.shape)[nz]
     out[~nz] = np.broadcast_to(x, z.shape)[~nz]
     return out
@@ -67,19 +59,27 @@ def _s_series(lam, x):
 def _evaluate(lam, x, kinds):
     """Kernels at broadcast (lam, x), one array per (closed form, series) pair.
 
-    The pairs share one ``_prep``, one series mask and one square root.
+    The pairs share one series mask and one square root.  The closed
+    forms are taken at every point and the series replace them where
+    |lam| x^2 < SERIES_THRESHOLD, so a call whose points all lie on one
+    side of the switch gathers and scatters nothing.
     """
-    lam, x, small, shape = _prep(lam, x)
-    outs = [np.empty(lam.shape, dtype=complex) for _ in kinds]
-    if np.any(~small):
-        rho, xb = np.sqrt(lam[~small]), x[~small]
-        for out, (from_rho, _) in zip(outs, kinds):
-            out[~small] = from_rho(rho, xb)
-    if np.any(small):
-        ls, xs = lam[small], x[small]
+    lam = np.asarray(lam, dtype=complex)
+    x = np.asarray(x, dtype=float)
+    small = np.abs(lam) * x**2 < SERIES_THRESHOLD
+    count = np.count_nonzero(small)
+    if count == small.size:
+        shape = small.shape
+        lam, x = np.broadcast_to(lam, shape), np.broadcast_to(x, shape)
+        return [series(lam, x)[()] for _, series in kinds]
+    rho = np.sqrt(lam)
+    outs = [from_rho(rho, x) for from_rho, _ in kinds]
+    if count:
+        ls = np.broadcast_to(lam, small.shape)[small]
+        xs = np.broadcast_to(x, small.shape)[small]
         for out, (_, series) in zip(outs, kinds):
             out[small] = series(ls, xs)
-    return [out.reshape(shape)[()] for out in outs]
+    return [out[()] for out in outs]
 
 
 _COS = (_ck_from_rho, _c_series)

@@ -1,5 +1,7 @@
 """Weight construction and the two routes to the characteristic functions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,8 @@ from delaysl import (
     skernel,
 )
 from delaysl import delay_solver
-from delaysl.charfn import SERIES_THRESHOLD, _moments
+from delaysl.charfn import SERIES_THRESHOLD, _Moments, _WeightRule
+from delaysl.gridfn import _cell_coefficients
 
 A = np.pi / 4
 
@@ -258,17 +261,113 @@ def test_values_do_not_depend_on_the_batch():
             assert np.array_equal(first, alone) and np.array_equal(last, alone), (nu, data.j)
 
 
+def _blocky_weight():
+    """A weight with two spacings, several blocks per segment, a 3-node segment and a zero one."""
+    pieces = [
+        ((A, 1.5 * A), 3, lambda x: 1.0 - 0.5j * x),
+        ((1.5 * A, 2 * A), 301, lambda x: np.cos(3.0 * x) + 0.2j * x**2),
+        ((2 * A, 2.5 * A), 65, lambda x: np.zeros_like(x)),
+        ((2.5 * A, 3 * A), 301, lambda x: np.exp(-x) * (2.0 - x)),
+    ]
+    segs = []
+    for (lo, hi), n, fn in pieces:
+        segs.extend(sample_function(fn, [lo, hi], n).segments)
+    return PiecewiseFunction(segs)
+
+
+def test_values_do_not_depend_on_the_batch_across_chunk_edges():
+    w = _blocky_weight()
+    total = integrate(w, A, 3 * A)
+    chunk = min(group.points for group in _WeightRule(w, A)._tables.groups)
+    assert chunk < 20
+    edge = _switch()
+    rng = np.random.default_rng(7)
+    pool = rng.uniform(-2000.0, 4000.0, 2 * chunk + 2) + 1j * rng.uniform(-10.0, 10.0, 2 * chunk + 2)
+    # series points among the oscillatory ones, in both chunks
+    pool[[3, chunk + 1, 2 * chunk]] = [0.5 * edge, -0.3 * edge + 0.1j, 1e-3]
+    for nu, j, literal in ((0, 0, False), (0, 0, True), (0, 1, False), (1, 0, False), (1, 1, False)):
+        data = CharData(_setup(nu), nu, j, total if nu == 0 else total + 0.3, w)
+        alone = np.array([delta_closed(data, lam, literal=literal) for lam in pool])
+        for size in range(1, 2 * chunk + 2):
+            for start in (0, 1):
+                batch = delta_closed(data, pool[start : start + size], literal=literal)
+                assert np.array_equal(batch, alone[start : start + size]), (nu, j, literal, size)
+
+
+def _per_cell_sums(w, lam):
+    """(T+, T-, sum of |terms|): the integrals of w e^(+-i rho y), y = pi + a - 2x, cell by cell.
+
+    Each cell is h e^(s i rho (pi + a - 2 x_c)) sum_m p_m M_m(-2 s i rho h),
+    with one exp per cell and M_m from an 80-node Gauss-Legendre rule,
+    exact to rounding for |2 rho h| <= 40.
+    """
+    t, wt = np.polynomial.legendre.leggauss(80)
+    xi, wt = 0.5 * (t + 1.0), 0.5 * wt
+    rho = np.sqrt(complex(lam))
+    sums, size = [], 0.0
+    for s in (1.0, -1.0):
+        total = 0.0j
+        for seg in w.segments:
+            h = seg.spacing
+            zeta = -2.0 * s * 1j * rho * h
+            moments = (np.exp(zeta * xi) * wt) @ (xi[:, None] ** np.arange(4))
+            cells = h * np.exp(s * 1j * rho * (np.pi + A - 2.0 * seg.nodes()[:-1]))
+            terms = cells * (_cell_coefficients(seg.samples) @ moments)
+            total += np.sum(terms)
+            size += np.sum(np.abs(terms))
+        sums.append(total)
+    return sums[0], sums[1], size
+
+
+@settings(max_examples=60, deadline=None)
+@given(re=st.floats(-2000.0, 4000.0), im=st.floats(-10.0, 10.0))
+def test_weight_integrals_match_a_per_cell_sum(re, im):
+    lam = complex(re, im)
+    rho = np.sqrt(lam)
+    for w in (_blocky_weight(), _oracle_data()):
+        rule = _WeightRule(w, A)
+        plus, minus, size = _per_cell_sums(w, lam)
+        point = np.array([lam])
+        c_span = ckernel(point, np.pi - A)
+        total = integrate(w, A, 3 * A)
+        have_c = rule.integrals(point, "c")[0]
+        have_s = rule.integrals(point, "s")[0]
+        have_ss = rule.integrals(point, "ss", c_span)[0]
+        assert abs(have_c - 0.5 * (plus + minus)) <= 1e-13 * size
+        assert abs(2j * rho * have_s - (plus - minus)) <= 1e-13 * size
+        # the product form is (cos part - ckernel(lam, pi - a) * integral of w) / (2 lam)
+        want = 0.5 * (plus + minus) - c_span[0] * total
+        assert abs(2.0 * lam * have_ss - want) <= 1e-13 * (size + abs(c_span[0] * total))
+
+
+def test_build_w_records_share_one_lazy_rule():
+    q = _grid_q(_bump)
+    d0, d1 = build_w(q, _setup(1))
+    assert d0._rule is d1._rule
+    assert "_tables" not in vars(d0._rule)  # built on first use
+    delta_closed(d1, 5.0)
+    assert "_tables" in vars(d0._rule)
+    # a record of another weight gets its own rule
+    w = PiecewiseFunction(d0.w.segments)
+    other = replace(d0, w=w)
+    assert other._rule is not d0._rule and other._rule.w is w
+
+
 def test_cell_moments_hold_for_every_size():
     # Gauss-Legendre with 80 nodes is exact to rounding for |zeta| <= 40
     t, wt = np.polynomial.legendre.leggauss(80)
     xi, wt = 0.5 * (t + 1.0), 0.5 * wt
     mags = np.concatenate([[0.0], np.logspace(-4.0, np.log10(40.0), 40)])
     zeta = np.concatenate([mags * d for d in (1.0, -1.0, 1j, np.exp(0.7j), np.exp(2.5j))])
-    have = _moments(zeta)
-    assert have.shape == zeta.shape + (4,)
-    want = (np.exp(zeta[:, None] * xi) * wt) @ (xi[:, None] ** np.arange(4))
-    scale = np.maximum(1.0, np.exp(zeta.real))[:, None]
-    assert np.max(np.abs(have - want) / scale) < 1e-14
+    # every scale c sees zeta = c u for the same u
+    scales = np.array([2.0, -1.0, 0.5])
+    have = _Moments(scales)(zeta / 2.0)
+    assert have.shape == zeta.shape + (3, 4)
+    for c, got in zip(scales, np.moveaxis(have, 1, 0)):
+        z = c * zeta / 2.0
+        want = (np.exp(z[:, None] * xi) * wt) @ (xi[:, None] ** np.arange(4))
+        scale = np.maximum(1.0, np.exp(z.real))[:, None]
+        assert np.max(np.abs(got - want) / scale) < 1e-14, c
 
 
 def _oracle_data():
