@@ -752,14 +752,21 @@ class _Blocks:
     def _running(self, hist, pieces, y0, yp0, at_pts, work):
         """U = y0 - I_S and V = y0' + I_C at every node of a whole block, into U and V.
 
-        Each piece writes its cells into its columns of U and V (the
-        cells of U negated), and one running sum per row then turns them
-        into the running integrals.
+        Each piece from the first with forcing on writes its cells into
+        its columns of U and V (the cells of U negated), and one running
+        sum per row from that piece's first node turns them into the
+        running integrals; the columns before it hold y0 and y0'.  The
+        cell rule takes a piece's forcing products as C-contiguous rows
+        of G, with F (and Y when it is not the history) as its work.
         """
         h = self.h
-        C, S, _, U, V, F, G = work
-        U[:, 0], V[:, 0] = y0, yp0
+        C, S, Y, U, V, F, G = work
+        first = next((i0 for i0, *_, qv in pieces if qv is not None), self.m)
+        U[:, : first + 1], V[:, : first + 1] = y0[:, None], yp0[:, None]
+        spare = None if np.may_share_memory(hist, Y) else Y.reshape(-1)
         for i0, i1, cols, qv in pieces:
+            if i0 < first:
+                continue
             u, v = U[:, i0 + 1 : i1 + 1], V[:, i0 + 1 : i1 + 1]
             if qv is None:  # no forcing: the running integrals stay put
                 u[...] = v[...] = 0.0
@@ -768,16 +775,13 @@ class _Blocks:
                 v[...] = cell_c
                 np.negative(cell_s, out=u)
             else:
-                # the C cells borrow U's columns, written next, as work
-                k = i1 - i0
-                f, g = F[:, : k + 1], G[:, : k + 1]
-                np.multiply(qv, hist[:, i0 : i1 + 1], out=f)
-                np.multiply(C[:, i0 : i1 + 1], f, out=g)
-                _cell_integrals(g, h, out=v, work=u[:, : k - 2])
-                np.multiply(S[:, i0 : i1 + 1], f, out=g)
-                _cell_integrals(g, -h, out=u, work=f[:, : k - 2])
-        np.cumsum(U, axis=1, out=U)
-        np.cumsum(V, axis=1, out=V)
+                g = _packed(G, i1 - i0 + 1)
+                for kern, cells, step in ((C, v, h), (S, u, -h)):
+                    np.multiply(qv, hist[:, i0 : i1 + 1], out=g)
+                    np.multiply(kern[:, i0 : i1 + 1], g, out=g)
+                    _cell_integrals(g, step, out=cells, work=(F.reshape(-1), spare))
+        np.cumsum(U[:, first:], axis=1, out=U[:, first:])
+        np.cumsum(V[:, first:], axis=1, out=V[:, first:])
 
     def _ends(self, hist, sums, y0, yp0, at_pts, work):
         """(U, V) at a block's end from the terms of ``sums``, one weighted sum each.
@@ -794,7 +798,7 @@ class _Blocks:
             else:
                 kerns = [C[:, i0 : i1 + 1], S[:, i0 : i1 + 1]]
                 src = hist[:, i0 : i1 + 1]
-            f, g = F[:, : wq.size], G[:, : wq.size]
+            f, g = _packed(F, wq.size), _packed(G, wq.size)
             np.multiply(wq, src, out=f)
             np.multiply(kerns[0], f, out=g)
             i_c = i_c + np.sum(g, axis=-1)
@@ -820,6 +824,15 @@ class _Blocks:
             g = kern[:, cols] * f
             cells.append(width * (g[:, 0:-1:2] + 4.0 * g[:, 1::2] + g[:, 2::2]))
         return cells
+
+
+def _packed(a: np.ndarray, width: int) -> np.ndarray:
+    """The first rows x ``width`` entries of a C-contiguous pass array, as C-contiguous rows.
+
+    numpy runs a ufunc on column slices of 4 or more rows through its
+    buffered iterator, 2-3 times slower than on whole rows.
+    """
+    return a.reshape(-1)[: a.shape[0] * width].reshape(a.shape[0], width)
 
 
 def _voc(lam, c, s, u, v):

@@ -134,12 +134,15 @@ def _cell_integrals(samples, spacing, out=None, work=None):
 
     Each cell uses the 4-node stencil of ``SampledSegment`` (shifted
     inwards at both ends); three samples carry one quadratic.  The
-    stencil weights are written out as sums, never as a matrix product,
-    so every row of a 2-D call is bit-identical to the 1-D call on that
-    row.  For 4 or more samples ``out`` (one column per cell) and
-    ``work`` (three columns fewer than the samples) may be given; the
-    cells are then written into ``out``, and the only array allocated
-    is two columns wide.
+    stencil weights are written out as sums, never as a matrix product.
+    For 4 or more samples the rows are read as one flat C-contiguous
+    buffer (a strided input is copied first): the interior cells of all
+    rows are one 4-tap stencil over it, and the 3 values it takes across
+    each row junction are dropped, so every row of a 2-D call is
+    bit-identical to the 1-D call on that row.  ``out`` (one column per
+    cell) may be given, and ``work``, a pair of flat arrays of at least
+    as many entries as the samples, for the stencil's sums and its
+    products (either may be None, and is then allocated).
     """
     s = np.asarray(samples)
     n = s.shape[-1]
@@ -155,23 +158,31 @@ def _cell_integrals(samples, spacing, out=None, work=None):
         return out * spacing
     if out is None:
         out = np.empty(s.shape[:-1] + (n - 1,), dtype=complex)
-    if work is None:
-        work = np.empty(s.shape[:-1] + (n - 3,), dtype=complex)
-    # the interior cells, whose stencils start one node to their left, then
+    flat = np.ascontiguousarray(s).reshape(-1)
+    acc, tmp = work if work is not None else (None, None)
+    acc = np.empty(flat.size, dtype=complex) if acc is None else acc[: flat.size]
+    tmp = np.empty(flat.size, dtype=complex) if tmp is None else tmp[: flat.size]
+    # interior cell c starts its stencil at node c - 1: one stencil over
+    # the flat buffer, whose last 3 values of every row are junk
+    size = flat.size - 3
+    o, t = acc[:size], tmp[:size]
+    w = _FULL_W[1]
+    np.multiply(w[0], flat[:size], out=o)
+    for j in (1, 2, 3):
+        np.multiply(w[j], flat[j : j + size], out=t)
+        o += t
+    o *= spacing
     # the first and the last cell side by side: their stencils start n - 4
-    # nodes apart (on the same nodes for n = 4), so node j of every stencil
-    # of a group is one strided slice of s
+    # nodes apart (on the same nodes for n = 4), so node j of both is one
+    # strided slice of s
     ends = out[..., 0 : n - 1 : n - 2]
-    groups = (
-        (out[..., 1 : n - 2], 1, _FULL_W[1], work[..., : n - 3]),
-        (ends, max(n - 4, 1), _END_W, np.empty(ends.shape, dtype=complex)),
-    )
-    for o, step, w, t in groups:
-        np.multiply(w[0], s[..., 0 : n - 3 : step], out=o)
-        for j in (1, 2, 3):
-            np.multiply(w[j], s[..., j : j + n - 3 : step], out=t)
-            o += t
-    out *= spacing
+    t = tmp[: ends.size].reshape(ends.shape)
+    np.multiply(_END_W[0], s[..., 0 : n - 3 : max(n - 4, 1)], out=ends)
+    for j in (1, 2, 3):
+        np.multiply(_END_W[j], s[..., j : j + n - 3 : max(n - 4, 1)], out=t)
+        ends += t
+    ends *= spacing
+    out[..., 1 : n - 2] = acc.reshape(s.shape)[..., : n - 3]
     return out
 
 

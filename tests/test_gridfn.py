@@ -197,15 +197,21 @@ def test_cumulative_is_integrate_at_every_node(seed, pieces, nodes):
 
 
 def test_cell_integrals_work_row_by_row():
-    # the block solver runs the segment rule on many rows at once; each
-    # row must come out bit for bit as the one-row call
+    # the block solver runs the segment rule on many rows at once, as one
+    # stencil over the rows laid end to end; each row must come out bit
+    # for bit as the one-row call, whatever the number of rows
     rng = np.random.default_rng(5)
-    for n in (3, 4, 5, 65):
+    for n in (3, 4, 5, 7, 33, 65, 513, 1025):
         block = rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n))
-        out = _cell_integrals(block, 0.3)
-        assert out.shape == (7, n - 1)
-        for row, want in zip(block, out):
-            assert np.array_equal(_cell_integrals(row, 0.3), want)
+        for rows in range(1, 8):
+            out = _cell_integrals(block[:rows], 0.3)
+            assert out.shape == (rows, n - 1)
+            for row, got in zip(block, out):
+                assert np.array_equal(_cell_integrals(row, 0.3), got)
+        # a strided block is read the same way
+        wide = np.zeros((7, n + 3), dtype=complex)
+        wide[:, 2 : n + 2] = block
+        assert np.array_equal(_cell_integrals(wide[:, 2 : n + 2], 0.3), out)
         # exact for the polynomial of the highest degree the stencil holds
         x = 0.3 * np.arange(n)
         deg = min(n - 1, 3)
@@ -216,15 +222,16 @@ def test_cell_integrals_work_row_by_row():
 
 
 def test_cell_integrals_into_given_arrays_and_their_sum_as_weights():
-    # the block solver passes strided views of its workspace as out and
-    # work, and takes the sum of all cells as one weighted sum
+    # the block solver passes a strided view of its workspace as out and
+    # flat views of two more pass arrays as work
     rng = np.random.default_rng(6)
     for n in (4, 5, 6, 65):
         block = rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n))
         out = np.full((7, n + 2), np.nan, dtype=complex)[:, 1:n]
-        work = np.full((7, n + 1), np.nan, dtype=complex)[:, 2 : n - 1]
+        work = (np.full(7 * n + 5, np.nan, dtype=complex), np.full(7 * n, np.nan, dtype=complex))
         assert _cell_integrals(block, -0.3, out=out, work=work) is out
         assert np.array_equal(out, _cell_integrals(block, -0.3))
+        assert np.array_equal(out, _cell_integrals(block, -0.3, work=(None, work[1])))
         assert np.array_equal(out, -_cell_integrals(block, 0.3))
         total = np.sum(_cell_integrals(block, 0.3), axis=-1)
         by_weights = np.sum(block * (0.3 * _cell_weights(n)), axis=-1)

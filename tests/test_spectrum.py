@@ -67,6 +67,43 @@ def test_refine_root_failure_modes():
     with pytest.raises(RefinementError) as info:
         refine_root(flat, 2.0)
     assert info.value.last is not None
+    assert info.value.last_value == 1.0
+
+
+def _recorded(delta, batches):
+    def wrapped(z):
+        z = np.asarray(z, dtype=complex)
+        batches.append(z.copy())
+        return delta(z)
+
+    return wrapped
+
+
+def test_polish_takes_two_points_per_guess_then_one_per_live_guess():
+    # the first step takes a forward difference; every later one costs
+    # one point per guess still moving, at its latest iterate
+    guesses = [1.0, 1.2, 3.7, 9.4, 16.8, 0.3 + 0.2j]
+    k = len(guesses)
+    batches = []
+    roots, ok, vals = spectrum._refine_many(_recorded(_s, batches), guesses, 1e-10)
+    assert ok.all()
+    first = batches[0]
+    assert first.size == 2 * k and np.array_equal(first[:k], guesses)
+    assert np.array_equal(first[k:], first[:k] + 1e-6 * (1.0 + np.abs(first[:k])))
+    # 1.0 is a root already, so it never moves
+    sizes = [b.size for b in batches[1:]]
+    assert sizes[0] == k - 1 and all(s1 >= s2 > 0 for s1, s2 in zip(sizes, sizes[1:]))
+    # each guess ends where Delta was last taken for it, and keeps that value
+    seen = np.concatenate(batches)
+    for r, v in zip(roots, vals):
+        assert r in seen and v == _s(np.array([r]))[0]
+    assert abs(roots[1] - 1.0) < 1e-10 and abs(roots[4] - 16.0) < 1e-9
+    # a flat function costs the first step's two points and nothing more
+    batches = []
+    flat = lambda z: np.ones_like(np.asarray(z, dtype=complex))
+    roots, ok, vals = spectrum._refine_many(_recorded(flat, batches), [2.0, 5.0], 1e-10)
+    assert [b.size for b in batches] == [4] and not ok.any()
+    assert np.array_equal(roots, [2.0, 5.0]) and np.array_equal(vals, [1.0, 1.0])
 
 
 def test_count_roots_classical():
@@ -125,7 +162,7 @@ def test_triple_root_is_reported_with_multiplicity():
     spec = compute_spectrum(triple, 0, 0, 2)
     assert spec.certified_count == 3
     lams = spec.lambdas()
-    # Newton leaves a triple root only to the residual tolerance
+    # the polish leaves a triple root only to the residual tolerance
     assert np.all(lams == lams[0]) and abs(lams[0] - 1.5) < 1e-3
 
 
@@ -216,6 +253,39 @@ def test_member_spectra_agree_across_delays(a, nu):
             lams = s.lambdas()
             gaps = np.abs(lams[:, None] - lams[None, :]) / (1.0 + np.abs(lams))
             assert np.all(gaps[~np.eye(len(lams), dtype=bool)] > 1e-6), "a root listed twice"
+
+
+def test_residuals_are_delta_at_the_listed_roots():
+    # a residual is |Delta| where the root's polish stopped, bit for bit
+    # what a call on that point alone returns, on both routes
+    alpha = 2.0 + 3.0j
+    q, setup = _member_q(A, 1, alpha), DelaySetup(a=A, nu=1)
+    closed = _member_deltas(A, 1, alpha)[0]
+    direct = lambda lam: delta_direct(q, setup, 0, lam)
+    for delta in (closed, direct):
+        spec = compute_spectrum(delta, 1, 0, 6)
+        assert spec.certified_count == 6
+        for entry in spec.entries:
+            assert entry.residual == abs(complex(delta(np.array([entry.lam]))[0]))
+
+
+def test_census_finds_the_cell_of_a_point_by_bisection():
+    # the cells of a census are disjoint in Re and sorted; the bisection
+    # must pick the cell a scan over all of them picks
+    census = spectrum._Census(_s, 1e-10)
+    walls = (-4.0, 0.5, 2.5, 6.5, 12.5)
+    census.add(spectrum.CellCounts(walls, (-10.0, 10.0), (1, 1, 1, 1), (None,) * 4))
+    census.add(spectrum.CellCounts((-9.0, -4.0), (-10.1, 10.1), (0,), (None,)))
+    rng = np.random.default_rng(3)
+    points = rng.uniform(-10.0, 14.0, 400) + 1j * rng.uniform(-10.2, 10.2, 400)
+    points = np.concatenate([points, np.array(walls) + 0j, [-9.0 + 10.05j, -4.0 + 10.05j]])
+    for lam in points:
+        scan = [
+            k
+            for k, c in enumerate(census.cells)
+            if c.x0 <= lam.real < c.x1 and c.y0 <= lam.imag <= c.y1
+        ]
+        assert census.cell_of(lam) == (scan[0] if scan else None)
 
 
 def test_cell_counts_do_not_depend_on_the_initial_sampling(monkeypatch):
