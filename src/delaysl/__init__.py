@@ -8,7 +8,7 @@ families sharing both characteristic functions, together with the
 integral-operator eigenpair machinery those families are built from.
 """
 
-from .charfn import CharData, build_w, delta_closed, delta_direct, q_correction
+from .charfn import CharData, build_w, delta_closed, delta_direct
 from .delay_solver import (
     DelaySetup,
     SolutionTrace,
@@ -81,7 +81,6 @@ __all__ = [
     "build_w",
     "delta_closed",
     "delta_direct",
-    "q_correction",
     "DelaySetup",
     "SolutionTrace",
     "endpoint_values",

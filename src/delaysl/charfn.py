@@ -30,6 +30,10 @@ takes over, chosen per point from |lambda| alone.  Every operation acts
 on one point's own values, or is a product in which the point's rows
 sit among two or more rows, so a value is bit-identical alone and in
 any batch.
+
+The support checks on q are ``gridfn._require_zero``'s, which the direct
+route's set-up also applies to (0, a), once per potential; the Maclaurin
+moments take their nodes from the shared ``gridfn._gauss`` rule.
 """
 
 from __future__ import annotations
@@ -42,13 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .delay_solver import (
-    PI,
-    DelaySetup,
-    _p_on_pieces,
-    _p_values,
-    endpoint_values,
-)
+from .delay_solver import PI, DelaySetup, _p_on_pieces, endpoint_values
 from .errors import DomainError, GridMismatchError, PreconditionError
 from .gridfn import (
     PiecewiseFunction,
@@ -57,34 +55,13 @@ from .gridfn import (
     cumulative,
     integrate,
     _cell_coefficients,
+    _gauss,
+    _require_zero,
 )
 # ckernel and skernel stay bound here: perfbench's tracer patches them in this namespace
 from .kernels import ckernel, kernel_pair, skernel  # noqa: F401
 
-__all__ = ["CharData", "q_correction", "build_w", "delta_closed", "delta_direct"]
-
-
-def _require_zero(q: PiecewiseFunction, lo: float, hi: float, what: str) -> None:
-    """Check that q vanishes (to rounding) on the part of (lo, hi) it covers."""
-    lo = max(lo, q.lo)
-    hi = min(hi, q.hi)
-    snap = 1e-9 * (1.0 + abs(hi))
-    if hi - lo <= snap:
-        return
-    tol = 1e-12 * (1.0 + float(np.max(np.abs(q.all_samples()))))
-    worst = 0.0
-    for seg in q.segments:
-        u = max(lo, seg.interval.lo)
-        v = min(hi, seg.interval.hi)
-        if v - u <= snap:
-            continue
-        if u - seg.interval.lo <= snap and seg.interval.hi - v <= snap:
-            worst = max(worst, float(np.max(np.abs(seg.samples))))
-        else:
-            probe = np.linspace(u + snap, v - snap, 129)
-            worst = max(worst, float(np.max(np.abs(seg.values(probe)))))
-    if worst > tol:
-        raise PreconditionError(f"potential must vanish a.e. on {what}; max magnitude {worst:.3g}")
+__all__ = ["CharData", "build_w", "delta_closed", "delta_direct"]
 
 
 def _validate_confined(q: PiecewiseFunction, a: float) -> None:
@@ -175,24 +152,6 @@ class CharData:
 
 # ---------------------------------------------------------------------------
 # weight construction
-
-
-def q_correction(q: PiecewiseFunction, setup: DelaySetup, x: float) -> complex:
-    """Correction the weight picks up at one point of (3a/2, 5a/2).
-
-    The value is a difference of two nested integrals of q; it vanishes
-    at both ends of the interval, so the corrected weight joins the
-    plain potential continuously wherever q itself does.
-    """
-    a = setup.a
-    _validate_confined(q, a)
-    snap = 1e-9 * (1.0 + 3.0 * a)
-    if not 1.5 * a - snap <= x <= 2.5 * a + snap:
-        raise PreconditionError(f"correction point {x} outside (3a/2, 5a/2)")
-    om = cumulative(q, a)
-    # the correction is the triangle kernel P(3a, .) of the opposite index
-    flipped = replace(setup, nu=1 - setup.nu)
-    return complex(_p_values(q, flipped, om, 3.0 * a, np.array([float(x)]))[0])
 
 
 def build_w(q: PiecewiseFunction, setup: DelaySetup) -> tuple[CharData, CharData]:
@@ -301,25 +260,6 @@ _GAUSS_NODES = 14  # exact to degree 27: w's cubic times a series term, on each 
 _TAYLOR = np.array(
     [[1.0 / (math.factorial(k) * (m + k + 1)) for m in range(4)] for k in range(_MOMENT_TERMS)]
 )
-
-
-def _gauss_legendre(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1].
-
-    Newton's method on the Legendre polynomial P_n from the usual cosine
-    guesses; a fixed 8 steps reach rounding for the n used here.
-    """
-    t = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for _ in range(8):
-        p_prev, p = np.ones_like(t), t
-        for k in range(2, n + 1):
-            p_prev, p = p, ((2 * k - 1) * t * p - (k - 1) * p_prev) / k
-        slope = n * (t * p - p_prev) / (t * t - 1.0)
-        t = t - p / slope
-    return 0.5 * (1.0 - t), 1.0 / ((1.0 - t * t) * slope * slope)
-
-
-_GAUSS = _gauss_legendre(_GAUSS_NODES)
 
 
 def _real_form(table: np.ndarray) -> np.ndarray:
@@ -563,9 +503,10 @@ class _WeightRule:
         return np.sum((sums.reshape(mom.shape) * mom).reshape(n, 2, -1), axis=-1)
 
     @cached_property
-    def _gauss(self):
+    def _gauss_points(self):
         """Gauss-Legendre nodes on every cell, and their weights times w."""
-        xi, wt = _GAUSS
+        xi, wt = _gauss(_GAUSS_NODES)
+        xi, wt = 0.5 * (1.0 + xi), 0.5 * wt  # on [0, 1]
         xs, ws = [], []
         for seg, coef in self._cells:
             left = seg.nodes()[:-1]
@@ -585,7 +526,7 @@ class _WeightRule:
         x)(x - a), with no cancelling term.
         """
         if kind not in self._maclaurin:
-            x, wx = self._gauss
+            x, wx = self._gauss_points
             y = self.phi - 2.0 * x
             y2 = y * y
             if kind == "ss":
@@ -613,11 +554,11 @@ def delta_direct(q: PiecewiseFunction, setup: DelaySetup, j: int, lam):
     """The same characteristic values from the stepping solver.
 
     Works for any delay in (0, pi) and any potential vanishing on
-    (0, a); no confinement to (a, 3a) is assumed.  Potentials sampled on
-    a shorter range are zero-extended to pi.
+    (0, a), which the set-up of ``endpoint_values`` checks once per
+    potential; no confinement to (a, 3a) is assumed.  Potentials sampled
+    on a shorter range are zero-extended to pi.
     """
     if j not in (0, 1):
         raise DomainError(f"j must be 0 or 1, got {j}")
-    _require_zero(q, 0.0, setup.a, "(0, a)")
     ys, yps = endpoint_values(q, setup, 1 - setup.nu, lam)
     return (ys if j == 0 else yps)[()]

@@ -28,10 +28,16 @@ Three routes to the same solution:
 
 Closed forms for the first and second iterates and their derivatives
 (``y1_closed``, ``y2_closed``) are provided for cross-checking.
+
+The routes share three helpers of ``gridfn``: q's left and right limits
+at their nodes come from ``_sided_values``, the check that q vanishes on
+(0, a) is ``_require_zero``, and stored samples are interpolated by
+``_cubic``.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 from .gridfn import (
     Interval,
     PiecewiseFunction,
@@ -48,7 +54,8 @@ from .gridfn import (
     _cell_integrals,
     _cell_weights,
     _cubic,
-    _lagrange4,
+    _require_zero,
+    _sided_values,
     cumulative,
     lattice_product_integrals,
     sample_function,
@@ -153,8 +160,6 @@ class SolutionTrace:
     yprime: PiecewiseFunction
     y_end: complex
     yp_end: complex
-    lam: complex
-    setup: DelaySetup
 
 
 def grid_breakpoints(a: float, lo: float, hi: float) -> np.ndarray:
@@ -201,15 +206,6 @@ def _kernel_trace(nu, lam, x):
     return np.where(zero, c, s), np.where(zero, -lam * s, c)
 
 
-def _check_potential(q: PiecewiseFunction, a: float) -> None:
-    if q.lo > 1e-12 or q.hi < PI - 1e-12:
-        raise PreconditionError("potential must be sampled on all of (0, pi)")
-    probe = np.linspace(0.0, a, 257)[:-1]
-    scale = max(1.0, float(np.max(np.abs(q.all_samples()))))
-    if float(np.max(np.abs(q.values(probe)))) > 1e-12 * scale:
-        raise PreconditionError("potential must vanish on (0, a)")
-
-
 class _March:
     """One method-of-steps integration for a batch of spectral points.
 
@@ -217,7 +213,7 @@ class _March:
     """
 
     def __init__(self, q: PiecewiseFunction, setup: DelaySetup, init_nu, lam):
-        _check_potential(q, setup.a)
+        _require_zero(q, 0.0, setup.a, "(0, a)")
         self.setup = setup
         self.q = q
         self.lam = np.asarray(lam, dtype=complex).ravel()
@@ -236,15 +232,9 @@ class _March:
         self.Y = np.empty((nlam, n_nodes), dtype=complex)
         self.Yp = np.empty((nlam, n_nodes), dtype=complex)
 
-        # potential on the half grid; both limits at a jump read off the
-        # segments, so no stage ever reads the wrong side of it
-        self.q_right = q.values(self.x_half)
-        self.q_left = self.q_right.copy()
-        for b, seg, nxt in zip(q.breakpoints(), q.segments[:-1], q.segments[1:]):
-            i = int(round(b / self.dx))
-            if 0 <= i < n_nodes and abs(i * self.dx - b) <= 1e-9 * max(1.0, b):
-                self.q_left[i] = seg.samples[-1]
-                self.q_right[i] = nxt.samples[0]
+        # both limits of the potential on the half grid, so no stage ever
+        # reads the wrong side of a jump
+        self.q_left, self.q_right = _sided_values(q, self.x_half)
 
         self._run(init_nu)
 
@@ -258,22 +248,14 @@ class _March:
         return sorted(idx)
 
     def _hist(self, x: float) -> np.ndarray:
-        """History value at an off-grid point by one-sided-safe cubic interpolation."""
+        """History value at an off-grid point, interpolated within its run when it has 4 nodes."""
         u = x / self.dx
-        c = int(math.floor(u))
-        lo_b, hi_b = 0, self.Y.shape[1] - 1
-        for b in self._piece_idx:
-            if b <= c:
-                lo_b = b
-            if b >= c + 1:
-                hi_b = b
-                break
-        if hi_b - lo_b >= 3:
-            s = min(max(c - 1, lo_b), hi_b - 3)
-        else:
-            s = min(max(c - 1, 0), self.Y.shape[1] - 4)
-        w = _lagrange4(u - s)
-        return self.Y[:, s : s + 4] @ w
+        k = bisect.bisect_right(self._piece_idx, math.floor(u))
+        lo = self._piece_idx[k - 1]
+        hi = self._piece_idx[k] if k < len(self._piece_idx) else self.Y.shape[1] - 1
+        if hi - lo < 3:
+            lo, hi = 0, self.Y.shape[1] - 1
+        return _cubic(self.Y[:, lo : hi + 1], u - lo)
 
     def _half_step(self, x0: float, step: float, j_from: int, write_to: int | None):
         """One RK4 step of arbitrary size with interpolated history.
@@ -377,16 +359,6 @@ class _March:
             self.y_end = self.Y[:, -1].copy()
             self.yp_end = self.Yp[:, -1].copy()
 
-    def sample_at(self, x: float, row: np.ndarray) -> np.ndarray:
-        """Interpolate one stored row (a single lam) at arbitrary x."""
-        u = x / self.dx
-        i = int(round(u))
-        if abs(u - i) < 1e-9 and 0 <= i < row.shape[0]:
-            return row[i]
-        c = int(math.floor(u))
-        s = min(max(c - 1, 0), row.shape[0] - 4)
-        return row[s : s + 4] @ _lagrange4(u - s)
-
     def traces(self, batch_index: int) -> tuple[PiecewiseFunction, PiecewiseFunction]:
         setup = self.setup
         nseg = setup.segment_nodes
@@ -409,15 +381,11 @@ class _March:
                 segs_y.append(SampledSegment(iv, rowy[sl]))
                 segs_p.append(SampledSegment(iv, rowp[sl]))
             else:
-                xs = np.linspace(iv.lo, iv.hi, nseg)
-                vy = np.array([self.sample_at(x, rowy) for x in xs[:-1]])
-                vp = np.array([self.sample_at(x, rowp) for x in xs[:-1]])
+                # the stored row interpolated, and the exact end values at pi
+                u = np.linspace(iv.lo, iv.hi, nseg) / self.dx
+                vy, vp = _cubic(rowy, u), _cubic(rowp, u)
                 if abs(iv.hi - PI) <= 1e-12:
-                    vy = np.append(vy, self.y_end[batch_index])
-                    vp = np.append(vp, self.yp_end[batch_index])
-                else:
-                    vy = np.append(vy, self.sample_at(iv.hi, rowy))
-                    vp = np.append(vp, self.sample_at(iv.hi, rowp))
+                    vy[-1], vp[-1] = self.y_end[batch_index], self.yp_end[batch_index]
                 segs_y.append(SampledSegment(iv, vy))
                 segs_p.append(SampledSegment(iv, vp))
         return PiecewiseFunction(segs_y), PiecewiseFunction(segs_p)
@@ -430,9 +398,7 @@ def solve_direct(q: PiecewiseFunction, setup: DelaySetup, lam: complex) -> Solut
     """
     march = _March(q, setup, setup.nu, [lam])
     y, yp = march.traces(0)
-    return SolutionTrace(
-        y, yp, complex(march.y_end[0]), complex(march.yp_end[0]), complex(lam), setup
-    )
+    return SolutionTrace(y, yp, complex(march.y_end[0]), complex(march.yp_end[0]))
 
 
 def endpoint_values(q: PiecewiseFunction, setup: DelaySetup, init_nu: int, lam):
@@ -598,7 +564,7 @@ class _Blocks:
         self.q, self.setup = q, setup
         if q.hi < PI - 1e-9 * (1.0 + PI):
             q = PiecewiseFunction(list(q.segments) + list(_zero_on(setup, q.hi).segments))
-        _check_potential(q, setup.a)
+        _require_zero(q, 0.0, setup.a, "(0, a)")
         m = setup.steps
         if m < 4:
             raise DomainError(f"the block solver needs at least 4 steps per delay, got {m}")
@@ -610,19 +576,10 @@ class _Blocks:
         self.rem = PI - self.n_full * h
         if self.rem < 1e-9 * h:
             self.rem = 0.0
-        # q at the nodes (right limits), both limits at its jumps read off
-        # the segments (a node one rounding below a breakpoint would read
-        # the left one), and the cut nodes: q's breakpoints and the kinks
-        # of y(t - a) one delay later
-        q_right = q.values(h * np.arange(self.n_full + 1))
-        q_left = q_right.copy()
-        cuts = set()
-        for b, seg, nxt in zip(q.breakpoints(), q.segments[:-1], q.segments[1:]):
-            i = int(round(b / h))
-            if i <= self.n_full and abs(i * h - b) <= 1e-9 * max(1.0, b):
-                q_left[i] = seg.samples[-1]
-                q_right[i] = nxt.samples[0]
-            cuts.update((i, i + m))
+        # both limits of q at the nodes, and the cut nodes: q's breakpoints
+        # and the kinks of y(t - a) one delay later
+        q_left, q_right = _sided_values(q, h * np.arange(self.n_full + 1))
+        cuts = {int(round(b / h)) + d for b in q.breakpoints() for d in (0, m)}
 
         self.simpson_pts = np.empty(0)
 
@@ -845,19 +802,12 @@ def _voc(lam, c, s, u, v):
 
 
 def _resample_sided(q: PiecewiseFunction, structure: PiecewiseFunction) -> PiecewiseFunction:
-    """Resample q on another function's grid keeping one-sided endpoint values."""
+    """Resample q on another function's grid, each segment with q from its own side."""
     segs = []
     for seg in structure.segments:
-        x = seg.nodes()
-        vals = q.values(x)
-        # the right endpoint of a segment belongs to this segment's side
-        owner = None
-        for qs in q.segments:
-            if qs.interval.lo < x[-1] <= qs.interval.hi + 1e-12:
-                owner = qs
-        if owner is not None:
-            vals[-1] = owner.values(np.array([x[-1]]))[0]
-        segs.append(SampledSegment(seg.interval, vals))
+        left, right = _sided_values(q, seg.nodes())
+        right[-1] = left[-1]
+        segs.append(SampledSegment(seg.interval, right))
     return PiecewiseFunction(segs)
 
 
@@ -868,10 +818,8 @@ def _on_grid(grid: PiecewiseFunction, samples) -> PiecewiseFunction:
     )
 
 
-def _trace_from_parts(setup, lam, y_fn, yp_fn) -> SolutionTrace:
-    return SolutionTrace(
-        y_fn, yp_fn, complex(y_fn.values(PI)), complex(yp_fn.values(PI)), complex(lam), setup
-    )
+def _trace_from_parts(y_fn, yp_fn) -> SolutionTrace:
+    return SolutionTrace(y_fn, yp_fn, complex(y_fn.values(PI)), complex(yp_fn.values(PI)))
 
 
 def series_term(q: PiecewiseFunction, setup: DelaySetup, k: int, lam: complex) -> SolutionTrace:
@@ -885,22 +833,16 @@ def series_term(q: PiecewiseFunction, setup: DelaySetup, k: int, lam: complex) -
     return next(itertools.islice(_series_terms(q, setup, lam), k, None))
 
 
-def series_sum(
-    q: PiecewiseFunction, setup: DelaySetup, lam: complex, n_terms: int | None = None
-) -> SolutionTrace:
-    """Sum of the series through term ``n_terms`` (default: all that survive)."""
-    if n_terms is None:
-        n_terms = setup.levels
-    terms = itertools.islice(_series_terms(q, setup, lam), n_terms + 1)
-    total = next(terms, None)
+def series_sum(q: PiecewiseFunction, setup: DelaySetup, lam: complex) -> SolutionTrace:
+    """Sum of the series through its last term that survives on (0, pi)."""
+    terms = itertools.islice(_series_terms(q, setup, lam), setup.levels + 1)
+    total = next(terms)
     for term in terms:
         total = SolutionTrace(
             total.y + term.y,
             total.yprime + term.yprime,
             total.y_end + term.y_end,
             total.yp_end + term.yp_end,
-            complex(lam),
-            setup,
         )
     return total
 
@@ -918,7 +860,7 @@ def _series_terms(q, setup, lam):
         y, yp = [c for c, _ in cs], [-lam * s for _, s in cs]
     else:
         y, yp = [s for _, s in cs], [c for c, _ in cs]
-    term = _trace_from_parts(setup, lam, _on_grid(grid, y), _on_grid(grid, yp))
+    term = _trace_from_parts(_on_grid(grid, y), _on_grid(grid, yp))
     yield term
     qs = _resample_sided(q, grid)
     k = 1
@@ -942,11 +884,11 @@ def _series_terms(q, setup, lam):
             live = seg_pc.nodes() >= anchor - 1e-12
             y.append(np.where(live, s * seg_pc.samples - c * seg_ps.samples, 0.0))
             yp.append(np.where(live, c * seg_pc.samples + lam * s * seg_ps.samples, 0.0))
-        term = _trace_from_parts(setup, lam, _on_grid(grid, y), _on_grid(grid, yp))
+        term = _trace_from_parts(_on_grid(grid, y), _on_grid(grid, yp))
         yield term
         k += 1
     while True:
-        yield _trace_from_parts(setup, lam, grid, grid)
+        yield _trace_from_parts(grid, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -999,7 +941,7 @@ def y1_closed(q: PiecewiseFunction, setup: DelaySetup, lam: complex) -> Solution
             segs_y.append(np.where(live, y, 0.0))
         segs_p.append(np.where(live, yp, 0.0))
     yfn = series_term(q, setup, 1, lam).y if near_zero else _on_grid(qc, segs_y)
-    return _trace_from_parts(setup, lam, yfn, _on_grid(qc, segs_p))
+    return _trace_from_parts(yfn, _on_grid(qc, segs_p))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ code uses to exercise both branches of the family construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .gridfn import (
     Interval,
     PiecewiseFunction,
     SampledSegment,
+    _gauss,
     cumulative,
     integrate,
     lattice_product_integrals,
@@ -145,15 +145,6 @@ def apply(op: FredholmOperator, f: PiecewiseFunction) -> PiecewiseFunction:
     ks = np.rint((xs - 0.5 * a) / delta).astype(int)
     out = lattice_product_integrals(f, op.K, ks, 1.5 * a, 2.0 * a, delta)
     return PiecewiseFunction([SampledSegment(Interval(1.5 * a, 2.0 * a), out)])
-
-
-@lru_cache(maxsize=16)
-def _gauss(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count, read-only."""
-    xi, wt = np.polynomial.legendre.leggauss(count)
-    xi.flags.writeable = False
-    wt.flags.writeable = False
-    return xi, wt
 
 
 def _orthobasis(a: float, count: int, xs) -> np.ndarray:
@@ -322,15 +313,15 @@ def _by_modulus(vals: np.ndarray, idx: list[int]) -> list[int]:
     return out
 
 
-def reference_pair(a: float, count: int = 2049) -> tuple[PiecewiseFunction, PiecewiseFunction]:
+def reference_pair(a: float) -> tuple[PiecewiseFunction, PiecewiseFunction]:
     """The built-in analytic witness (h, e).
 
     h(x) = (6 pi^2 / a^2) cos(pi sqrt(10) (3 - x/a)) on (5a/2, 3a) and
     e(x) = cos(4 pi x / a) - cos(2 pi x / a) on (3a/2, 2a) satisfy
     M_h e = -e with e of zero mean, so (h, e, eta = -1) feeds the family
-    construction for either boundary index.  The default sample count
-    keeps the interpolation floor of h's tail integral below the 1e-10
-    accuracy the eigenvalue checks aim for.
+    construction for either boundary index.  Both are sampled at 2049
+    nodes, which keeps the interpolation floor of h's tail integral below
+    the 1e-10 accuracy the eigenvalue checks aim for.
     """
     if not 0.0 < a < PI / 3.0:
         raise PreconditionError(f"need a in (0, pi/3), got {a}")
@@ -338,18 +329,18 @@ def reference_pair(a: float, count: int = 2049) -> tuple[PiecewiseFunction, Piec
     h = sample_function(
         lambda x: (6.0 * PI**2 / a**2) * np.cos(freq * (3.0 - x / a)),
         [2.5 * a, 3.0 * a],
-        count,
+        2049,
     )
     e = sample_function(
         lambda x: np.cos(4.0 * PI * x / a) - np.cos(2.0 * PI * x / a),
         [1.5 * a, 2.0 * a],
-        count,
+        2049,
     )
     return h, e
 
 
-def zero_mean(e: PiecewiseFunction, tol: float = 1e-8) -> bool:
-    """Whether e integrates to zero relative to its size and span."""
+def zero_mean(e: PiecewiseFunction) -> bool:
+    """Whether e integrates to zero, within 1e-8 of its size times its span."""
     total = complex(integrate(e, e.lo, e.hi))
     scale = float(np.max(np.abs(e.all_samples())))
-    return abs(total) <= tol * scale * (e.hi - e.lo)
+    return abs(total) <= 1e-8 * scale * (e.hi - e.lo)

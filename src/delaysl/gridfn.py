@@ -28,15 +28,22 @@ Simpson panel on each lattice cell [k delta, (k+1) delta], so every
 breakpoint of either factor, shifted or not, sits on a panel edge, and
 all shifts share one set of nodes.  The sum over nodes is then a
 discrete correlation, computed for every shift at once by FFT.
+
+Four numerical jobs have their one implementation here, private to the
+package: cubic interpolation of uniform samples (``_cubic``), a
+function's left and right limits on a node set (``_sided_values``), the
+check that a potential vanishes on an interval (``_require_zero``) and
+the Gauss-Legendre rule (``_gauss``, built on first use).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError
+from .errors import DomainError, GridMismatchError, PreconditionError
 
 __all__ = [
     "Interval",
@@ -127,6 +134,15 @@ def _cubic(samples, u):
         + samples[..., j0 + 2] * w[2]
         + samples[..., j0 + 3] * w[3]
     )
+
+
+@lru_cache(maxsize=16)
+def _gauss(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count, read-only."""
+    xi, wt = np.polynomial.legendre.leggauss(count)
+    xi.flags.writeable = False
+    wt.flags.writeable = False
+    return xi, wt
 
 
 def _cell_integrals(samples, spacing, out=None, work=None):
@@ -244,9 +260,6 @@ class Interval:
     def length(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x, *, slack=0.0) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
-
 
 class SampledSegment:
     """One uniform-grid segment: odd sample count >= 3, endpoints included."""
@@ -313,17 +326,10 @@ class SampledSegment:
             xa = max(ua - cell, 0.0) if cell == ca else 0.0
             xb = min(ub - cell, 1.0) if cell == cb else 1.0
             w[st : st + 4] += _partial_weights(base, xa, xb)
-        # full interior cells
-        first = ca + 1
-        last = cb - 1
-        if last >= first:
-            cells = np.arange(first, last + 1)
-            inner = cells[(cells >= 1) & (cells <= n - 3)]
-            for off, cw in zip(range(4), _FULL_W[1]):
-                np.add.at(w, inner - 1 + off, cw)
-            for cell in cells[(cells < 1) | (cells > n - 3)]:
-                st, base = _stencil(cell, n)
-                w[st : st + 4] += _FULL_W[base]
+        # the whole cells ca + 1 .. cb - 1 between them, all interior (1 .. n - 3)
+        if cb > ca + 1:
+            for off, cw in enumerate(_FULL_W[1]):
+                w[ca + off : cb - 1 + off] += cw
         total += np.dot(w, self.samples)
         return total * h
 
@@ -504,11 +510,11 @@ def sample_function(fn, breakpoints, count: int) -> PiecewiseFunction:
     return PiecewiseFunction(segs)
 
 
-def simpson_rule(breakpoints, spacing_hint: float, min_nodes: int = 9):
+def simpson_rule(breakpoints, spacing_hint: float):
     """Composite-Simpson nodes/weights over abutting pieces.
 
     Each piece [b_k, b_k+1] gets an odd node count matching the supplied
-    spacing hint (at least ``min_nodes``).  Returns (x, w) suitable for
+    spacing hint (at least 9).  Returns (x, w) suitable for
     integrating any product of functions smooth inside each piece.
     """
     breakpoints = np.asarray(breakpoints, dtype=float)
@@ -518,7 +524,7 @@ def simpson_rule(breakpoints, spacing_hint: float, min_nodes: int = 9):
         length = hi - lo
         if length <= 0.0:
             continue
-        n = max(min_nodes, int(np.ceil(length / spacing_hint)) + 1)
+        n = max(9, int(np.ceil(length / spacing_hint)) + 1)
         if n % 2 == 0:
             n += 1
         x = np.linspace(lo, hi, n)
@@ -533,7 +539,7 @@ def simpson_rule(breakpoints, spacing_hint: float, min_nodes: int = 9):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def piecewise_quad(fn: PiecewiseFunction, breakpoints, spacing_hint: float, min_nodes: int = 9):
+def piecewise_quad(fn: PiecewiseFunction, breakpoints, spacing_hint: float):
     """Composite-Simpson plan with side-correct values of ``fn``.
 
     Returns (x, w, v).  Pieces must not straddle fn's own breakpoints;
@@ -546,7 +552,7 @@ def piecewise_quad(fn: PiecewiseFunction, breakpoints, spacing_hint: float, min_
     for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
         if hi - lo <= 0.0:
             continue
-        x, w = simpson_rule([lo, hi], spacing_hint, min_nodes)
+        x, w = simpson_rule([lo, hi], spacing_hint)
         mid = 0.5 * (lo + hi)
         k = int(np.searchsorted(fn._bounds, mid, side="right")) - 1
         k = min(max(k, 0), len(fn.segments) - 1)
@@ -602,6 +608,50 @@ def _require_on_lattice(x: float, delta: float, what: str) -> None:
     u = x / delta
     if abs(u - round(u)) > _NODE_SNAP * (1.0 + abs(u)):
         raise GridMismatchError(f"{what} {x} is not a multiple of the lattice spacing {delta}")
+
+
+def _sided_values(f: PiecewiseFunction, x) -> tuple[np.ndarray, np.ndarray]:
+    """f's left and right limits at the ascending nodes x (two or more).
+
+    Both are ``f.values(x)`` except at the node nearest an interior
+    breakpoint, when within 1e-9 (relative) of it: there they are the
+    last sample of the segment before and the first of the segment after,
+    read off the segments, so a node one rounding below a breakpoint
+    still gets the right side of the jump as its right limit.
+    """
+    x = np.asarray(x, dtype=float)
+    right = f.values(x)
+    left = right.copy()
+    for b, seg, nxt in zip(f.breakpoints(), f.segments[:-1], f.segments[1:]):
+        i = int(np.searchsorted(x, b))
+        if i == x.size or (i > 0 and b - x[i - 1] < x[i] - b):
+            i -= 1
+        if abs(x[i] - b) <= 1e-9 * max(1.0, abs(b)):
+            left[i], right[i] = seg.samples[-1], nxt.samples[0]
+    return left, right
+
+
+def _require_zero(q: PiecewiseFunction, lo: float, hi: float, what: str) -> None:
+    """Check that q vanishes (to rounding) on the part of (lo, hi) it covers."""
+    lo = max(lo, q.lo)
+    hi = min(hi, q.hi)
+    snap = 1e-9 * (1.0 + abs(hi))
+    if hi - lo <= snap:
+        return
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(q.all_samples()))))
+    worst = 0.0
+    for seg in q.segments:
+        u = max(lo, seg.interval.lo)
+        v = min(hi, seg.interval.hi)
+        if v - u <= snap:
+            continue
+        if u - seg.interval.lo <= snap and seg.interval.hi - v <= snap:
+            worst = max(worst, float(np.max(np.abs(seg.samples))))
+        else:
+            probe = np.linspace(u + snap, v - snap, 129)
+            worst = max(worst, float(np.max(np.abs(seg.values(probe)))))
+    if worst > tol:
+        raise PreconditionError(f"potential must vanish a.e. on {what}; max magnitude {worst:.3g}")
 
 
 def _zero_extended(g: PiecewiseFunction, x) -> np.ndarray:

@@ -36,6 +36,7 @@ from delaysl import (
     y1_closed,
     y2_closed,
 )
+from delaysl.cli import RunConfig, _classical_values, _seed_pair
 
 A = math.pi / 4.0
 NODES = 513
@@ -65,16 +66,9 @@ def _gate_above(num, label, value, floor, note=""):
     assert value > floor, line
 
 
-def _seed(nu):
-    h, e = reference_pair(A)
-    if nu == 0:
-        return (-1.0) * h, 1.0, e
-    return h, -1.0, e
-
-
 @pytest.fixture(scope="module")
 def seeds():
-    return {nu: _seed(nu) for nu in (0, 1)}
+    return {nu: _seed_pair(RunConfig(a=A, nu=nu)) for nu in (0, 1)}
 
 
 @pytest.fixture(scope="module")
@@ -309,11 +303,7 @@ def test_criterion_8_classical_baseline(setups):
                 lambda lam, data=datas[j]: delta_closed(data, lam), nu, j, 20
             )
             lam = s.lambdas()
-            if nu == j:
-                start = 1 if nu == 0 else 0
-                want = np.array([float(n * n) for n in range(start, start + len(lam))])
-            else:
-                want = np.array([(n - 0.5) ** 2 for n in range(1, len(lam) + 1)])
+            want = _classical_values(nu, j, len(lam))
             assert len(lam) == (21 if (nu, j) == (1, 1) else 20)
             worst = max(worst, float(np.max(np.abs(lam - want))))
     _gate(8, "classical baseline", worst, 1e-10, ", n^2 and (n-1/2)^2 ladders, n <= 20")

@@ -24,14 +24,14 @@ from delaysl import (
     delta_direct,
     grid_breakpoints,
     integrate,
+    p_kernel,
     piecewise_quad,
-    q_correction,
-    reference_pair,
     sample_function,
     series_sum,
     skernel,
 )
 from delaysl import delay_solver
+from delaysl.cli import RunConfig, _seed_pair
 from delaysl.charfn import SERIES_THRESHOLD, _Moments, _WeightRule
 from delaysl.gridfn import _cell_coefficients
 
@@ -54,6 +54,11 @@ def _setup(nu, nodes=129, steps=0):
 def _zero_data(nu, j):
     w = sample_function(lambda x: np.zeros_like(x), grid_breakpoints(A, A, 3 * A), 65)
     return CharData(_setup(nu), nu, j, 0.0, w)
+
+
+def _correction(q, setup, x):
+    """The weight's correction at x: the triangle kernel P(3a, x) of the opposite index."""
+    return p_kernel(q, replace(setup, nu=1 - setup.nu), 3 * A, x)
 
 
 def _correction_oracle(q, nu, x, n=4000):
@@ -79,13 +84,12 @@ def test_correction_matches_midpoint_oracle():
         setup = _setup(nu)
         for x in (1.3, 1.6, 1.9):
             want = _correction_oracle(q, nu, x)
-            have = q_correction(q, setup, x)
+            have = _correction(q, setup, x)
             assert abs(have - want) < 1e-6 * (1 + abs(want))
 
 
 def test_correction_of_family_member_near_upper_edge():
-    h, e = reference_pair(A)
-    member = build_member(h, -1.0, e, nu=1, alpha=1.0, a=A)
+    member = build_member(*_seed_pair(RunConfig(a=A, nu=1)), nu=1, alpha=1.0, a=A)
     q, setup = member.q, _setup(1)
     x = 5 * A / 2 - 0.01
     # the ranges collapse near the edge, so a coarse double sum is enough
@@ -99,10 +103,10 @@ def test_correction_of_family_member_near_upper_edge():
     second = (t[1] - t[0]) * np.sum(q(tm) * inner)
     first = integrate(q, x + A / 2, 3 * A) * integrate(q, A, x - A / 2)
     want = first + second  # nu = 1 flips the sign of the double term
-    have = q_correction(q, setup, x)
+    have = _correction(q, setup, x)
     assert abs(have - want) < 1e-6 * (1 + abs(want))
     # the correction vanishes at the edge itself, keeping w continuous
-    assert abs(q_correction(q, setup, 5 * A / 2 - 1e-7)) < 1e-5
+    assert abs(_correction(q, setup, 5 * A / 2 - 1e-7)) < 1e-5
 
 
 def test_correction_reduces_to_the_integral_operator():
@@ -122,17 +126,7 @@ def test_correction_reduces_to_the_integral_operator():
         setup = _setup(nu)
         sign = -((-1.0) ** nu)
         for x in xs:
-            assert abs(q_correction(q, setup, x) - sign * image(x)) < 1e-7
-
-
-def test_correction_domain_checks():
-    q = _grid_q(_bump)
-    setup = _setup(0)
-    with pytest.raises(PreconditionError):
-        q_correction(q, setup, 1.1)  # outside (3a/2, 5a/2)
-    sprawling = _grid_q(lambda x: np.where(x > A, 1.0, 0.0))
-    with pytest.raises(PreconditionError):
-        q_correction(sprawling, setup, 1.6)  # nonzero past 3a
+            assert abs(_correction(q, setup, x) - sign * image(x)) < 1e-7
 
 
 def test_build_w_trivial_and_omega():
@@ -519,8 +513,7 @@ def test_direct_route_matches_closed_forms():
 @pytest.mark.parametrize("a", [0.88, 0.9, 0.92])
 def test_direct_route_reads_the_right_side_of_every_jump(a):
     # on these grids some nodes land one rounding below a breakpoint of q
-    h, e = reference_pair(a)
-    member = build_member(h.map_samples(lambda s, x: -s), 1.0, e, 0, 0.0, a)
+    member = build_member(*_seed_pair(RunConfig(a=a, nu=0)), 0, 0.0, a)
     lam = np.array([1.0, 10.0, 50.0, 3.0 + 3.0j])
     for nodes in (257, 513):
         setup = DelaySetup(a=a, nu=0, segment_nodes=nodes, steps_per_delay=0)

@@ -23,7 +23,6 @@ from delaysl import (
     kernel_pair,
     p_function,
     p_kernel,
-    q_correction,
     sample_function,
     series_sum,
     series_term,
@@ -275,7 +274,7 @@ def test_weight_correction_matches_the_pointwise_correction():
         setup = _setup(nu, nodes=129)
         w = build_w(q, setup)[0].w
         for x in (1.5 * A + 48 * A / 4096, 2 * A, 2 * A + 112 * A / 4096, 2.5 * A - 16 * A / 4096):
-            want = q_correction(q, setup, x)
+            want = p_kernel(q, _setup(1 - nu, nodes=129), 3 * A, x)
             assert abs(w(x) - q(x) - want) < 1e-9 * (1 + abs(want))
 
 
@@ -538,6 +537,45 @@ def test_block_solver_matches_refined_rk4(a):
             y, yp = endpoint_values(q, setup, nu, lam)
             assert np.max(np.abs(y - want_y[nu]) / np.abs(want_y[nu])) <= 1e-9
             assert np.max(np.abs(yp - want_yp[nu]) / np.abs(want_yp[nu])) <= 1e-8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_march_traces_where_pi_is_off_the_half_delay_grid():
+    # at a = 0.5 the last segment [3, pi] is shorter than a/2, so its
+    # samples are the stored rows interpolated, ending on the exact end
+    # values; the segments on [0, a] are the kernels, the ends match the
+    # block solver as in the refined-RK4 test and the interpolated
+    # segment matches the series on the same nodes
+    a = 0.5
+    q = _stepped_delay(a)
+    lam = np.array([-4.0, 3.0 + 10.0j, 100.0])
+    steps = int(np.ceil(a / (np.pi / 16384)))
+    fine = DelaySetup(a=a, nu=0, segment_nodes=129, steps_per_delay=steps)
+    march = _March(q, fine, np.repeat([0, 1], lam.size), np.tile(lam, 2))
+    for nu in (0, 1):
+        setup = DelaySetup(a=a, nu=nu, segment_nodes=129)
+        want_y, want_yp = endpoint_values(q, setup, nu, lam)
+        for k, l in enumerate(lam):
+            row = nu * lam.size + k
+            y, yp = march.traces(row)
+            last, last_p = y.segments[-1], yp.segments[-1]
+            assert last.interval.length < 0.3 * a
+            head = [s.nodes() for s in y.segments[:2]]
+            kern_y, kern_yp = _kernel_pair(nu, l, np.concatenate(head))
+            head_y = np.concatenate([s.samples for s in y.segments[:2]])
+            head_yp = np.concatenate([s.samples for s in yp.segments[:2]])
+            assert np.max(np.abs(head_y - kern_y)) < 1e-10
+            assert np.max(np.abs(head_yp - kern_yp)) < 1e-9 * (1 + abs(l))
+            y_end, yp_end = march.y_end[row], march.yp_end[row]
+            assert last.samples[-1] == y_end and last_p.samples[-1] == yp_end
+            assert abs(y_end - want_y[k]) / abs(want_y[k]) <= 1e-9
+            assert abs(yp_end - want_yp[k]) / abs(want_yp[k]) <= 1e-8
+            summed = series_sum(q, setup, l)
+            scale = 1.0 + np.max(np.abs(y.all_samples()))
+            gap = np.max(np.abs(last.samples - summed.y.segments[-1].samples))
+            gap_p = np.max(np.abs(last_p.samples - summed.yprime.segments[-1].samples))
+            assert gap < 1e-7 * scale
+            assert gap_p < 1e-7 * scale * (1 + abs(l) ** 0.5)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

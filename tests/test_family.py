@@ -13,10 +13,10 @@ from delaysl import (
     build_w,
     integrate,
     omega_of_member,
-    reference_pair,
     sample_function,
     w_of_member,
 )
+from delaysl.cli import RunConfig, _seed_pair
 from delaysl.delay_solver import DelaySetup
 
 A = np.pi / 4
@@ -24,10 +24,7 @@ ALPHAS = (0.0, 1.0, -2.0, 2.0 + 3.0j)
 
 
 def _seed(nu):
-    h, e = reference_pair(A)
-    if nu == 0:
-        return (-1.0) * h, 1.0, e
-    return h, -1.0, e
+    return _seed_pair(RunConfig(a=A, nu=nu))
 
 
 def _member(nu, alpha, **kw):

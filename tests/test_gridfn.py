@@ -1,5 +1,10 @@
 """Grid containers, interpolation, and the composite quadrature rules."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,10 +25,12 @@ from delaysl import (
     simpson_rule,
     write_csv,
 )
+import delaysl
 from delaysl.gridfn import (
     _cell_coefficients,
     _cell_integrals,
     _cell_weights,
+    _sided_values,
     lattice_product_integrals,
     shifted_product_integrals,
 )
@@ -285,7 +292,7 @@ def test_simpson_rule_integrates_smooth_pieces():
     assert w.sum() == pytest.approx(2.5, abs=1e-13)
     assert (w @ np.cos(x)) == pytest.approx(np.sin(2.5), abs=1e-10)
     # the minimum node count keeps tiny pieces honest
-    x, _ = simpson_rule([0.0, 1e-3], 1.0, min_nodes=9)
+    x, _ = simpson_rule([0.0, 1e-3], 1.0)
     assert x.size == 9
 
 
@@ -485,3 +492,36 @@ def test_lattice_products_match_the_oracle_for_any_shifts(ks, hi):
     for got, k in zip(have, ks):
         want = _midpoint_oracle(_LF, _LG, k * _DELTA, 0.0, hi)
         assert abs(got - want) < _PRODUCT_TOL * (1.0 + abs(want))
+
+
+def test_sided_values_read_both_sides_of_a_jump_off_the_segments():
+    f = _two_step()
+    # a node one rounding below the jump reads the left segment through
+    # values, yet gets the right side as its right limit
+    below = np.nextafter(1.0, 0.0)
+    left, right = _sided_values(f, [0.5, below, 1.5, 2.0])
+    assert f.values(below) == 0.0
+    assert list(left) == [0.0, 0.0, 1.0, 1.0] and list(right) == [0.0, 1.0, 1.0, 1.0]
+    # a node farther than 1e-9 from every breakpoint takes values on both sides
+    x = [0.0, 1.0 - 1e-8, 2.0]
+    left, right = _sided_values(f, x)
+    assert np.array_equal(left, f.values(x)) and np.array_equal(right, f.values(x))
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # importing the package loads no numpy.polynomial and builds no
+    # Gauss-Legendre rule: the shared rule is built on first use
+    code = (
+        "import sys, delaysl; print('numpy.polynomial' in sys.modules); "
+        "print(delaysl.gridfn._gauss.cache_info().currsize)"
+    )
+    src = str(Path(delaysl.__file__).resolve().parents[1])
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.stdout.split() == ["False", "0"]

@@ -25,11 +25,11 @@ from delaysl import (
     grid_breakpoints,
     initial_guesses,
     refine_root,
-    reference_pair,
     sample_function,
     skernel,
 )
 from delaysl import spectrum
+from delaysl.cli import RunConfig, _seed_pair
 from delaysl.spectrum import _root_order
 
 A = np.pi / 4
@@ -204,9 +204,7 @@ def test_a_root_near_the_floor_adds_a_cell_below():
 
 
 def _member_q(a, nu, alpha):
-    h, e = reference_pair(a)
-    seed = ((-1.0) * h, 1.0, e) if nu == 0 else (h, -1.0, e)
-    return build_member(*seed, nu, alpha, a).q
+    return build_member(*_seed_pair(RunConfig(a=a, nu=nu)), nu, alpha, a).q
 
 
 def _member_deltas(a, nu, alpha):
@@ -394,8 +392,7 @@ def test_refinement_matches_bisection_on_a_perturbed_problem():
 
 
 def test_family_member_spectrum_end_to_end():
-    h, e = reference_pair(A)
-    member = build_member(h, -1.0, e, nu=1, alpha=1.0, a=A)
+    member = build_member(*_seed_pair(RunConfig(a=A, nu=1)), nu=1, alpha=1.0, a=A)
     data, _ = build_w(member.q, DelaySetup(a=A, nu=1))
     spec = compute_spectrum(lambda z: delta_closed(data, z), 1, 0, 20)
     assert spec.certified_count == len(spec.entries) == 20
