@@ -11,7 +11,6 @@ integral-operator eigenpair machinery those families are built from.
 from .charfn import CharData, build_w, delta_closed, delta_direct
 from .delay_solver import (
     DelaySetup,
-    SolutionTrace,
     endpoint_values,
     grid_breakpoints,
     p_function,
@@ -25,6 +24,7 @@ from .delay_solver import (
 from .errors import (
     ConsistencyError,
     ContourError,
+    DelaySLError,
     DomainError,
     GridMismatchError,
     IncompleteSpectrumError,
@@ -33,7 +33,6 @@ from .errors import (
     RefinementError,
 )
 from .family import (
-    FamilyMember,
     bridge_integral,
     build_member,
     omega_of_member,
@@ -82,7 +81,6 @@ __all__ = [
     "delta_closed",
     "delta_direct",
     "DelaySetup",
-    "SolutionTrace",
     "endpoint_values",
     "grid_breakpoints",
     "p_function",
@@ -94,13 +92,13 @@ __all__ = [
     "y2_closed",
     "ConsistencyError",
     "ContourError",
+    "DelaySLError",
     "DomainError",
     "GridMismatchError",
     "IncompleteSpectrumError",
     "NoEigenvaluesError",
     "PreconditionError",
     "RefinementError",
-    "FamilyMember",
     "bridge_integral",
     "build_member",
     "omega_of_member",

@@ -32,16 +32,7 @@ from .delay_solver import (
     y1_closed,
     y2_closed,
 )
-from .errors import (
-    ConsistencyError,
-    ContourError,
-    DomainError,
-    GridMismatchError,
-    IncompleteSpectrumError,
-    NoEigenvaluesError,
-    PreconditionError,
-    RefinementError,
-)
+from .errors import DelaySLError, DomainError, PreconditionError
 from .family import bridge_integral, build_member, omega_of_member, w_of_member
 from .fredholm import (
     MIN_MODES,
@@ -244,18 +235,6 @@ def _write_report(out: Path, name: str, report: dict) -> None:
 # ---------------------------------------------------------------------------
 # verify
 
-_NUMERIC_ERRORS = (
-    ConsistencyError,
-    ContourError,
-    DomainError,
-    GridMismatchError,
-    IncompleteSpectrumError,
-    NoEigenvaluesError,
-    PreconditionError,
-    RefinementError,
-)
-
-
 def _run_check(checks: list, name: str, tol: float, fn) -> None:
     try:
         worst = float(fn())
@@ -265,7 +244,7 @@ def _run_check(checks: list, name: str, tol: float, fn) -> None:
             "tolerance": tol,
             "pass": bool(worst <= tol),
         }
-    except _NUMERIC_ERRORS as exc:
+    except DelaySLError as exc:
         entry = {
             "check_name": name,
             "max_residual": float("inf"),
@@ -333,7 +312,7 @@ def _series_samples(config: RunConfig, q) -> dict:
                         for x in xs2
                     ]
                 )
-            except _NUMERIC_ERRORS as exc:
+            except DelaySLError as exc:
                 got += [exc] * (2 - len(got))
             table[nu, i] = got
     return table
@@ -424,44 +403,23 @@ def cmd_verify(config: RunConfig, out: Path, *, tamper: float = 1.0) -> int:
     """
     h, eta, e = _seed_pair(config)
     member = build_member(h, eta, e, config.nu, 1.0, config.a)
-    checks = []
-    _run_check(
-        checks, "kernel_addition_identity", 1e-10, lambda: _kernel_identity_worst(config.seed)
-    )
     series = _series_samples(config, member.q)
-    _run_check(
-        checks,
-        "first_term_closed_form",
-        1e-7,
-        lambda: _first_term_worst(config, member.q, series),
-    )
-    _run_check(
-        checks,
-        "second_term_closed_form",
-        1e-7,
-        lambda: _second_term_worst(config, member.q, series),
-    )
-    _run_check(
-        checks, "char_direct_vs_closed", 1e-6, lambda: _char_route_worst(config, member)
-    )
-    _run_check(
-        checks,
-        "weight_alpha_invariance",
-        1e-8,
-        lambda: _weight_invariance_worst(config, h, eta, e),
-    )
-    _run_check(
-        checks, "eigenpair_residual", 1e-6, lambda: _eigenpair_worst(config, h, eta, e, tamper)
-    )
-    _run_check(
-        checks,
-        "eigenfunction_zero_mean",
-        1e-10,
-        lambda: abs(complex(integrate(e, 1.5 * config.a, 2.0 * config.a))),
-    )
-    _run_check(
-        checks, "bridge_integral_vanishes", 1e-8, lambda: abs(complex(bridge_integral(member)))
-    )
+    checks = []
+    for name, tol, check in (
+        ("kernel_addition_identity", 1e-10, lambda: _kernel_identity_worst(config.seed)),
+        ("first_term_closed_form", 1e-7, lambda: _first_term_worst(config, member.q, series)),
+        ("second_term_closed_form", 1e-7, lambda: _second_term_worst(config, member.q, series)),
+        ("char_direct_vs_closed", 1e-6, lambda: _char_route_worst(config, member)),
+        ("weight_alpha_invariance", 1e-8, lambda: _weight_invariance_worst(config, h, eta, e)),
+        ("eigenpair_residual", 1e-6, lambda: _eigenpair_worst(config, h, eta, e, tamper)),
+        (
+            "eigenfunction_zero_mean",
+            1e-10,
+            lambda: abs(complex(integrate(e, 1.5 * config.a, 2.0 * config.a))),
+        ),
+        ("bridge_integral_vanishes", 1e-8, lambda: abs(complex(bridge_integral(member)))),
+    ):
+        _run_check(checks, name, tol, check)
     ok = all(c["pass"] for c in checks)
     report = {"a": config.a, "nu": config.nu, "seed": config.seed, "checks": checks, "pass": ok}
     _write_report(out, "verify_report.json", report)
@@ -619,15 +577,12 @@ def cmd_isospec(config: RunConfig, out: Path) -> int:
     spectra = []
     comparisons = []
     computed = {}
-    ok = True
 
     def one_spectrum(name, delta, j):
-        nonlocal ok
         try:
             s = _spectrum(config, delta, j)
-        except _NUMERIC_ERRORS as exc:
+        except DelaySLError as exc:
             spectra.append({"name": name, "pass": False, "error": str(exc)})
-            ok = False
             return None
         spectra.append(
             {"name": name, "entries": len(s.entries), "certified": s.certified_count, "pass": True}
@@ -635,15 +590,13 @@ def cmd_isospec(config: RunConfig, out: Path) -> int:
         return s
 
     def one_compare(name, s1, s2, tol, key):
-        nonlocal ok
         if s1 is None or s2 is None:
             return
         try:
             d = float(compare(s1, s2))
             entry = {"name": name, key: d, "tolerance": tol, "pass": bool(d <= tol)}
-        except PreconditionError as exc:
+        except DelaySLError as exc:
             entry = {"name": name, "tolerance": tol, "pass": False, "error": str(exc)}
-        ok = ok and entry["pass"]
         comparisons.append(entry)
 
     for k, al in enumerate(config.alphas):
@@ -675,7 +628,6 @@ def cmd_isospec(config: RunConfig, out: Path) -> int:
             )
 
     for j, _, gap, good in _baseline(config, one_spectrum):
-        ok = ok and good
         comparisons.append(
             {
                 "name": f"baseline_classical_j{j}",
@@ -685,6 +637,7 @@ def cmd_isospec(config: RunConfig, out: Path) -> int:
             }
         )
 
+    ok = all(entry["pass"] for entry in spectra + comparisons)
     report = {
         "a": config.a,
         "nu": config.nu,
@@ -735,7 +688,7 @@ def main(argv=None) -> int:
             config = replace(config, seed=args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError, TypeError, KeyError, PreconditionError, DomainError) as exc:
+    except (OSError, ValueError, TypeError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     command = {

@@ -1,19 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each one a ``DelaySLError``."""
 
 
-class DomainError(ValueError):
+class DelaySLError(Exception):
+    """Base of every exception the package raises on purpose."""
+
+
+class DomainError(DelaySLError, ValueError):
     """An argument lies outside the domain a routine is defined on."""
 
 
-class PreconditionError(ValueError):
+class PreconditionError(DelaySLError, ValueError):
     """Input data violates a documented precondition (support, alignment, ...)."""
 
 
-class GridMismatchError(ValueError):
+class GridMismatchError(DelaySLError, ValueError):
     """Two sampled functions do not share the same segment structure."""
 
 
-class RefinementError(RuntimeError):
+class RefinementError(DelaySLError, RuntimeError):
     """Root refinement failed to converge; carries the last iterate."""
 
     def __init__(self, message, last=None, last_value=None):
@@ -22,17 +26,17 @@ class RefinementError(RuntimeError):
         self.last_value = last_value
 
 
-class ContourError(RuntimeError):
+class ContourError(DelaySLError, RuntimeError):
     """A counting contour could not be certified (root too close, etc.)."""
 
 
-class IncompleteSpectrumError(RuntimeError):
+class IncompleteSpectrumError(DelaySLError, RuntimeError):
     """Located roots and a certified count disagree after every search."""
 
 
-class NoEigenvaluesError(RuntimeError):
+class NoEigenvaluesError(DelaySLError, RuntimeError):
     """The discretized operator has no eigenvalue above the cutoff."""
 
 
-class ConsistencyError(RuntimeError):
+class ConsistencyError(DelaySLError, RuntimeError):
     """Two independent computations of the same quantity disagree."""

@@ -267,7 +267,7 @@ class SampledSegment:
     __slots__ = ("interval", "samples", "spacing")
 
     def __init__(self, interval: Interval, samples):
-        samples = np.asarray(samples, dtype=complex)
+        samples = np.array(samples, dtype=complex)  # a copy: no caller can write it
         if samples.ndim != 1:
             raise DomainError("segment samples must be one-dimensional")
         n = samples.shape[0]
@@ -397,22 +397,15 @@ class PiecewiseFunction:
     def all_samples(self) -> np.ndarray:
         return np.concatenate([s.samples for s in self.segments])
 
-    def same_structure(self, other: "PiecewiseFunction") -> bool:
-        if len(self.segments) != len(other.segments):
-            return False
-        for a, b in zip(self.segments, other.segments):
-            if a.count != b.count:
-                return False
-            if abs(a.interval.lo - b.interval.lo) > 1e-12 or abs(
-                a.interval.hi - b.interval.hi
-            ) > 1e-12:
-                return False
-        return True
-
     def _zip(self, other, op):
         if not isinstance(other, PiecewiseFunction):
             raise GridMismatchError("expected a PiecewiseFunction")
-        if not self.same_structure(other):
+        if len(self.segments) != len(other.segments) or any(
+            a.count != b.count
+            or abs(a.interval.lo - b.interval.lo) > 1e-12
+            or abs(a.interval.hi - b.interval.hi) > 1e-12
+            for a, b in zip(self.segments, other.segments)
+        ):
             raise GridMismatchError("segment structures differ")
         return PiecewiseFunction(
             SampledSegment(a.interval, op(a.samples, b.samples))
@@ -738,9 +731,9 @@ def assemble_segments(x, v) -> PiecewiseFunction:
     start = 0
     for k in range(1, x.size):
         if x[k] == x[k - 1]:
-            segs.append(SampledSegment(Interval(x[start], x[k - 1]), v[start:k].copy()))
+            segs.append(SampledSegment(Interval(x[start], x[k - 1]), v[start:k]))
             start = k
-    segs.append(SampledSegment(Interval(x[start], x[-1]), v[start:].copy()))
+    segs.append(SampledSegment(Interval(x[start], x[-1]), v[start:]))
     return PiecewiseFunction(segs)
 
 

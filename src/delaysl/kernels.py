@@ -17,10 +17,6 @@ SERIES_THRESHOLD = 1e-3
 _SERIES_TERMS = 8
 
 
-def _ck_from_rho(rho, x):
-    return np.cos(rho * x)
-
-
 def _sk_from_rho(rho, x):
     z = rho * x
     if np.count_nonzero(rho) == np.size(rho):
@@ -56,13 +52,12 @@ def _s_series(lam, x):
     return acc * x
 
 
-def _evaluate(lam, x, kinds):
-    """Kernels at broadcast (lam, x), one array per (closed form, series) pair.
+def _evaluate(lam, x):
+    """(ckernel, skernel) at broadcast (lam, x), from one series mask and one square root.
 
-    The pairs share one series mask and one square root.  The closed
-    forms are taken at every point and the series replace them where
-    |lam| x^2 < SERIES_THRESHOLD, so a call whose points all lie on one
-    side of the switch gathers and scatters nothing.
+    The closed forms are taken at every point and the series replace
+    them where |lam| x^2 < SERIES_THRESHOLD, so a call whose points all
+    lie on one side of the switch gathers and scatters nothing.
     """
     lam = np.asarray(lam, dtype=complex)
     x = np.asarray(x, dtype=float)
@@ -71,32 +66,26 @@ def _evaluate(lam, x, kinds):
     if count == small.size:
         shape = small.shape
         lam, x = np.broadcast_to(lam, shape), np.broadcast_to(x, shape)
-        return [series(lam, x)[()] for _, series in kinds]
+        return _c_series(lam, x)[()], _s_series(lam, x)[()]
     rho = np.sqrt(lam)
-    outs = [from_rho(rho, x) for from_rho, _ in kinds]
+    c, s = np.cos(rho * x), _sk_from_rho(rho, x)
     if count:
         ls = np.broadcast_to(lam, small.shape)[small]
         xs = np.broadcast_to(x, small.shape)[small]
-        for out, (_, series) in zip(outs, kinds):
-            out[small] = series(ls, xs)
-    return [out[()] for out in outs]
-
-
-_COS = (_ck_from_rho, _c_series)
-_SIN = (_sk_from_rho, _s_series)
+        c[small], s[small] = _c_series(ls, xs), _s_series(ls, xs)
+    return c[()], s[()]
 
 
 def ckernel(lam, x):
     """cos(rho x) as an entire function of lam = rho**2."""
-    return _evaluate(lam, x, (_COS,))[0]
+    return _evaluate(lam, x)[0]
 
 
 def skernel(lam, x):
     """sin(rho x)/rho as an entire function of lam = rho**2."""
-    return _evaluate(lam, x, (_SIN,))[0]
+    return _evaluate(lam, x)[1]
 
 
 def kernel_pair(lam, x):
     """(ckernel(lam, x), skernel(lam, x)), bit for bit, from one shared evaluation."""
-    c, s = _evaluate(lam, x, (_COS, _SIN))
-    return c, s
+    return _evaluate(lam, x)

@@ -114,11 +114,9 @@ class Spectrum:
                 raise DomainError(
                     f"entry {entry.n} residual {entry.residual:.3e} too large"
                 )
-        keys = [(e.lam.real, e.lam.imag) for e in self.entries]
-        for (r0, i0), (r1, i1) in zip(keys, keys[1:]):
-            tie = _RE_TIE * (1.0 + abs(r0))
-            if r1 < r0 - tie or (r1 - r0 <= tie and i1 < i0):
-                raise DomainError("entries must be sorted by (Re, Im)")
+        lams = [e.lam for e in self.entries]
+        if lams != _root_order(lams):
+            raise DomainError("entries must be sorted by (Re, Im)")
 
     def lambdas(self) -> np.ndarray:
         return np.array([e.lam for e in self.entries], dtype=complex)

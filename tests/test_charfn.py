@@ -546,7 +546,7 @@ def test_direct_route_pads_a_short_grid_once(monkeypatch):
             super().__init__(q, setup)
 
     monkeypatch.setattr(delay_solver, "_Blocks", Counted)
-    monkeypatch.setattr(delay_solver, "_last_blocks", None)
+    delay_solver._blocks_for.cache_clear()
     first = delta_direct(short, setup, 0, 4.0)
     for _ in range(4):
         assert delta_direct(short, setup, 0, 4.0) == first

@@ -21,8 +21,8 @@ from delaysl.cli import (
     load_config,
     main,
 )
-from delaysl import cli
-from delaysl.errors import DomainError, PreconditionError
+from delaysl import cli, errors
+from delaysl.errors import ContourError, DomainError, PreconditionError
 from delaysl.family import build_member
 
 CHECK_NAMES = [
@@ -324,3 +324,68 @@ def test_isospec_small(tmp_path):
     assert all(c["pass"] for c in report["comparisons"])
     gaps = [c["max_rel_diff"] for c in report["comparisons"] if "max_rel_diff" in c]
     assert max(gaps) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        cls
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, Exception) and cls.__module__ == errors.__name__
+    ],
+    ids=lambda cls: cls.__name__,
+)
+def test_every_package_error_is_a_failed_check(error):
+    assert issubclass(error, errors.DelaySLError)
+    checks = []
+
+    def broken():
+        raise error("broken on purpose")
+
+    cli._run_check(checks, "probe", 1e-8, broken)
+    assert checks == [
+        {
+            "check_name": "probe",
+            "max_residual": math.inf,
+            "tolerance": 1e-8,
+            "pass": False,
+            "error": "broken on purpose",
+        }
+    ]
+
+
+def test_isospec_lists_a_failed_spectrum_and_skips_what_reads_it(tmp_path, capsys, monkeypatch):
+    # the first spectrum, alpha0_j0_closed, fails: it is listed with its
+    # error, the two comparisons that read it are left out, everything
+    # else still runs and passes, and the run fails
+    cfg = _small(
+        grid=GridConfig(segment_nodes=129, steps_per_a=128),
+        spectrum=SpectrumConfig(n_max=2),
+    )
+    real = cli._spectrum
+    calls = []
+
+    def first_fails(config, delta, j):
+        calls.append(j)
+        if len(calls) == 1:
+            raise ContourError("a root on the contour")
+        return real(config, delta, j)
+
+    monkeypatch.setattr(cli, "_spectrum", first_fails)
+    assert cmd_isospec(cfg, tmp_path) == 1
+    report = _json(tmp_path / "isospec_report.json")
+    assert report["pass"] is False
+    spectra = report["spectra"]
+    assert len(spectra) == 10
+    assert spectra[0] == {"name": "alpha0_j0_closed", "pass": False, "error": "a root on the contour"}
+    assert all(s["pass"] for s in spectra[1:])
+    assert [c["name"] for c in report["comparisons"]] == [
+        "alpha0_j1_closed_vs_direct",
+        "alpha1_j0_closed_vs_direct",
+        "alpha1_j1_closed_vs_direct",
+        "j1_alpha1_vs_alpha0",
+        "baseline_classical_j0",
+        "baseline_classical_j1",
+    ]
+    assert all(c["pass"] for c in report["comparisons"])
+    assert capsys.readouterr().out.splitlines()[-1] == "isospec: FAIL"

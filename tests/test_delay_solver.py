@@ -418,7 +418,7 @@ def test_values_do_not_depend_on_the_chunks(a):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_block_set_up_follows_the_potential_and_the_grid(monkeypatch):
+def test_block_set_up_follows_the_potential_and_the_grid():
     # the kept set-up is reused only for the same potential and an equal
     # setup; every call returns what a fresh set-up gives, bit for bit
     lam = np.array([-40.0, 0.0, 3.0 + 2.0j, 90.0, 425.0])
@@ -427,9 +427,8 @@ def test_block_set_up_follows_the_potential_and_the_grid(monkeypatch):
     fine = DelaySetup(a=A, nu=0, segment_nodes=65, steps_per_delay=1100)
 
     def fresh(q, setup):
-        with monkeypatch.context() as mp:
-            mp.setattr(delay_solver, "_last_blocks", None)
-            return endpoint_values(q, setup, 0, lam)
+        delay_solver._blocks_for.cache_clear()
+        return endpoint_values(q, setup, 0, lam)
 
     runs = [(q1, coarse), (q2, coarse), (q1, coarse), (q1, fine), (q1, coarse)]
     seen = [endpoint_values(q, setup, 0, lam) for q, setup in runs]
@@ -617,7 +616,7 @@ def test_running_integrals_only_where_the_next_block_reads_y(monkeypatch):
     # [a, 2a] runs the cell rule, twice per pass (C and S)
     q = _gapped(A, nodes=65)
     setup = DelaySetup(a=A, nu=0, segment_nodes=65)
-    monkeypatch.setattr(delay_solver, "_last_blocks", None)
+    delay_solver._blocks_for.cache_clear()
     blocks = delay_solver._blocks_for(q, setup)
     assert blocks.reads == [True, True, False]
     assert [sums is not None for sums in blocks.sums] == [False, True, True]
@@ -643,7 +642,7 @@ def test_running_integrals_only_where_the_next_block_reads_y(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_workspace_is_per_call(monkeypatch):
+def test_workspace_is_per_call():
     # calls of every batch size around a pass (7 or 8 points) and a chunk
     # (245 points at a = pi/4), interleaved over two potentials, two
     # delays and both initial types, give what a fresh set-up gives, bit
@@ -657,9 +656,8 @@ def test_workspace_is_per_call(monkeypatch):
     ]
 
     def fresh(q, setup, init_nu, points):
-        with monkeypatch.context() as mp:
-            mp.setattr(delay_solver, "_last_blocks", None)
-            return endpoint_values(q, setup, init_nu, points)
+        delay_solver._blocks_for.cache_clear()
+        return endpoint_values(q, setup, init_nu, points)
 
     for size in (1, 246, 7, 245, 8):
         for k, (q, setup) in enumerate(cases):

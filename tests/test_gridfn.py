@@ -62,6 +62,28 @@ def test_segment_needs_odd_count_of_at_least_three():
     assert seg.count == 3
 
 
+def test_a_segment_owns_its_samples():
+    # a segment keeps a read-only copy: the caller's array stays
+    # writable, and writes to it, or to the base of a view it passed,
+    # leave the segment (and a function assembled from rows) unchanged
+    iv = Interval(0.0, 1.0)
+    given = np.linspace(0.0, 1.0, 9).astype(complex)
+    seg = SampledSegment(iv, given)
+    assert given.flags.writeable
+    given[4] = 7.0
+    base = np.tile(np.linspace(0.0, 1.0, 9).astype(complex), (2, 1))
+    viewed = SampledSegment(iv, base[0])
+    base[0, 4] = 7.0
+    for kept in (seg, viewed):
+        assert not kept.samples.flags.writeable
+        assert kept.samples[4] == 0.5
+    x = np.array([0.0, 0.5, 1.0, 1.0, 1.5, 2.0])
+    v = x.astype(complex)
+    f = assemble_segments(x, v)
+    v[:] = 7.0
+    assert np.array_equal(f.all_samples(), x)
+
+
 def test_values_reproduce_samples_at_nodes():
     f = sample_function(np.sin, [0.0, np.pi / 2, np.pi], 17)
     for seg in f.segments:

@@ -354,6 +354,16 @@ def test_root_order_ignores_the_input_order(pairs, rnd):
     Spectrum(_entries(order), 400.0, 10.0, len(order))
 
 
+def test_a_chain_of_real_ties_wider_than_the_tolerance_is_accepted():
+    # real parts 6e-8 apart chain into one group spanning 1.2e-7, more
+    # than the tie tolerance near 0; the container accepts the order the
+    # roots are put in, ends of the chain included
+    d = 5.960464477539063e-08
+    order = _root_order([0j, 0j, complex(d, 0.0), complex(d, 0.0), complex(-d, 1.0), complex(-d, -1.0)])
+    assert [lam.imag for lam in order] == [-1.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+    Spectrum(_entries(order), 400.0, 10.0, len(order))
+
+
 def test_csv_rendering():
     spec = Spectrum(_entries([1.0, 2.0 + 0.5j]), 6.5, 10.0, 2)
     text = spec.to_csv()
