@@ -14,10 +14,7 @@ from .delay_solver import (
     endpoint_values,
     grid_breakpoints,
     p_function,
-    p_kernel,
-    series_sum,
     series_term,
-    solve_direct,
     y1_closed,
     y2_closed,
 )
@@ -84,10 +81,7 @@ __all__ = [
     "endpoint_values",
     "grid_breakpoints",
     "p_function",
-    "p_kernel",
-    "series_sum",
     "series_term",
-    "solve_direct",
     "y1_closed",
     "y2_closed",
     "ConsistencyError",

@@ -76,26 +76,25 @@ def _validate_confined(q: PiecewiseFunction, a: float) -> None:
 class CharData:
     """Everything the closed forms need about one boundary value problem.
 
-    ``setup`` supplies the delay and grid resolution; nu and j pick the
-    boundary condition orders at 0 and pi.  omega is stored next to w
-    because for nu = 1 the weight alone does not determine it.
+    ``setup`` supplies the delay, the grid resolution and nu, the
+    boundary condition order at 0; j is the order at pi.  omega is stored
+    next to w because for nu = 1 the weight alone does not determine it.
     """
 
     setup: DelaySetup
-    nu: int
     j: int
     omega: complex
     w: PiecewiseFunction
     # the tables of w for delta_closed, built on first use and shared by
     # the records of one weight (build_w's pair, dataclasses.replace)
-    _rule: "_WeightRule" = field(default=None, repr=False, compare=False)
+    _rule: "_WeightRule" = field(default=None, repr=False, compare=False, kw_only=True)
 
     def __post_init__(self):
         a = self.setup.a
         if not a < PI / 3.0:
             raise DomainError(f"confined closed forms need a < pi/3, got a = {a}")
-        if self.nu not in (0, 1) or self.j not in (0, 1):
-            raise DomainError("boundary indices nu, j must be 0 or 1")
+        if self.j not in (0, 1):
+            raise DomainError(f"boundary index j must be 0 or 1, got {self.j}")
         snap = 1e-9 * (1.0 + 3.0 * a)
         if abs(self.w.lo - a) > snap or abs(self.w.hi - 3.0 * a) > snap:
             raise DomainError("weight must live on (a, 3a)")
@@ -113,6 +112,10 @@ class CharData:
         rule = self._rule
         if rule is None or rule.w is not self.w or rule.a != a:
             object.__setattr__(self, "_rule", _WeightRule(self.w, a))
+
+    @property
+    def nu(self) -> int:
+        return self.setup.nu
 
     def to_json(self) -> str:
         rows = [
@@ -143,7 +146,6 @@ class CharData:
                 segment_nodes=int(raw["segment_nodes"]),
                 steps_per_delay=int(raw["steps_per_delay"]),
             ),
-            int(raw["nu"]),
             int(raw["j"]),
             complex(raw["omega"][0], raw["omega"][1]),
             assemble_segments(xs, vs),
@@ -192,7 +194,7 @@ def build_w(q: PiecewiseFunction, setup: DelaySetup) -> tuple[CharData, CharData
             continue
         vals = seg.samples + next(corrections) if seg in window else seg.samples.copy()
         segs.append(SampledSegment(seg.interval, vals))
-    first = CharData(setup, setup.nu, 0, omega, PiecewiseFunction(segs))
+    first = CharData(setup, 0, omega, PiecewiseFunction(segs))
     return first, replace(first, j=1)
 
 
@@ -200,18 +202,16 @@ def build_w(q: PiecewiseFunction, setup: DelaySetup) -> tuple[CharData, CharData
 # evaluation
 
 
-def delta_closed(data: CharData, lam, *, literal: bool = False):
+def delta_closed(data: CharData, lam):
     """Characteristic function values at spectral points (scalar or array).
 
     Each branch is a combination of ckernel/skernel values and one
     integral of w against a kernel (``_WeightRule.integrals``): the
     nu != j branches take skernel(lam, pi + a - 2x), nu = j = 1 takes
-    ckernel(lam, pi + a - 2x), and the nu = j = 0 case defaults to a
-    cancellation-free product form, skernel(lam, pi - x) skernel(lam,
-    x - a), that stays accurate through lambda = 0.  ``literal=True``
-    switches it to the textbook expression carrying a removable
-    1/lambda; that path exists for cross-validation only and refuses
-    small |lambda|.  The kernels at pi and pi - a come from one
+    ckernel(lam, pi + a - 2x), and nu = j = 0 takes the product
+    skernel(lam, pi - x) skernel(lam, x - a), a form free of the
+    removable 1/lambda of the textbook expression that stays accurate
+    through lambda = 0.  The kernels at pi and pi - a come from one
     ``kernel_pair`` evaluation.  The integrals are exact for w's own
     interpolant, and every operation is elementwise in lambda or a matrix
     product in which a point's rows sit among two rows or more, so a
@@ -222,22 +222,14 @@ def delta_closed(data: CharData, lam, *, literal: bool = False):
     lamf = lam.ravel()
     a = data.setup.a
     omega = data.omega
-    diag = data.nu == data.j
-    if literal and diag:
-        if data.nu == 1:
-            raise DomainError("the literal form only exists for nu = j = 0")
-        if np.any(np.abs(lamf) < 1e-6):
-            raise DomainError("the literal diagonal form is singular near lambda = 0")
     # ckernel and skernel at pi and pi - a, from one evaluation
     (c_pi, c_span), (s_pi, s_span) = (k.T for k in kernel_pair(lamf[:, None], [PI, PI - a]))
     rule = data._rule
-    if not diag:
+    if data.nu != data.j:
         sign = 1.0 if data.j == 0 else -1.0
         vals = c_pi + 0.5 * omega * s_span + 0.5 * sign * rule.integrals(lamf, "s")
     elif data.nu == 1:
         vals = -lamf * s_pi + 0.5 * omega * c_span + 0.5 * rule.integrals(lamf, "c")
-    elif literal:
-        vals = s_pi - 0.5 * omega * c_span / lamf + 0.5 * rule.integrals(lamf, "c") / lamf
     else:
         vals = s_pi + rule.integrals(lamf, "ss", c_span)
     return vals.reshape(shape)[()]

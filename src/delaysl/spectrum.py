@@ -156,7 +156,8 @@ def _refine_many(delta, guesses, tol, max_iter: int = 50):
     costs one point and takes it through the guess's previous iterate.
     A guess has converged when both |Delta| and the last step are below
     tol * (1 + |lambda|); one whose Delta did not change over its last
-    step (a zero slope) is given up.
+    step (a zero slope), or was not finite at either end of it, is given
+    up, so a guess where Delta is not finite costs its first two points.
     """
     lam = np.asarray(guesses, dtype=complex).copy()
     m = lam.size
@@ -174,13 +175,15 @@ def _refine_many(delta, guesses, tol, max_iter: int = 50):
         if it == 0:
             h = 1e-6 * (1.0 + np.abs(zl))
             got = np.asarray(delta(np.concatenate([zl, zl + h])), dtype=complex)
-            f, rise, run = got[:k], got[k:] - got[:k], h
+            f, top, bottom, run = got[:k], got[k:], got[:k], h
         else:
             f = np.asarray(delta(zl), dtype=complex)
-            rise, run = f - vals[live], zl - prev[live]
+            top, bottom, run = f, vals[live], zl - prev[live]
+        lost = ~(np.isfinite(top) & np.isfinite(bottom))
+        rise = np.subtract(top, bottom, out=np.zeros(k, dtype=complex), where=~lost)
         scale = tol * (1.0 + np.abs(zl))
         ok = (np.abs(f) <= scale) & (last_step[live] <= scale)
-        flat = (rise == 0.0) & ~ok
+        flat = ((rise == 0.0) | lost) & ~ok
         move = ~(ok | flat)
         step = np.zeros(k, dtype=complex)
         step[move] = f[move] / (rise[move] / run[move])

@@ -24,16 +24,15 @@ from delaysl import (
     delta_direct,
     grid_breakpoints,
     integrate,
-    p_kernel,
     piecewise_quad,
     sample_function,
-    series_sum,
     skernel,
 )
 from delaysl import delay_solver
 from delaysl.cli import RunConfig, _seed_pair
 from delaysl.charfn import SERIES_THRESHOLD, _Moments, _WeightRule
 from delaysl.gridfn import _cell_coefficients
+from oracles import delta_literal, p_kernel, series_sum
 
 A = np.pi / 4
 
@@ -53,7 +52,7 @@ def _setup(nu, nodes=129, steps=0):
 
 def _zero_data(nu, j):
     w = sample_function(lambda x: np.zeros_like(x), grid_breakpoints(A, A, 3 * A), 65)
-    return CharData(_setup(nu), nu, j, 0.0, w)
+    return CharData(_setup(nu), j, 0.0, w)
 
 
 def _correction(q, setup, x):
@@ -164,16 +163,16 @@ def test_build_w_validates_grid_and_support():
 def test_chardata_gates():
     w = sample_function(lambda x: np.zeros_like(x), grid_breakpoints(A, A, 3 * A), 9)
     with pytest.raises(DomainError):
-        CharData(DelaySetup(a=1.1, nu=0), 0, 0, 0.0, sample_function(
+        CharData(DelaySetup(a=1.1, nu=0), 0, 0.0, sample_function(
             lambda x: np.zeros_like(x), grid_breakpoints(1.1, 1.1, 3.3), 9))
     with pytest.raises(DomainError):
-        CharData(_setup(0), 0, 2, 0.0, w)
+        CharData(_setup(0), 2, 0.0, w)
     with pytest.raises(DomainError):
-        CharData(_setup(0), 0, 0, 0.3, w)  # omega must equal the integral of w
-    CharData(_setup(1), 1, 0, 0.3, w)  # but it is free data for nu = 1
+        CharData(_setup(0), 0, 0.3, w)  # omega must equal the integral of w
+    CharData(_setup(1), 0, 0.3, w)  # but it is free data for nu = 1
     short = sample_function(lambda x: np.zeros_like(x), [A, 2 * A, 3 * A], 9)
     with pytest.raises(DomainError):
-        CharData(_setup(0), 0, 0, 0.0, short)
+        CharData(_setup(0), 0, 0.0, short)
 
 
 def test_trivial_characteristic_functions():
@@ -195,18 +194,8 @@ def test_stable_and_literal_diagonal_forms_agree():
     mags = np.logspace(0.0, np.log10(400.0), 25)
     lam = np.concatenate([mags, -mags[:8], mags[:8] + 2.0j])
     stable = delta_closed(data, lam)
-    literal = delta_closed(data, lam, literal=True)
+    literal = delta_literal(data, lam)
     assert np.max(np.abs(stable - literal) / (1.0 + np.abs(stable))) < 1e-9
-
-
-def test_literal_form_guards():
-    q = _grid_q(_bump)
-    data0, _ = build_w(q, _setup(0))
-    with pytest.raises(DomainError):
-        delta_closed(data0, 1e-9, literal=True)
-    _, data11 = build_w(q, _setup(1))
-    with pytest.raises(DomainError):
-        delta_closed(data11, 10.0, literal=True)
 
 
 def test_continuity_through_zero():
@@ -279,13 +268,13 @@ def test_values_do_not_depend_on_the_batch_across_chunk_edges():
     pool = rng.uniform(-2000.0, 4000.0, 2 * chunk + 2) + 1j * rng.uniform(-10.0, 10.0, 2 * chunk + 2)
     # series points among the oscillatory ones, in both chunks
     pool[[3, chunk + 1, 2 * chunk]] = [0.5 * edge, -0.3 * edge + 0.1j, 1e-3]
-    for nu, j, literal in ((0, 0, False), (0, 0, True), (0, 1, False), (1, 0, False), (1, 1, False)):
-        data = CharData(_setup(nu), nu, j, total if nu == 0 else total + 0.3, w)
-        alone = np.array([delta_closed(data, lam, literal=literal) for lam in pool])
+    for nu, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        data = CharData(_setup(nu), j, total if nu == 0 else total + 0.3, w)
+        alone = np.array([delta_closed(data, lam) for lam in pool])
         for size in range(1, 2 * chunk + 2):
             for start in (0, 1):
-                batch = delta_closed(data, pool[start : start + size], literal=literal)
-                assert np.array_equal(batch, alone[start : start + size]), (nu, j, literal, size)
+                batch = delta_closed(data, pool[start : start + size])
+                assert np.array_equal(batch, alone[start : start + size]), (nu, j, size)
 
 
 def _per_cell_sums(w, lam):
@@ -414,13 +403,13 @@ def test_closed_forms_match_a_fine_nodal_rule():
     for nu in (0, 1):
         for j in (0, 1):
             omega = total if nu == 0 else total + 0.3
-            data = CharData(_setup(nu), nu, j, omega, w)
+            data = CharData(_setup(nu), j, omega, w)
             have = delta_closed(data, lam)
             want = _oracle_delta(w, omega, nu, j, lam)
             assert np.max(np.abs(have - want) / np.maximum(np.abs(want), 1.0)) < 1e-11, (nu, j)
             if nu == j == 0:
                 big = lam[np.abs(lam) > 1.0]
-                have = delta_closed(data, big, literal=True)
+                have = delta_literal(data, big)
                 want = _oracle_delta(w, omega, 0, 0, big, literal=True)
                 assert np.max(np.abs(have - want) / np.maximum(np.abs(want), 1.0)) < 1e-11
             # continuous where the series hands over to the exponential sums
@@ -434,7 +423,7 @@ def test_json_round_trip():
     q = _grid_q(_bump)
     data, _ = build_w(q, _setup(1))
     copy = CharData.from_json(data.to_json())
-    assert copy.nu == data.nu and copy.j == data.j
+    assert copy.nu == data.nu == copy.setup.nu == 1 and copy.j == data.j
     assert abs(copy.omega - data.omega) < 1e-15
     assert copy.setup == data.setup
     lam = np.array([2.0, 60.0, 1.0 + 1.0j])
@@ -468,12 +457,12 @@ def test_json_round_trip_is_bit_exact(a, nodes, nu, j, steps, seed):
     w = sample_function(draw, grid_breakpoints(a, a, 3 * a), nodes)
     omega = integrate(w, a, 3 * a) if nu == 0 else complex(*rng.standard_normal(2))
     setup = DelaySetup(a=a, nu=nu, segment_nodes=nodes, steps_per_delay=steps)
-    data = CharData(setup, nu, j, omega, w)
+    data = CharData(setup, j, omega, w)
     text = data.to_json()
     copy = CharData.from_json(text)
     assert copy.to_json() == text
     assert copy.setup == data.setup
-    assert (copy.nu, copy.j) == (nu, j)
+    assert (copy.nu, copy.setup.nu, copy.j) == (nu, nu, j)
     assert np.array(copy.omega).tobytes() == np.array(data.omega).tobytes()
     assert len(copy.w.segments) == len(w.segments)
     for got, want in zip(copy.w.segments, w.segments):

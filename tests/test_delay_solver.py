@@ -22,19 +22,17 @@ from delaysl import (
     integrate,
     kernel_pair,
     p_function,
-    p_kernel,
     sample_function,
-    series_sum,
     series_term,
     simpson_rule,
     skernel,
-    solve_direct,
     y1_closed,
     y2_closed,
 )
 from delaysl import delay_solver, kernels
-from delaysl.delay_solver import _Blocks, _kernel_tables, _March, _short_tables
+from delaysl.delay_solver import _Blocks, _kernel_tables, _short_tables
 from delaysl.kernels import SERIES_THRESHOLD
+from oracles import _March, p_kernel, series_sum, solve_direct
 
 A = np.pi / 4
 

@@ -106,6 +106,28 @@ def test_polish_takes_two_points_per_guess_then_one_per_live_guess():
     assert np.array_equal(roots, [2.0, 5.0]) and np.array_equal(vals, [1.0, 1.0])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_polish_drops_a_guess_where_delta_is_not_finite(bad):
+    # a guess past Re z = 50 sees no finite Delta: it costs the first
+    # step's two points and is given up, while the other one converges
+    def delta(z):
+        z = np.asarray(z, dtype=complex)
+        return np.where(z.real > 50.0, bad, _s(z))
+
+    batches = []
+    roots, ok, vals = spectrum._refine_many(_recorded(delta, batches), [1.2, 60.0], 1e-10)
+    assert ok.tolist() == [True, False]
+    assert sum(np.count_nonzero(b.real > 50.0) for b in batches) == 2
+    assert roots[1] == 60.0 and not np.isfinite(vals[1])
+    assert abs(roots[0] - 1.0) < 1e-10
+    batches = []
+    with pytest.raises(RefinementError) as info:
+        refine_root(_recorded(delta, batches), 60.0)
+    assert sum(b.size for b in batches) == 2
+    assert info.value.last == 60.0 and not np.isfinite(info.value.last_value)
+
+
 def test_count_roots_classical():
     assert count_roots(_s, (-0.5 - 1.0j, 10.5 + 1.0j)).counts == (3,)
     assert count_roots(_c, (-0.5 - 1.0j, 10.5 + 1.0j)).counts == (3,)
