@@ -46,6 +46,7 @@ from .gridfn import (
     _cell_integrals,
     _cell_weights,
     _cubic,
+    _on_steps,
     _require_zero,
     _sided_values,
     cumulative,
@@ -729,22 +730,27 @@ def _p_values(q, setup, om, x: float, ts: np.ndarray) -> np.ndarray:
     return (omx - om.values(ts + 0.5 * a)) * om.values(ts - 0.5 * a) + sign * inner
 
 
-def _p_lattice(q, setup, om, x: float, ms: np.ndarray) -> np.ndarray:
-    """P(x, t) at the lattice points t = a/2 + m delta, delta = a / _LATTICE_CELLS.
+def _p_lattice(q, setup, om, x: float, m0: int, count: int) -> np.ndarray:
+    """P(x, t) at the lattice points t = a/2 + m delta, m = m0 .. m0 + count - 1.
 
-    With sigma = t - a/2, integrating the inner integral by parts gives
+    Here delta = a / _LATTICE_CELLS.  With sigma = t - a/2, integrating
+    the inner integral by parts gives
 
         int_a^{x - sigma} q(s) [om(x) - om(s + sigma)] ds = int_a^x q(u) om(u - sigma) du
 
     (om = 0 below a), in which x is only the fixed upper limit, so one
-    lattice correlation yields every m at once.
+    lattice correlation yields every m at once.  om(sigma) and
+    om(a + sigma) are read on the same lattice by ``gridfn._on_steps``,
+    one stencil per offset inside a cell of om, not point by point.
     """
     a = setup.a
     delta = a / _LATTICE_CELLS
     sign = -1.0 if setup.nu else 1.0
-    sig = delta * ms
+    ms = np.arange(m0, m0 + count)
     inner = lattice_product_integrals(q, om, -ms, a, x, delta)
-    return (om.values(x) - om.values(a + sig)) * om.values(sig) + sign * inner
+    om_sig = _on_steps(om, delta * m0, delta, count)
+    om_shifted = _on_steps(om, a + delta * m0, delta, count)
+    return (om.values(x) - om_shifted) * om_sig + sign * inner
 
 
 def _p_on_pieces(q, setup, om, x: float, parts) -> list:
@@ -767,7 +773,7 @@ def _p_on_pieces(q, setup, om, x: float, parts) -> list:
         spans.append((math.ceil(u[0] - tol), math.floor(u[-1] + tol)))
     first = min(m0 for m0, _ in spans)
     last = max(m1 for _, m1 in spans)
-    vals = _p_lattice(q, setup, om, x, np.arange(first, last + 1))
+    vals = _p_lattice(q, setup, om, x, first, last - first + 1)
     out = []
     for ts, u, (m0, m1) in zip(parts, us, spans):
         if m1 - m0 < 3:

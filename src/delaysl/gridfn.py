@@ -27,17 +27,26 @@ breakpoint, and shifts that are integer multiples of delta: it puts one
 Simpson panel on each lattice cell [k delta, (k+1) delta], so every
 breakpoint of either factor, shifted or not, sits on a panel edge, and
 all shifts share one set of nodes.  The sum over nodes is then a
-discrete correlation, computed for every shift at once by FFT.
+discrete correlation, computed for every shift at once by FFT.  Both
+factors are read on the half lattice (spacing delta / 2) by
+``_on_steps``, not point by point: where a segment's spacing is a whole
+number R of half-lattice steps, every node sits at one of R fixed
+offsets inside its cell, so the cubic is one 4-tap stencil per offset
+over the samples.  Every shift reads an even lag of the correlation, so
+it runs as two half-length correlations, of the even and of the odd
+nodes, summed before one inverse FFT of a 2^i 3^j 5^k length.
 
 Four numerical jobs have their one implementation here, private to the
-package: cubic interpolation of uniform samples (``_cubic``), a
-function's left and right limits on a node set (``_sided_values``), the
-check that a potential vanishes on an interval (``_require_zero``) and
-the Gauss-Legendre rule (``_gauss``, built on first use).
+package: cubic interpolation of uniform samples (``_cubic`` at any
+points, ``_on_steps`` on a uniform run of them), a function's left and
+right limits on a node set (``_sided_values``), the check that a
+potential vanishes on an interval (``_require_zero``) and the
+Gauss-Legendre rule (``_gauss``, built on first use).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -125,8 +134,8 @@ def _cubic(samples, u):
     samples.
     """
     n = samples.shape[-1]
-    cell = np.clip(np.floor(u).astype(int), 0, n - 2)
-    j0 = np.clip(cell - 1, 0, n - 4)
+    cell = np.minimum(np.maximum(np.floor(u).astype(int), 0), n - 2)
+    j0 = np.minimum(np.maximum(cell - 1, 0), n - 4)
     w = _lagrange4(u - j0)
     return (
         samples[..., j0] * w[0]
@@ -302,7 +311,7 @@ class SampledSegment:
         k = np.rint(u).astype(int)
         on_node = (np.abs(u - k) <= _NODE_SNAP * (1.0 + np.abs(u))) & (k >= 0) & (k < n)
         if np.any(on_node):
-            out = np.where(on_node, self.samples[np.clip(k, 0, n - 1)], out)
+            out = np.where(on_node, self.samples[np.minimum(np.maximum(k, 0), n - 1)], out)
         return out
 
     def integrate_range(self, u, v) -> complex:
@@ -379,7 +388,7 @@ class PiecewiseFunction:
             bad = xf[(xf < self.lo - slack) | (xf > self.hi + slack)][0]
             raise DomainError(f"{bad} outside [{self.lo}, {self.hi}]")
         idx = np.searchsorted(self._bounds, xf, side="right") - 1
-        idx = np.clip(idx, 0, len(self.segments) - 1)
+        idx = np.minimum(np.maximum(idx, 0), len(self.segments) - 1)
         out = np.empty(xf.shape, dtype=complex)
         for k, seg in enumerate(self.segments):
             sel = idx == k
@@ -647,14 +656,114 @@ def _require_zero(q: PiecewiseFunction, lo: float, hi: float, what: str) -> None
         raise PreconditionError(f"potential must vanish a.e. on {what}; max magnitude {worst:.3g}")
 
 
-def _zero_extended(g: PiecewiseFunction, x) -> np.ndarray:
-    """g at x, and 0 outside g's domain."""
-    x = np.asarray(x, dtype=float)
-    slack = 1e-12 * (1.0 + max(abs(g.lo), abs(g.hi)))
-    inside = (x >= g.lo - slack) & (x <= g.hi + slack)
-    out = np.zeros(x.shape, dtype=complex)
-    out[inside] = g.values(np.clip(x[inside], g.lo, g.hi))
+def _segment_on_steps(seg: SampledSegment, x0: float, step: float, count: int) -> np.ndarray:
+    """seg at x0 + step j for j < count, every point inside seg's interval.
+
+    When seg's spacing is a whole number R of steps (R >= 1) and seg has
+    5 or more samples, every point sits at one of R fixed offsets inside
+    its cell: the cubic of ``SampledSegment.values`` is then one 4-tap
+    stencil per offset (interior, first-cell and last-cell), applied to
+    the samples as four broadcast products over a (cells x R) table, and
+    a point on a node is the stored sample.  Any other segment, a 3-node
+    one with its quadratic too, goes through ``SampledSegment.values``.
+    """
+    n = seg.count
+    ratio = seg.spacing / step
+    r = round(ratio)
+    if n == 3 or r < 1 or abs(ratio - r) > _NODE_SNAP * ratio:
+        return seg.values(x0 + step * np.arange(count))
+    # point j sits i0 + j + phase steps above the segment's first node
+    c = (x0 - seg.interval.lo) / step
+    i0 = math.floor(c + _NODE_SNAP * (1.0 + abs(c)))
+    phase = c - i0
+    if phase <= _NODE_SNAP * (1.0 + abs(c)):
+        phase = 0.0
+    # the cells ca .. last hold every point but one on the upper node
+    cb = (i0 + count - 1) // r
+    ca, last = min(i0 // r, n - 2), min(cb, n - 2)
+    xi = (np.arange(r) + phase) / r
+    s = seg.samples
+    table = np.empty((last - ca + 1, r), dtype=complex)
+    # interior cells c in [c0, c1) borrow nodes c - 1 .. c + 2
+    c0, c1 = max(ca, 1), min(last + 1, n - 2)
+    if c1 > c0:
+        w = _lagrange4(1.0 + xi)
+        body = table[c0 - ca : c1 - ca]
+        np.multiply(s[c0 - 1 : c1 - 1, None], w[0], out=body)
+        for k in (1, 2, 3):
+            body += s[c0 - 1 + k : c1 - 1 + k, None] * w[k]
+    if ca == 0:
+        table[0] = s[:4] @ np.array(_lagrange4(xi))
+    if last == n - 2:
+        table[-1] = s[n - 4 :] @ np.array(_lagrange4(2.0 + xi))
+    if phase == 0.0:
+        table[:, 0] = s[ca : last + 1]
+    out = table.reshape(-1)[i0 - ca * r : i0 - ca * r + count]
+    if cb > last:  # the last point is the segment's upper node
+        out = np.append(out, s[-1])
     return out
+
+
+def _on_steps(f: PiecewiseFunction, x0: float, step: float, count: int) -> np.ndarray:
+    """f at x0 + step j for j = 0 .. count - 1, and 0 outside f's domain.
+
+    A point within 1e-9 steps (relative) of a breakpoint counts as on it,
+    and takes the right segment's value there; a point as close outside
+    a domain edge counts as on that edge.  Each segment's points are read
+    by ``_segment_on_steps``, so x0 need not lie on any grid.
+    """
+    out = np.zeros(count, dtype=complex)
+    pos = (f._bounds - x0) / step
+    tol = _NODE_SNAP * (1.0 + np.abs(pos))
+    # segment k holds the points first[k] <= j < first[k + 1]; the last
+    # segment keeps its upper end
+    first = np.ceil(pos - tol)
+    first[-1] = np.floor(pos[-1] + tol[-1]) + 1.0
+    first = np.minimum(np.maximum(first, 0), count).astype(np.int64)
+    for seg, ja, jb in zip(f.segments, first[:-1], first[1:]):
+        if jb > ja:
+            out[ja:jb] = _segment_on_steps(seg, x0 + step * ja, step, int(jb - ja))
+    return out
+
+
+def _fft_length(n: int) -> int:
+    """The least 2^i 3^j 5^k >= n: a length numpy's FFT runs at full speed."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _require_no_jump(g: PiecewiseFunction, lo: float, hi: float) -> None:
+    """Check that g, read as 0 outside its domain, does not jump inside (lo, hi).
+
+    A jump is a difference above 1e-9 of max|g| between the two sides of
+    an interior breakpoint, or a non-zero value at a domain edge.  An
+    interior breakpoint at hi counts too: a node there reads g's right
+    side for the cell below it.
+    """
+    tol = 1e-9 * float(np.max(np.abs(g.all_samples())))
+    snap = _NODE_SNAP * (1.0 + abs(lo) + abs(hi))
+    first, final = g.segments[0], g.segments[-1]
+    sides = [(g.lo, first.samples[0], hi - snap), (g.hi, final.samples[-1], hi - snap)]
+    sides += [
+        (b, left.samples[-1] - right.samples[0], hi + snap)
+        for b, left, right in zip(g.breakpoints(), g.segments[:-1], g.segments[1:])
+    ]
+    for x, jump, top in sides:
+        if lo + snap < x < top and abs(jump) > tol:
+            raise PreconditionError(
+                f"the shifted factor jumps by {abs(jump):.3g} at {x}, inside the range"
+                f" [{lo}, {hi}] it is read on"
+            )
 
 
 def lattice_product_integrals(
@@ -670,9 +779,15 @@ def lattice_product_integrals(
     f may jump: each cell takes its values from the segment holding it.
     g is 0 outside its domain and must be continuous, across its edges
     too where the shifts bring them inside the range, because a node
-    reads one value of g for the two cells that share it.  All shifts
-    share the node set, so the sums over nodes form one discrete
-    correlation, computed by FFT.  A range no longer than 1e-9 gives 0.
+    reads one value of g for the two cells that share it;
+    PreconditionError is raised where g jumps inside the range it is
+    read on.  Both factors are sampled on the half lattice by
+    ``_on_steps``, one stencil per offset inside a cell, not point by
+    point.  All shifts share the node set, so the sums over nodes form
+    one discrete correlation; out[i] reads only its even lag
+    2 (ks[i] - min ks), so the even and the odd nodes of both factors
+    make two half-length correlations, summed before one inverse FFT.
+    A range no longer than 1e-9 gives 0.
     """
     ks = np.asarray(ks)
     if ks.ndim != 1 or not np.array_equal(ks, np.rint(ks)):
@@ -686,38 +801,41 @@ def lattice_product_integrals(
     _require_on_lattice(lo, delta, "lower limit")
     for b in np.concatenate([f.breakpoints(), g.breakpoints()]):
         _require_on_lattice(b, delta, "breakpoint")
+    kmin, kmax = int(ks.min()), int(ks.max())
+    _require_no_jump(g, lo + kmin * delta, hi + kmax * delta)
     span = (hi - lo) / delta
     cells = int(np.floor(span + _NODE_SNAP * (1.0 + span)))
     half = 0.5 * delta
     top = lo + cells * delta  # end of the last whole cell
 
     # Simpson-weighted samples of f on the half lattice lo + m delta / 2
-    F = np.zeros(2 * cells + 1, dtype=complex)
-    for seg in f.segments:
-        u, v = max(seg.interval.lo, lo), min(seg.interval.hi, top)
-        if v - u <= _NODE_SNAP * delta:
-            continue
-        m0, m1 = round((u - lo) / half), round((v - lo) / half)
-        wts = np.full(m1 - m0 + 1, 2.0)
-        wts[1::2] = 4.0
-        wts[0] = wts[-1] = 1.0
-        F[m0 : m1 + 1] += wts * (delta / 6.0) * seg.values(lo + half * np.arange(m0, m1 + 1))
+    wts = np.full(2 * cells + 1, 2.0)
+    wts[1::2] = 4.0
+    wts[0] = wts[-1] = 1.0
+    F = wts * (delta / 6.0) * _on_steps(f, lo, half, 2 * cells + 1)
+    for b, left, right in zip(f.breakpoints(), f.segments[:-1], f.segments[1:]):
+        m = round((b - lo) / half)
+        if 0 < m <= 2 * cells:
+            # a node on a jump of f: the cell below it takes the left side
+            F[m] += (delta / 6.0) * (left.samples[-1] - right.samples[0])
 
     # g on every half-lattice node some shift reaches; out[i] is the
-    # correlation of F and G at lag 2 (ks[i] - kmin)
-    kmin, kmax = int(ks.min()), int(ks.max())
-    G = _zero_extended(g, lo + half * np.arange(2 * kmin, 2 * (cells + kmax) + 1))
-    size = 1 << (G.size - 1).bit_length()
-    corr = np.fft.ifft(np.conj(np.fft.fft(np.conj(F), size)) * np.fft.fft(G, size))
-    out = corr[2 * (ks - kmin)]
+    # correlation of F and G at lag 2 (ks[i] - kmin), the sum of the
+    # correlations of their even and their odd nodes at lag ks[i] - kmin
+    G = _on_steps(g, lo + kmin * delta, half, 2 * (cells + kmax - kmin) + 1)
+    size = _fft_length((G.size + 1) // 2)
+    spec = np.conj(np.fft.fft(np.conj(F[0::2]), size)) * np.fft.fft(G[0::2], size)
+    spec += np.conj(np.fft.fft(np.conj(F[1::2]), size)) * np.fft.fft(G[1::2], size)
+    out = np.fft.ifft(spec)[ks - kmin]
 
     if hi - top > _NODE_SNAP * delta * (1.0 + span):
         mid = 0.5 * (top + hi)
         k = int(np.searchsorted(f._bounds, mid, side="right")) - 1
         seg = f.segments[min(max(k, 0), len(f.segments) - 1)]
-        pts = np.array([top, mid, hi])
+        pts = (top, mid, hi)
         fw = np.array([1.0, 4.0, 1.0]) * ((hi - top) / 6.0) * seg.values(pts)
-        out += fw @ _zero_extended(g, pts[:, None] + delta * ks[None, :])
+        for weight, p in zip(fw, pts):
+            out += weight * _on_steps(g, p + kmin * delta, delta, kmax - kmin + 1)[ks - kmin]
     return out
 
 

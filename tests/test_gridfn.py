@@ -14,6 +14,7 @@ from delaysl import (
     DomainError,
     GridMismatchError,
     Interval,
+    PreconditionError,
     PiecewiseFunction,
     SampledSegment,
     assemble_segments,
@@ -30,6 +31,9 @@ from delaysl.gridfn import (
     _cell_coefficients,
     _cell_integrals,
     _cell_weights,
+    _cubic,
+    _lagrange4,
+    _on_steps,
     _sided_values,
     lattice_product_integrals,
     shifted_product_integrals,
@@ -97,6 +101,27 @@ def test_values_exact_for_cubics_between_nodes():
     rng = np.random.default_rng(3)
     x = rng.uniform(0.0, 2.0, 40)
     assert np.max(np.abs(f(x) - poly(x))) < 1e-13
+
+
+def test_cubic_bounds_its_stencils_as_a_clip_would():
+    # the stencil indices are bounded by np.maximum and np.minimum; the
+    # np.clip form is the reference, bit for bit, inside and past the ends
+    def clipped(samples, u):
+        n = samples.shape[-1]
+        cell = np.clip(np.floor(u).astype(int), 0, n - 2)
+        j0 = np.clip(cell - 1, 0, n - 4)
+        w = _lagrange4(u - j0)
+        return (
+            samples[j0] * w[0]
+            + samples[j0 + 1] * w[1]
+            + samples[j0 + 2] * w[2]
+            + samples[j0 + 3] * w[3]
+        )
+
+    for f in (_F, _G, _LF, _LG):
+        for seg in f.segments:
+            u = np.linspace(-0.5, seg.count - 0.5, 2001)
+            assert np.array_equal(_cubic(seg.samples, u), clipped(seg.samples, u))
 
 
 def test_breakpoint_evaluation_takes_the_right_segment():
@@ -514,6 +539,90 @@ def test_lattice_products_match_the_oracle_for_any_shifts(ks, hi):
     for got, k in zip(have, ks):
         want = _midpoint_oracle(_LF, _LG, k * _DELTA, 0.0, hi)
         assert abs(got - want) < _PRODUCT_TOL * (1.0 + abs(want))
+
+
+def test_lattice_products_do_not_depend_on_the_batch():
+    # each entry of a subset of the shifts matches the full call's entry:
+    # the subset changes the FFT length and the sampled range of g, so
+    # only rounding may move.  hi = 0.75 puts f's jump on the last node.
+    full_ks = np.array([-300, -64, 0, 1, 77, 192, 320])
+    for hi in (0.75, 1.5, 1.9 + 0.3 * _DELTA):
+        full = lattice_product_integrals(_LF, _LG, full_ks, 0.0, hi, _DELTA)
+        for pick in ([0], [2], [3, 4], [1, 5], [0, 6], [6, 2, 4]):
+            have = lattice_product_integrals(_LF, _LG, full_ks[pick], 0.0, hi, _DELTA)
+            assert np.max(np.abs(have - full[pick])) < 1e-13
+    # on the jump, the last cell reads f's left side
+    have = lattice_product_integrals(_LF, _LG, [0], 0.0, 0.75, _DELTA)[0]
+    want = _midpoint_oracle(_LF, _LG, 0.0, 0.0, 0.75)
+    assert abs(have - want) < _PRODUCT_TOL * (1.0 + abs(want))
+
+
+def test_lattice_products_refuse_a_jumping_shifted_factor():
+    # g jumps at 1.25, or is non-zero at its upper edge 3.0; either is
+    # refused once the shifts bring the point inside the range g is read
+    # on, and accepted while they leave it outside
+    jumps = _jumpy(-1.0, 1.25, 3.0, lambda x: 1.0 + 0.0 * x, lambda x: 2.0 + 0.0 * x)
+    with pytest.raises(PreconditionError):
+        lattice_product_integrals(_LF, jumps, [0], 0.0, 1.5, _DELTA)
+    assert np.isfinite(lattice_product_integrals(_LF, jumps, [-192], 0.0, 0.5, _DELTA)).all()
+    edge = _jumpy(-1.0, 1.25, 3.0, lambda x: (x + 1.0) / 2.25, lambda x: 1.0 + 0.0 * x)
+    with pytest.raises(PreconditionError):
+        lattice_product_integrals(_LF, edge, [0, 320], 0.0, 1.9, _DELTA)
+    assert np.isfinite(lattice_product_integrals(_LF, edge, [0, 256], 0.0, 1.0, _DELTA)).all()
+
+
+# Segments for the uniform-step sampler, as (node count, spacing in
+# steps): the stencil path at R = 1, 2 and 8 steps per cell; a 3-node
+# segment, with its quadratic, and spacings of 0.5, 1.5 and 2.5 steps
+# take the pointwise fallback.
+# The step is a power of two and the segments' lengths are dyadic, so on
+# a dyadic phase every point, node and breakpoint is exact.
+_STEP = 1.0 / 256.0
+_STEP_SEGMENTS = [
+    (3, 4.0), (5, 8.0), (129, 2.0), (513, 1.0), (9, 1.5), (5, 0.5), (9, 2.5), (33, 8.0)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.permutations(range(len(_STEP_SEGMENTS))),
+    used=st.integers(min_value=1, max_value=len(_STEP_SEGMENTS)),
+    jumps=st.lists(
+        st.floats(-2.0, 2.0), min_size=len(_STEP_SEGMENTS), max_size=len(_STEP_SEGMENTS)
+    ),
+    start=st.integers(min_value=-40, max_value=40),
+    phase=st.sampled_from([0.0, 1e-12, 0.25, 0.5, 0.375, 0.3, 0.9999]),
+    extra=st.integers(min_value=-200, max_value=40),
+)
+def test_on_steps_matches_values_point_by_point(order, used, jumps, start, phase, extra):
+    segs, lo = [], -0.5
+    for k in order[:used]:
+        count, ratio = _STEP_SEGMENTS[k]
+        hi = lo + (count - 1) * ratio * _STEP
+        x = np.linspace(lo, hi, count)
+        segs.append(SampledSegment(Interval(lo, hi), np.exp(1j * x) * (1.0 + 0.5 * x) + jumps[k]))
+        lo = hi
+    f = PiecewiseFunction(segs)
+    x0 = f.lo + (start + phase) * _STEP
+    count = max(1, int((f.hi - x0) / _STEP) + extra)
+    have = _on_steps(f, x0, _STEP, count)
+    x = x0 + _STEP * np.arange(count)
+    # a point within 1e-9 steps outside an edge counts as on it
+    inside = (x >= f.lo - 1e-9 * _STEP) & (x <= f.hi + 1e-9 * _STEP)
+    want = np.zeros(count, dtype=complex)
+    want[inside] = f.values(np.clip(x[inside], f.lo, f.hi))
+    scale = float(np.max(np.abs(f.all_samples())))
+    assert np.max(np.abs(have - want)) <= 1e-14 * scale
+    # a point on a node, or one rounding above it, is the stored sample:
+    # the right segment's at a breakpoint
+    for seg, nxt in zip(f.segments, f.segments[1:] + (None,)):
+        u = (x - seg.interval.lo) / seg.spacing
+        node = np.rint(u).astype(int)
+        on = (np.abs(u - node) <= 1e-9) & (node >= 0) & (node < seg.count - (nxt is not None))
+        assert np.array_equal(have[on], seg.samples[node[on]])
+        assert np.array_equal(have[on], want[on])
+    # a run that starts on the upper edge reads the last sample, then 0
+    assert np.array_equal(_on_steps(f, f.hi, _STEP, 3), [f.segments[-1].samples[-1], 0.0, 0.0])
 
 
 def test_sided_values_read_both_sides_of_a_jump_off_the_segments():
