@@ -28,7 +28,6 @@ from .delay_solver import (
     DelaySetup,
     _series_terms,
     _zero_on,
-    p_function,
     y1_closed,
     y2_closed,
 )
@@ -123,25 +122,37 @@ class RunConfig:
         object.__setattr__(self, "alphas", tuple(complex(al) for al in self.alphas))
 
 
+def _finite_number(value) -> bool:
+    """A JSON int or float of finite value; bools and strings are not numbers here."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
+
+
 def _as_complex(value, what: str) -> complex:
-    if isinstance(value, bool):
-        raise PreconditionError(f"{what} must be a number or [re, im] pair")
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(u, (int, float)) and not isinstance(u, bool) for u in value)
-    ):
-        return complex(value[0], value[1])
-    raise PreconditionError(f"{what} must be a number or [re, im] pair")
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    if not all(_finite_number(u) for u in parts):
+        raise PreconditionError(f"{what} must be a finite number or [re, im] pair, got {value!r}")
+    return complex(*parts)
+
+
+def _as_int(value, what: str) -> int:
+    """A JSON integer, or a float with no fractional part."""
+    if not (_finite_number(value) and value == int(value)):
+        raise PreconditionError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _as_float(value, what: str) -> float:
+    if not _finite_number(value):
+        raise PreconditionError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _take(raw: dict, known: dict, what: str) -> dict:
     unknown = set(raw) - set(known)
     if unknown:
         raise PreconditionError(f"unknown {what} field(s): {', '.join(sorted(unknown))}")
-    return {k: conv(raw[k]) for k, conv in known.items() if k in raw}
+    return {k: conv(raw[k], f"{what} field {k}") for k, conv in known.items() if k in raw}
 
 
 def load_config(path=None) -> RunConfig:
@@ -151,18 +162,18 @@ def load_config(path=None) -> RunConfig:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise PreconditionError("config must be a JSON object")
+    grid = {"segment_nodes": _as_int, "steps_per_a": _as_int}
+    spectrum = {"n_max": _as_int, "newton_tol": _as_float, "im_window": _as_float}
     fields = _take(
         raw,
         {
-            "a": float,
-            "nu": int,
-            "alphas": lambda v: tuple(_as_complex(u, "alpha") for u in v),
-            "grid": lambda v: GridConfig(**_take(v, {"segment_nodes": int, "steps_per_a": int}, "grid")),
-            "nystrom_n": int,
-            "spectrum": lambda v: SpectrumConfig(
-                **_take(v, {"n_max": int, "newton_tol": float, "im_window": float}, "spectrum")
-            ),
-            "seed": int,
+            "a": _as_float,
+            "nu": _as_int,
+            "alphas": lambda v, _: tuple(_as_complex(u, "alpha") for u in v),
+            "grid": lambda v, _: GridConfig(**_take(v, grid, "grid")),
+            "nystrom_n": _as_int,
+            "spectrum": lambda v, _: SpectrumConfig(**_take(v, spectrum, "spectrum")),
+            "seed": _as_int,
         },
         "config",
     )
@@ -347,13 +358,11 @@ def _second_term_worst(config: RunConfig, q, series: dict) -> float:
     worst = 0.0
     for nu in (0, 1):
         su = DelaySetup(a=config.a, nu=nu, segment_nodes=config.grid.segment_nodes)
-        pfns = [p_function(q, su, float(x)) for x in xs]
-        for i, lam in enumerate(lams):
-            wants = _samples(series, nu, i, 2)
-            for x, pfn, want in zip(xs, pfns, wants):
-                have = y2_closed(q, su, complex(lam), float(x), pfn)
-                for h, w in zip(have, want):
-                    worst = max(worst, abs(h - w) / (1.0 + abs(w)))
+        for k, x in enumerate(xs):
+            have = y2_closed(q, su, lams, float(x))
+            for i in range(len(lams)):
+                for h, w in zip(have, _samples(series, nu, i, 2)[k]):
+                    worst = max(worst, abs(h[i] - w) / (1.0 + abs(w)))
     return worst
 
 

@@ -15,11 +15,11 @@ Two routes to the same solution:
   (0, pi)).  Each iterate reduces to two running integrals against the
   trigonometric kernels, which keeps the cost linear in the grid size.
 
-Closed forms for the first and second iterates and their derivatives
-(``y1_closed``, ``y2_closed``) are provided for cross-checking, with the
-triangle kernel of the second sampled by ``p_function``.  A third,
-independent route, an RK4 march of the method of steps, lives with the
-tests (``tests/oracles.py``) and checks both routes here.
+Closed forms of the first and second iterates and their derivatives
+(``y1_closed``; ``y2_closed``, the triangle kernel ``p_function`` by
+``kernels``' Filon rule) are cross-checks.  A third, independent route,
+an RK4 march of the method of steps, lives with the tests
+(``tests/oracles.py``) and checks both routes here.
 
 The routes share three helpers of ``gridfn``: q's left and right limits
 at their nodes come from ``_sided_values``, the check that q vanishes on
@@ -53,7 +53,6 @@ from .gridfn import (
     lattice_product_integrals,
     sample_function,
     shifted_product_integrals,
-    simpson_rule,
 )
 
 __all__ = [
@@ -794,9 +793,8 @@ def p_function(q: PiecewiseFunction, setup: DelaySetup, x: float) -> PiecewiseFu
     x < 3a), and each piece gets 1025 samples from the lattice values
     of ``_p_on_pieces`` (5 for a piece shorter than 4 lattice cells);
     every breakpoint of q must be a multiple of the lattice spacing
-    a/4096 (GridMismatchError otherwise).  Building this
-    once per x and passing it to ``y2_closed`` amortizes the kernel over
-    many spectral points.
+    a/4096 (GridMismatchError otherwise).  ``y2_closed`` builds it once
+    per call, for every lambda of its batch.
     """
     a = setup.a
     lo, hi = 1.5 * a, x - 0.5 * a
@@ -814,44 +812,31 @@ def p_function(q: PiecewiseFunction, setup: DelaySetup, x: float) -> PiecewiseFu
     return PiecewiseFunction(SampledSegment(iv, v) for iv, v in zip(ivs, vals))
 
 
-def _second_term_quad(setup, lam, x, pfn) -> tuple[complex, complex]:
-    """Integrals of P(x, t) K(lam, x - 2t + a) dt over the kernel triangle, K = S, C."""
-    rho = math.sqrt(abs(lam))
-    # resolve both the kernel oscillation (frequency 2 rho in t) and the
-    # kernel-free variation already captured by the sampled P
-    step = min(setup.a / 1024.0, 0.0126 / (25.0 + 2.0 * rho))
-    bps = np.concatenate([[pfn.lo], pfn.breakpoints(), [pfn.hi]])
-    ts, ws = simpson_rule(bps, step)
-    pv = pfn.values(ts)
-    c, s = kernels.kernel_pair(lam, x - 2.0 * ts + setup.a)
-    return complex(np.dot(ws, pv * s)), complex(np.dot(ws, pv * c))
-
-
-def y2_closed(
-    q: PiecewiseFunction,
-    setup: DelaySetup,
-    lam: complex,
-    x: float,
-    pfn: PiecewiseFunction | None = None,
-) -> tuple[complex, complex]:
+def y2_closed(q: PiecewiseFunction, setup: DelaySetup, lam, x: float):
     """Second series term and its x-derivative at one point, 2a <= x <= pi.
 
-    For nu = 1 the value carries a removable 1/lam; near lam = 0 the
-    value comes from the series recursion instead (the derivative has no
-    1/lam).  ``pfn`` may supply a precomputed ``p_function(q, setup, x)``.
+    Both integrate P(x, t) against a kernel at y = x + a - 2t by the rule
+    ``kernels._WeightRule`` on (P(x, .), x + a, x - 2a).  lam may be a
+    scalar or an array; a batch shares P and the rule's tables, and each
+    value is the same alone and in any batch.  For nu = 1 the value
+    carries a removable 1/lam; where |lam| < 1e-3 it comes from the
+    series recursion instead (the derivative has no 1/lam).
     """
     nu = setup.nu
     a = setup.a
     if not 2.0 * a - 1e-12 <= x <= PI + 1e-12:
         raise DomainError(f"x = {x} outside [2a, pi]")
-    if pfn is None:
-        pfn = p_function(q, setup, x)
-    s_int = c_int = 0.0 + 0.0j
+    lam = np.asarray(lam, dtype=complex)
+    lamf = lam.ravel()
+    pfn = p_function(q, setup, x)
+    s_int = c_int = np.zeros(lamf.shape, dtype=complex)
     if pfn is not None:
-        s_int, c_int = _second_term_quad(setup, lam, x, pfn)
+        rule = kernels._WeightRule(pfn, x + a, x - 2.0 * a)
+        s_int, c_int = rule.integrals(lamf, "s"), rule.integrals(lamf, "c")
     if nu == 0:
-        return complex(0.5 * s_int), complex(0.5 * c_int)
-    yp = complex(-0.5 * s_int)
-    if abs(lam) < 1e-3:
-        return complex(series_term(q, setup, 2, lam).y.values(min(x, PI))), yp
-    return complex(0.5 / lam * c_int), yp
+        return (0.5 * s_int).reshape(lam.shape)[()], (0.5 * c_int).reshape(lam.shape)[()]
+    small = np.abs(lamf) < 1e-3
+    y = np.where(small, 0.0, 0.5 / np.where(small, 1.0, lamf) * c_int)
+    for k in np.flatnonzero(small):
+        y[k] = series_term(q, setup, 2, lamf[k]).y.values(min(x, PI))
+    return y.reshape(lam.shape)[()], (-0.5 * s_int).reshape(lam.shape)[()]

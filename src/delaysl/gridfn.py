@@ -840,18 +840,23 @@ def lattice_product_integrals(
 
 
 def assemble_segments(x, v) -> PiecewiseFunction:
-    """Rebuild a PiecewiseFunction from a node list with duplicated breakpoints."""
+    """Rebuild a PiecewiseFunction from a node list with duplicated breakpoints.
+
+    Each run between duplicates must increase uniformly, to 1e-9 of its
+    spacing, as its samples are read on that grid (DomainError otherwise).
+    """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=complex)
     if x.shape != v.shape or x.size < 3:
         raise DomainError("need matching x/value arrays with at least three rows")
+    cuts = [0, *(np.flatnonzero(x[1:] == x[:-1]) + 1), x.size]
     segs = []
-    start = 0
-    for k in range(1, x.size):
-        if x[k] == x[k - 1]:
-            segs.append(SampledSegment(Interval(x[start], x[k - 1]), v[start:k]))
-            start = k
-    segs.append(SampledSegment(Interval(x[start], x[-1]), v[start:]))
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        run = x[start:stop]
+        spacing = (run[-1] - run[0]) / max(run.size - 1, 1)
+        if not np.all(np.abs(np.diff(run) - spacing) <= 1e-9 * spacing):
+            raise DomainError(f"abscissae on [{run[0]}, {run[-1]}] need a uniform spacing")
+        segs.append(SampledSegment(Interval(run[0], run[-1]), v[start:stop]))
     return PiecewiseFunction(segs)
 
 

@@ -29,7 +29,6 @@ from delaysl import (
     grid_breakpoints,
     integrate,
     omega_of_member,
-    p_function,
     reference_pair,
     sample_function,
     series_term,
@@ -140,7 +139,12 @@ def test_criterion_2_closed_series_terms(members):
         points.append((xs[0], 2.5e-4 + 0.0j))
         pairs += len(points)
 
-        pfns = {x: p_function(q, su, x) for x in xs}
+        # one y2_closed call per x, for every lambda drawn there
+        y2s = {}
+        for x in xs:
+            at_x = [lam for px, lam in points if px == x]
+            for lam, pair in zip(at_x, zip(*y2_closed(q, su, np.array(at_x), x))):
+                y2s[x, lam] = pair
         by_lam = {
             lam: (
                 y1_closed(q, su, lam),
@@ -155,7 +159,7 @@ def test_criterion_2_closed_series_terms(members):
 
         for x, lam in points:
             tr, s1, s2 = by_lam[lam]
-            y2, y2p = y2_closed(q, su, lam, x, pfns[x])
+            y2, y2p = y2s[x, lam]
             worst_series = max(
                 worst_series,
                 rel(complex(tr.y.values(x)), complex(s1.y.values(x))),
@@ -175,9 +179,9 @@ def test_criterion_2_closed_series_terms(members):
         # kernel is rebuilt at x +/- h, so this is one check per family
         x0, lam0 = xs[0], lams[0]
         h = 3e-6
-        vp, _ = y2_closed(q, su, lam0, x0 + h, p_function(q, su, x0 + h))
-        vm, _ = y2_closed(q, su, lam0, x0 - h, p_function(q, su, x0 - h))
-        _, want = y2_closed(q, su, lam0, x0, pfns[x0])
+        vp, _ = y2_closed(q, su, lam0, x0 + h)
+        vm, _ = y2_closed(q, su, lam0, x0 - h)
+        _, want = y2s[x0, lam0]
         worst_fd = max(worst_fd, rel((vp - vm) / (2.0 * h), want))
 
     assert pairs == 20

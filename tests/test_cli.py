@@ -113,6 +113,37 @@ def test_alpha_entries_must_be_numbers(tmp_path):
             load_config(path)
 
 
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        ({"seed": 1.7}, "config field seed "),
+        ({"nu": True}, "config field nu "),
+        ({"grid": {"segment_nodes": 129.9}}, "grid field segment_nodes "),
+        ({"spectrum": {"n_max": 3.5}}, "spectrum field n_max "),
+        ({"a": "0.5"}, "config field a "),
+        ({"spectrum": {"newton_tol": float("inf")}}, "spectrum field newton_tol "),
+        ({"alphas": [1.0, [0.0, float("nan")]]}, "alpha must be a finite number"),
+    ],
+)
+def test_config_refuses_values_it_would_coerce(tmp_path, capsys, raw, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(PreconditionError, match=field):
+        load_config(path)
+    assert main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and field in err
+
+
+def test_config_converts_integral_floats_and_integers(tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps({"seed": 2.0, "a": 1, "spectrum": {"im_window": 3}}), encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.seed == 2 and type(cfg.seed) is int
+    assert cfg.a == 1.0 and type(cfg.a) is float
+    assert cfg.spectrum.im_window == 3.0 and type(cfg.spectrum.im_window) is float
+
+
 def test_config_gates():
     with pytest.raises(PreconditionError, match="got a = 1.2"):
         RunConfig(a=1.2)

@@ -281,11 +281,10 @@ def test_second_term_closed_form_matches_quadrature():
     for nu in (0, 1):
         setup = _setup(nu, nodes=129)
         x = 2.7
-        pfn = p_function(q, setup, x)
-        for lam in (9.0, 150.0, 2.0 + 1.0j):
+        lams = np.array([9.0, 150.0, 2.0 + 1.0j])
+        for lam, have, have_p in zip(lams, *y2_closed(q, setup, lams, x)):
             quad = series_term(q, setup, 2, lam)
             want = quad.y(x)
-            have, have_p = y2_closed(q, setup, lam, x, pfn=pfn)
             assert abs(have - want) < 1e-7 * (1 + abs(want))
             want_p = quad.yprime(x)
             assert abs(have_p - want_p) < 1e-6 * (1 + abs(want_p))
@@ -298,19 +297,66 @@ def test_second_term_domain_and_trivial_cases():
         y2_closed(_confined(), setup, 10.0, 2 * A - 0.05)
 
 
+def test_second_term_does_not_depend_on_the_batch():
+    q = _confined(nodes=129)
+    x = 2.7
+    edge = 1.0 / (x - 2 * A) ** 2  # the rule's series switch for y = x + a - 2t
+    lams = np.array(
+        [0.0, 5e-4, 2e-3, 0.5 * edge, edge * (1 - 1e-3), -edge * (1 + 1e-3), 10 + 5j, 4000.0]
+    )
+    for nu in (0, 1):
+        setup = _setup(nu, nodes=129)
+        batch = y2_closed(q, setup, lams, x)
+        for k, lam in enumerate(lams):
+            alone = y2_closed(q, setup, lam, x)
+            assert batch[0][k] == alone[0] and batch[1][k] == alone[1], (nu, lam)
+        assert np.array_equal(y2_closed(q, setup, lams[::-1], x)[0], batch[0][::-1])
+
+
+def _simpson_second_term(q, setup, lams, x):
+    """(y2, y2') by composite Simpson at step a/16384 on the same P(x, .).
+
+    Every cell of P's samples gets its own panels, so no panel straddles
+    a break of the cubic interpolant.
+    """
+    s_int = c_int = 0.0
+    for seg in p_function(q, setup, x).segments:
+        ts, ws = simpson_rule(seg.nodes(), A / 16384)
+        pv = seg.values(ts)
+        c, s = kernel_pair(lams[:, None], x - 2.0 * ts + A)
+        s_int, c_int = s_int + (pv * s) @ ws, c_int + (pv * c) @ ws
+    if setup.nu == 0:
+        return 0.5 * s_int, 0.5 * c_int
+    return 0.5 * c_int / lams, -0.5 * s_int
+
+
+def test_second_term_matches_a_fine_simpson_rule():
+    # x = 3a - 1.2 delta leaves P(x, .) a 5-sample piece (see the kink test above)
+    q = _stepped()
+    delta = A / 4096
+    for nu in (0, 1):
+        setup = _setup(nu, nodes=129)
+        lams = np.array([0.0, 0.05, 2.0, -30.0, 10 + 5j, 380.0, 4000.0])[nu:]
+        for x in (2.7, 3 * A - 1.2 * delta):
+            have = y2_closed(q, setup, lams, x)
+            for got, want in zip(have, _simpson_second_term(q, setup, lams, x)):
+                assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want)), (nu, x)
+
+
 def test_three_term_sum_closes_the_oracle_triangle():
     q = _confined(nodes=129)
     xs = (2 * A + 0.2, 3.0)
     for nu in (0, 1):
         setup = _setup(nu, nodes=129)
-        pfns = {x: p_function(q, setup, x) for x in xs}
-        for lam in (380.0, 5.0 + 4.0j):
+        lams = np.array([380.0, 5.0 + 4.0j])
+        y2s = {x: y2_closed(q, setup, lams, x)[0] for x in xs}
+        for i, lam in enumerate(lams):
             direct = solve_direct(q, setup, lam)
             summed = series_sum(q, setup, lam)
             y1t = y1_closed(q, setup, lam)
             for x in xs:
                 y0, _ = _kernel_pair(nu, lam, x)
-                closed = y0 + y1t.y(x) + y2_closed(q, setup, lam, x, pfn=pfns[x])[0]
+                closed = y0 + y1t.y(x) + y2s[x][i]
                 scale = 1.0 + abs(direct.y(x))
                 assert abs(direct.y(x) - summed.y(x)) < 1e-7 * scale
                 assert abs(direct.y(x) - closed) < 1e-7 * scale

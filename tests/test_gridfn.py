@@ -407,6 +407,20 @@ def test_csv_reader_validates_input(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize(
+    "xs",
+    [
+        [0.0, 0.1, 1.0, 1.0, 1.5, 2.0],  # a run that is not uniform
+        [0.0, 0.5, 0.2],  # a run that turns back
+    ],
+)
+def test_csv_reader_refuses_abscissae_off_a_uniform_grid(tmp_path, xs):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,re,im\n" + "".join(f"{x!r},{k},0\n" for k, x in enumerate(xs)))
+    with pytest.raises(DomainError, match="uniform spacing"):
+        read_csv(path)
+
+
 def _jumpy(lo, mid, hi, left, right, count=33) -> PiecewiseFunction:
     """left(x) sampled on [lo, mid] and right(x) on [mid, hi]; jumps where they differ."""
     x0 = np.linspace(lo, mid, count)
