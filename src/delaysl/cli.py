@@ -356,9 +356,11 @@ def _second_term_worst(config: RunConfig, q, series: dict) -> float:
     # zero for x <= 5a/2 and the closed form would only check 0 = 0 there
     xs, lams = _draw_points(config, 2.5 * config.a)
     worst = 0.0
-    for nu in (0, 1):
-        su = DelaySetup(a=config.a, nu=nu, segment_nodes=config.grid.segment_nodes)
-        for k, x in enumerate(xs):
+    # x outside nu: P's inner lattice correlation does not depend on nu,
+    # and the one kept from the nu = 0 call serves the nu = 1 call
+    for k, x in enumerate(xs):
+        for nu in (0, 1):
+            su = DelaySetup(a=config.a, nu=nu, segment_nodes=config.grid.segment_nodes)
             have = y2_closed(q, su, lams, float(x))
             for i in range(len(lams)):
                 for h, w in zip(have, _samples(series, nu, i, 2)[k]):

@@ -729,6 +729,20 @@ def _p_values(q, setup, om, x: float, ts: np.ndarray) -> np.ndarray:
     return (omx - om.values(ts + 0.5 * a)) * om.values(ts - 0.5 * a) + sign * inner
 
 
+@functools.lru_cache(maxsize=1)
+def _inner_lattice(q: PiecewiseFunction, a: float, x: float, m0: int, count: int) -> np.ndarray:
+    """int_a^x q(u) om(u - m delta) du for m = m0 .. m0 + count - 1, read-only.
+
+    om is the antiderivative of q from a, and delta = a / _LATTICE_CELLS.
+    The integral does not depend on nu, so the last one is kept for the
+    other nu at the same x; q is matched by identity, as in ``_blocks_for``.
+    """
+    ms = np.arange(m0, m0 + count)
+    inner = lattice_product_integrals(q, cumulative(q, a), -ms, a, x, a / _LATTICE_CELLS)
+    inner.flags.writeable = False
+    return inner
+
+
 def _p_lattice(q, setup, om, x: float, m0: int, count: int) -> np.ndarray:
     """P(x, t) at the lattice points t = a/2 + m delta, m = m0 .. m0 + count - 1.
 
@@ -738,15 +752,15 @@ def _p_lattice(q, setup, om, x: float, m0: int, count: int) -> np.ndarray:
         int_a^{x - sigma} q(s) [om(x) - om(s + sigma)] ds = int_a^x q(u) om(u - sigma) du
 
     (om = 0 below a), in which x is only the fixed upper limit, so one
-    lattice correlation yields every m at once.  om(sigma) and
-    om(a + sigma) are read on the same lattice by ``gridfn._on_steps``,
-    one stencil per offset inside a cell of om, not point by point.
+    lattice correlation (``_inner_lattice``, kept for the other nu)
+    yields every m at once.  om(sigma) and om(a + sigma) are read on the
+    same lattice by ``gridfn._on_steps``, one stencil per offset inside
+    a cell of om, not point by point.
     """
     a = setup.a
     delta = a / _LATTICE_CELLS
     sign = -1.0 if setup.nu else 1.0
-    ms = np.arange(m0, m0 + count)
-    inner = lattice_product_integrals(q, om, -ms, a, x, delta)
+    inner = _inner_lattice(q, a, x, m0, count)
     om_sig = _on_steps(om, delta * m0, delta, count)
     om_shifted = _on_steps(om, a + delta * m0, delta, count)
     return (om.values(x) - om_shifted) * om_sig + sign * inner

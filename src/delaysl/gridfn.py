@@ -11,6 +11,8 @@ Conventions:
 
 * segment sample counts are odd and at least 3;
 * evaluation at an interior breakpoint returns the right segment's value;
+* evaluation on a node (to 1e-9 spacings) returns the stored sample, and
+  forms no interpolant when every point is a node;
 * evaluation between nodes is 4-point (cubic) Lagrange interpolation and
   never reaches across a breakpoint; a minimal 3-node segment carries
   the single quadratic through its samples instead;
@@ -32,9 +34,10 @@ factors are read on the half lattice (spacing delta / 2) by
 ``_on_steps``, not point by point: where a segment's spacing is a whole
 number R of half-lattice steps, every node sits at one of R fixed
 offsets inside its cell, so the cubic is one 4-tap stencil per offset
-over the samples.  Every shift reads an even lag of the correlation, so
-it runs as two half-length correlations, of the even and of the odd
-nodes, summed before one inverse FFT of a 2^i 3^j 5^k length.
+over the samples, and a 3-node segment's quadratic one value per
+offset.  Every shift reads an even lag of the correlation, so it runs
+as two half-length correlations, of the even and of the odd nodes,
+summed before one inverse FFT of a 2^i 3^j 5^k length.
 
 Four numerical jobs have their one implementation here, private to the
 package: cubic interpolation of uniform samples (``_cubic`` at any
@@ -123,6 +126,15 @@ def _lagrange4(xi):
         xi * (xi - 2.0) * (xi - 3.0) / 2.0,
         -xi * (xi - 1.0) * (xi - 3.0) / 2.0,
         xi * (xi - 1.0) * (xi - 2.0) / 6.0,
+    )
+
+
+def _quadratic(samples, u):
+    """The quadratic through 3 uniform samples (nodes at u = 0, 1, 2) at u."""
+    return (
+        samples[0] * ((u - 1.0) * (u - 2.0) / 2.0)
+        + samples[1] * (-u * (u - 2.0))
+        + samples[2] * (u * (u - 1.0) / 2.0)
     )
 
 
@@ -295,22 +307,20 @@ class SampledSegment:
         return self.interval.lo + self.spacing * np.arange(self.count)
 
     def values(self, x) -> np.ndarray:
-        """Cubic Lagrange interpolation; exact at nodes, one segment only."""
+        """Cubic Lagrange interpolation; exact at nodes, one segment only.
+
+        A point within 1e-9 spacings (relative) of a node is that node's
+        stored sample; when every point is one, no interpolant is formed.
+        """
         x = np.asarray(x, dtype=float)
         n = self.count
         u = (x - self.interval.lo) / self.spacing
-        if n == 3:
-            out = (
-                self.samples[0] * ((u - 1.0) * (u - 2.0) / 2.0)
-                + self.samples[1] * (-u * (u - 2.0))
-                + self.samples[2] * (u * (u - 1.0) / 2.0)
-            )
-        else:
-            out = _cubic(self.samples, u)
-        # snap to stored samples where x falls on a node
         k = np.rint(u).astype(int)
         on_node = (np.abs(u - k) <= _NODE_SNAP * (1.0 + np.abs(u))) & (k >= 0) & (k < n)
-        if np.any(on_node):
+        if on_node.all():
+            return np.asarray(self.samples[k])
+        out = _quadratic(self.samples, u) if n == 3 else _cubic(self.samples, u)
+        if on_node.any():
             out = np.where(on_node, self.samples[np.minimum(np.maximum(k, 0), n - 1)], out)
         return out
 
@@ -384,16 +394,20 @@ class PiecewiseFunction:
         scalar = x.ndim == 0
         xf = np.atleast_1d(x).astype(float)
         slack = 1e-12 * (1.0 + max(abs(self.lo), abs(self.hi)))
-        if np.any(xf < self.lo - slack) or np.any(xf > self.hi + slack):
+        if (xf < self.lo - slack).any() or (xf > self.hi + slack).any():
             bad = xf[(xf < self.lo - slack) | (xf > self.hi + slack)][0]
             raise DomainError(f"{bad} outside [{self.lo}, {self.hi}]")
         idx = np.searchsorted(self._bounds, xf, side="right") - 1
         idx = np.minimum(np.maximum(idx, 0), len(self.segments) - 1)
-        out = np.empty(xf.shape, dtype=complex)
-        for k, seg in enumerate(self.segments):
-            sel = idx == k
-            if np.any(sel):
-                out[sel] = seg.values(xf[sel])
+        first, last = (idx.min(), idx.max()) if xf.size else (0, -1)
+        if first == last:
+            out = self.segments[first].values(xf)
+        else:
+            out = np.empty(xf.shape, dtype=complex)
+            for k in range(first, last + 1):
+                sel = idx == k
+                if sel.any():
+                    out[sel] = self.segments[k].values(xf[sel])
         return out[0] if scalar else out
 
     def __call__(self, x):
@@ -659,18 +673,18 @@ def _require_zero(q: PiecewiseFunction, lo: float, hi: float, what: str) -> None
 def _segment_on_steps(seg: SampledSegment, x0: float, step: float, count: int) -> np.ndarray:
     """seg at x0 + step j for j < count, every point inside seg's interval.
 
-    When seg's spacing is a whole number R of steps (R >= 1) and seg has
-    5 or more samples, every point sits at one of R fixed offsets inside
-    its cell: the cubic of ``SampledSegment.values`` is then one 4-tap
-    stencil per offset (interior, first-cell and last-cell), applied to
-    the samples as four broadcast products over a (cells x R) table, and
-    a point on a node is the stored sample.  Any other segment, a 3-node
-    one with its quadratic too, goes through ``SampledSegment.values``.
+    When seg's spacing is a whole number R of steps (R >= 1), every point
+    sits at one of R fixed offsets inside its cell, and the interpolant of
+    ``SampledSegment.values`` is read off a (cells x R) table: for 5 or
+    more samples one 4-tap stencil per offset (interior, first-cell and
+    last-cell) applied as four broadcast products, for 3 the quadratic at
+    each offset.  A point on a node is the stored sample.  Any other
+    spacing goes through ``SampledSegment.values``.
     """
     n = seg.count
     ratio = seg.spacing / step
     r = round(ratio)
-    if n == 3 or r < 1 or abs(ratio - r) > _NODE_SNAP * ratio:
+    if r < 1 or abs(ratio - r) > _NODE_SNAP * ratio:
         return seg.values(x0 + step * np.arange(count))
     # point j sits i0 + j + phase steps above the segment's first node
     c = (x0 - seg.interval.lo) / step
@@ -683,19 +697,22 @@ def _segment_on_steps(seg: SampledSegment, x0: float, step: float, count: int) -
     ca, last = min(i0 // r, n - 2), min(cb, n - 2)
     xi = (np.arange(r) + phase) / r
     s = seg.samples
-    table = np.empty((last - ca + 1, r), dtype=complex)
-    # interior cells c in [c0, c1) borrow nodes c - 1 .. c + 2
-    c0, c1 = max(ca, 1), min(last + 1, n - 2)
-    if c1 > c0:
-        w = _lagrange4(1.0 + xi)
-        body = table[c0 - ca : c1 - ca]
-        np.multiply(s[c0 - 1 : c1 - 1, None], w[0], out=body)
-        for k in (1, 2, 3):
-            body += s[c0 - 1 + k : c1 - 1 + k, None] * w[k]
-    if ca == 0:
-        table[0] = s[:4] @ np.array(_lagrange4(xi))
-    if last == n - 2:
-        table[-1] = s[n - 4 :] @ np.array(_lagrange4(2.0 + xi))
+    if n == 3:
+        table = _quadratic(s, np.arange(ca, last + 1.0)[:, None] + xi)
+    else:
+        table = np.empty((last - ca + 1, r), dtype=complex)
+        # interior cells c in [c0, c1) borrow nodes c - 1 .. c + 2
+        c0, c1 = max(ca, 1), min(last + 1, n - 2)
+        if c1 > c0:
+            w = _lagrange4(1.0 + xi)
+            body = table[c0 - ca : c1 - ca]
+            np.multiply(s[c0 - 1 : c1 - 1, None], w[0], out=body)
+            for k in (1, 2, 3):
+                body += s[c0 - 1 + k : c1 - 1 + k, None] * w[k]
+        if ca == 0:
+            table[0] = s[:4] @ np.array(_lagrange4(xi))
+        if last == n - 2:
+            table[-1] = s[n - 4 :] @ np.array(_lagrange4(2.0 + xi))
     if phase == 0.0:
         table[:, 0] = s[ca : last + 1]
     out = table.reshape(-1)[i0 - ca * r : i0 - ca * r + count]

@@ -114,6 +114,8 @@ _MOMENT_TERMS = 20  # Taylor terms of M_m(zeta) for |zeta| < 1
 RULE_SERIES_THRESHOLD = 1.0
 _RULE_SERIES_TERMS = 12  # term k is below (|lam| L^2)^k / (2k)! times the integral of |f|
 _GAUSS_NODES = 14  # exact to degree 27: f's cubic times a series term, on each cell
+# k! as floats: from 21! on, ints would make every Maclaurin coefficient an object
+_FACTORIALS = np.array([math.factorial(k) for k in range(2 * _RULE_SERIES_TERMS + 1)], dtype=float)
 
 # _TAYLOR[k, m] = 1 / (k! (m + k + 1)), the Taylor coefficients of M_m
 _TAYLOR = np.array(
@@ -383,27 +385,32 @@ class _WeightRule:
         or (L + y)(L - y)/2, with no cancelling term.
         """
         if kind not in self._maclaurin:
-            t, wt = self._gauss_points
-            y = self.phi - 2.0 * t
-            y2 = y * y
-            if kind == "ss":
-                power = 0.5 * (self.span + y) * (self.span - y)
-            else:
-                power = y if kind == "s" else np.ones_like(y)
-            wr, wi = wt.real.copy(), wt.imag.copy()
-            mu = np.empty(_RULE_SERIES_TERMS, dtype=complex)
-            for i in range(_RULE_SERIES_TERMS):
-                if i:
-                    power *= y2
-                mu[i] = complex(power @ wr, power @ wi)
-            n = np.arange(_RULE_SERIES_TERMS)
-            if kind == "ss":
-                lift = np.tril(self.span ** (2.0 * np.maximum(n[:, None] - n, 0)))
-                coeffs = (lift @ mu) / [math.factorial(2 * k + 2) for k in n]
-            else:
-                odd = 1 if kind == "s" else 0
-                coeffs = mu / [math.factorial(2 * k + odd) for k in n]
+            mu, order = self._series_moments(kind)
+            # part by part, as complex / int does: numpy's complex / real is a reciprocal product
+            coeffs = np.empty(mu.shape, dtype=complex)
+            coeffs.real, coeffs.imag = mu.real / _FACTORIALS[order], mu.imag / _FACTORIALS[order]
             self._maclaurin[kind] = coeffs
         return self._maclaurin[kind]
+
+    def _series_moments(self, kind):
+        """(m, k): G_n of ``_series_coefficients`` is m[n] / k[n]!."""
+        t, wt = self._gauss_points
+        y = self.phi - 2.0 * t
+        y2 = y * y
+        if kind == "ss":
+            power = 0.5 * (self.span + y) * (self.span - y)
+        else:
+            power = y if kind == "s" else np.ones_like(y)
+        wr, wi = wt.real.copy(), wt.imag.copy()
+        mu = np.empty(_RULE_SERIES_TERMS, dtype=complex)
+        for i in range(_RULE_SERIES_TERMS):
+            if i:
+                power *= y2
+            mu[i] = complex(power @ wr, power @ wi)
+        n = np.arange(_RULE_SERIES_TERMS)
+        if kind == "ss":
+            lift = np.tril(self.span ** (2.0 * np.maximum(n[:, None] - n, 0)))
+            return lift @ mu, 2 * n + 2
+        return mu, 2 * n + (1 if kind == "s" else 0)
 
 

@@ -24,6 +24,10 @@ numerics with the route it checks as it can.
 * ``delta_literal``: the nu = j = 0 characteristic function in its
   textbook form with the removable 1/lambda, against the
   cancellation-free product form of ``delta_closed``.
+
+* ``piecewise_values``: ``PiecewiseFunction.values`` as one masked
+  ``SampledSegment.values`` call per segment, without its on-node and
+  one-segment paths.
 """
 
 from __future__ import annotations
@@ -310,3 +314,26 @@ def delta_literal(data: CharData, lam):
     )
     vals = s_pi - 0.5 * data.omega * c_span / lamf + 0.5 * data._rule.integrals(lamf, "c") / lamf
     return vals.reshape(lam.shape)[()]
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+
+def piecewise_values(f: PiecewiseFunction, x) -> np.ndarray:
+    """f at points, one masked segment call per segment; a breakpoint reads the right segment."""
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    xf = np.atleast_1d(x).astype(float)
+    slack = 1e-12 * (1.0 + max(abs(f.lo), abs(f.hi)))
+    if np.any(xf < f.lo - slack) or np.any(xf > f.hi + slack):
+        bad = xf[(xf < f.lo - slack) | (xf > f.hi + slack)][0]
+        raise DomainError(f"{bad} outside [{f.lo}, {f.hi}]")
+    idx = np.searchsorted(f._bounds, xf, side="right") - 1
+    idx = np.minimum(np.maximum(idx, 0), len(f.segments) - 1)
+    out = np.empty(xf.shape, dtype=complex)
+    for k, seg in enumerate(f.segments):
+        sel = idx == k
+        if np.any(sel):
+            out[sel] = seg.values(xf[sel])
+    return out[0] if scalar else out

@@ -21,7 +21,7 @@ from delaysl.cli import (
     load_config,
     main,
 )
-from delaysl import cli, errors
+from delaysl import cli, delay_solver, errors
 from delaysl.errors import ContourError, DomainError, PreconditionError
 from delaysl.family import build_member
 
@@ -283,6 +283,25 @@ def test_verify_builds_each_series_once_and_reports_its_errors(monkeypatch):
         cli._run_check(checks, "second", 1e-7, lambda: cli._second_term_worst(cfg, q, series))
         assert ["error" in c for c in checks] == errors
         assert all(c["error"] == "no term here" for c in checks if "error" in c)
+
+def test_second_term_check_shares_the_inner_correlation_of_both_nu(monkeypatch):
+    # at the default config the check runs one lattice correlation per x,
+    # 3 in all, not one per (x, nu)
+    cfg = RunConfig()
+    h, eta, e = _seed_pair(cfg)
+    q = build_member(h, eta, e, cfg.nu, 1.0, cfg.a).q
+    series = cli._series_samples(cfg, q)
+    real = delay_solver.lattice_product_integrals
+    calls = []
+    monkeypatch.setattr(
+        delay_solver,
+        "lattice_product_integrals",
+        lambda *args: calls.append(args[-2]) or real(*args),
+    )
+    delay_solver._inner_lattice.cache_clear()
+    assert cli._second_term_worst(cfg, q, series) <= 1e-7
+    assert len(calls) == len(set(calls)) == 3
+
 
 def test_family_deterministic(tmp_path):
     cfg = _small()

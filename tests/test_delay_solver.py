@@ -313,6 +313,43 @@ def test_second_term_does_not_depend_on_the_batch():
         assert np.array_equal(y2_closed(q, setup, lams[::-1], x)[0], batch[0][::-1])
 
 
+def test_inner_correlation_is_kept_for_the_same_potential_delay_and_x(monkeypatch):
+    # P's inner lattice correlation does not depend on nu, and the last
+    # one is kept: the other nu at the same q, a and x reuses it, and a
+    # second potential, a changed a or x computes its own; every value is
+    # what a cleared cache gives, bit for bit
+    lams = np.array([2.0, 10 + 5j, 380.0])
+    q1, q2 = _confined(nodes=129), _stepped()
+    runs = [(q1, A, 2.7, 0), (q1, A, 2.7, 1), (q2, A, 2.7, 1), (q1, A / 2, 2.7, 1)]
+    runs += [(q1, A, 2.7, 1), (q1, A, 2.6, 1), (q1, A, 2.7, 0)]
+    real = delay_solver.lattice_product_integrals
+    calls = []
+    monkeypatch.setattr(
+        delay_solver,
+        "lattice_product_integrals",
+        lambda *args: calls.append(1) or real(*args),
+    )
+
+    def second_term(q, a, x, nu):
+        return y2_closed(q, DelaySetup(a=a, nu=nu, segment_nodes=129), lams, x)
+
+    delay_solver._inner_lattice.cache_clear()
+    seen = [second_term(*run) for run in runs]
+    assert len(calls) == len(runs) - 1
+    for run, (y, yp) in zip(runs, seen):
+        delay_solver._inner_lattice.cache_clear()
+        want_y, want_yp = second_term(*run)
+        assert np.array_equal(y, want_y) and np.array_equal(yp, want_yp)
+    # each change of q, a or x moves the values of the same nu
+    for k in (2, 3, 5):
+        assert not np.any(seen[k][0] == seen[1][0])
+    kept = delay_solver._inner_lattice(q1, A, 2.7, 10, 20)
+    assert not kept.flags.writeable
+    assert delay_solver._inner_lattice(q1, A, 2.7, 10, 20) is kept
+    assert not np.array_equal(delay_solver._inner_lattice(q1, A / 2, 2.7, 10, 20), kept)
+    assert not np.array_equal(delay_solver._inner_lattice(q2, A, 2.7, 10, 20), kept)
+
+
 def _simpson_second_term(q, setup, lams, x):
     """(y2, y2') by composite Simpson at step a/16384 on the same P(x, .).
 

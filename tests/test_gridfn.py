@@ -38,6 +38,7 @@ from delaysl.gridfn import (
     lattice_product_integrals,
     shifted_product_integrals,
 )
+from oracles import piecewise_values
 
 
 def _two_step() -> PiecewiseFunction:
@@ -586,14 +587,15 @@ def test_lattice_products_refuse_a_jumping_shifted_factor():
 
 
 # Segments for the uniform-step sampler, as (node count, spacing in
-# steps): the stencil path at R = 1, 2 and 8 steps per cell; a 3-node
-# segment, with its quadratic, and spacings of 0.5, 1.5 and 2.5 steps
-# take the pointwise fallback.
+# steps): the stencil table at R = 1, 2 and 8 steps per cell, and the
+# 3-node quadratic's table at R = 1 and 4; spacings of 0.5, 1.5 and 2.5
+# steps, a 3-node segment's too, take the pointwise fallback.
 # The step is a power of two and the segments' lengths are dyadic, so on
 # a dyadic phase every point, node and breakpoint is exact.
 _STEP = 1.0 / 256.0
 _STEP_SEGMENTS = [
-    (3, 4.0), (5, 8.0), (129, 2.0), (513, 1.0), (9, 1.5), (5, 0.5), (9, 2.5), (33, 8.0)
+    (3, 4.0), (5, 8.0), (129, 2.0), (513, 1.0), (9, 1.5), (5, 0.5), (9, 2.5), (33, 8.0),
+    (3, 1.0), (3, 1.5),
 ]
 
 
@@ -637,6 +639,66 @@ def test_on_steps_matches_values_point_by_point(order, used, jumps, start, phase
         assert np.array_equal(have[on], want[on])
     # a run that starts on the upper edge reads the last sample, then 0
     assert np.array_equal(_on_steps(f, f.hi, _STEP, 3), [f.segments[-1].samples[-1], 0.0, 0.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.lists(
+        st.tuples(st.sampled_from([3, 5, 9, 17]), st.sampled_from([0.125, 0.3, 0.5, 1.0])),
+        min_size=1,
+        max_size=4,
+    ),
+    data=st.data(),
+)
+def test_values_match_the_per_segment_loop(shape, data):
+    segs, lo = [], -0.4
+    for k, (count, length) in enumerate(shape):
+        x = np.linspace(lo, lo + length, count)
+        segs.append(SampledSegment(Interval(lo, lo + length), np.exp(1j * x) * (1.0 + x) + k))
+        lo += length
+    f = PiecewiseFunction(segs)
+    nodes = f.nodes()
+    spacing = min(seg.spacing for seg in segs)
+
+    def points(pool):
+        picks = data.draw(st.lists(st.integers(0, pool.size - 1), min_size=1, max_size=12))
+        return pool[picks]
+
+    on = points(nodes)
+    off = np.asarray(data.draw(st.lists(st.floats(f.lo, f.hi), min_size=1, max_size=12)))
+    # breakpoints and the domain edges, on them and within 1e-9 spacings
+    pairs = st.tuples(
+        st.sampled_from(list(f._bounds)), st.sampled_from([-1e-9, -1e-12, 0.0, 1e-12, 1e-9])
+    )
+    near = [b + spacing * d for b, d in data.draw(st.lists(pairs, min_size=1, max_size=12))]
+    near = np.clip(near, f.lo, f.hi)
+    for x in (on, off, np.concatenate([on, off]), near, near[:1], np.array([])):
+        have, want = f.values(x), piecewise_values(f, x)
+        assert have.dtype == complex and have.shape == x.shape
+        assert np.array_equal(have, want)
+        for p in x[:3]:
+            alone = f.values(p)
+            assert np.isscalar(alone) and alone == piecewise_values(f, p)
+    # a breakpoint reads the right segment; a node the stored sample,
+    # alone, among nodes only and among points off the nodes
+    for right in segs[1:]:
+        assert f.values(right.interval.lo) == right.samples[0]
+    for seg in segs:
+        k = np.array(data.draw(st.lists(st.integers(0, seg.count - 1), min_size=1, max_size=5)))
+        x = seg.nodes()[k]
+        assert np.array_equal(seg.values(x), seg.samples[k])
+        off_node = np.full(x.shape, seg.interval.lo + 0.37 * seg.spacing)
+        mixed = seg.values(np.concatenate([x, off_node]))
+        assert np.array_equal(mixed[: k.size], seg.samples[k])
+        assert seg.values(x[0]).shape == () and seg.values(x[0]) == seg.samples[k[0]]
+
+
+def test_values_outside_the_domain_raise():
+    f = _two_step()
+    for x in (-1e-3, 2.0 + 1e-3, [0.5, 0.6, 2.5], [-0.5, 1.5], [1.2, 1.3, 1.4, 7.0]):
+        with pytest.raises(DomainError):
+            f.values(x)
+    assert np.array_equal(f.values([2.0 + 1e-13, -1e-13]), [1.0, 0.0])
 
 
 def test_sided_values_read_both_sides_of_a_jump_off_the_segments():

@@ -1,12 +1,14 @@
 """The two trigonometric kernels and their parameter derivatives."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaysl import ckernel, kernel_pair, skernel
-from delaysl.kernels import SERIES_THRESHOLD
+from delaysl import ckernel, kernel_pair, sample_function, skernel
+from delaysl.kernels import SERIES_THRESHOLD, _WeightRule
 
 
 def test_known_values():
@@ -99,3 +101,17 @@ def test_x_derivatives_by_finite_differences():
     ds = (skernel(lam, x + h) - skernel(lam, x - h)) / (2.0 * h)
     assert np.max(np.abs(dc + lam * skernel(lam, x))) < 1e-8 * (1.0 + np.max(np.abs(lam)))
     assert np.max(np.abs(ds - ckernel(lam, x))) < 1e-8
+
+
+def test_maclaurin_coefficients_are_complex_floats():
+    # the rule's series divides by factorials up to 24!, past int64 from
+    # 21! on: divided by Python ints the coefficients are an object array,
+    # divided part by part by floats they are complex128 of equal values
+    f = sample_function(lambda t: np.exp(1j * t) * (1.0 + t), [0.5, 1.5, 2.5], 9)
+    rule = _WeightRule(f, 3.0, 2.0)
+    for kind in ("c", "s", "ss"):
+        mu, order = rule._series_moments(kind)
+        want = mu / [math.factorial(k) for k in order]
+        have = rule._series_coefficients(kind)
+        assert have.dtype == np.complex128 and want.dtype == object
+        assert np.array_equal(have, want.astype(complex))
