@@ -729,18 +729,35 @@ def _p_values(q, setup, om, x: float, ts: np.ndarray) -> np.ndarray:
     return (omx - om.values(ts + 0.5 * a)) * om.values(ts - 0.5 * a) + sign * inner
 
 
-@functools.lru_cache(maxsize=1)
-def _inner_lattice(q: PiecewiseFunction, a: float, x: float, m0: int, count: int) -> np.ndarray:
+class _InnerLattice:
     """int_a^x q(u) om(u - m delta) du for m = m0 .. m0 + count - 1, read-only.
 
-    om is the antiderivative of q from a, and delta = a / _LATTICE_CELLS.
-    The integral does not depend on nu, so the last one is kept for the
-    other nu at the same x; q is matched by identity, as in ``_blocks_for``.
+    om is the antiderivative of q from a (``cumulative(q, a)``, built
+    here when the caller does not pass the one it holds), and delta =
+    a / _LATTICE_CELLS.  The integral does not depend on nu, so the last
+    one is kept for the other nu at the same x, keyed on (q, a, x, m0,
+    count) without om, which those fix; q is matched by identity, as in
+    ``_blocks_for``.
     """
-    ms = np.arange(m0, m0 + count)
-    inner = lattice_product_integrals(q, cumulative(q, a), -ms, a, x, a / _LATTICE_CELLS)
-    inner.flags.writeable = False
-    return inner
+
+    def __init__(self):
+        self.cache_clear()
+
+    def cache_clear(self):
+        self._key, self._inner = None, None
+
+    def __call__(self, q, a: float, x: float, m0: int, count: int, om=None) -> np.ndarray:
+        key = (q, a, x, m0, count)
+        if self._key != key:
+            ms = np.arange(m0, m0 + count)
+            om = cumulative(q, a) if om is None else om
+            inner = lattice_product_integrals(q, om, -ms, a, x, a / _LATTICE_CELLS)
+            inner.flags.writeable = False
+            self._key, self._inner = key, inner
+        return self._inner
+
+
+_inner_lattice = _InnerLattice()
 
 
 def _p_lattice(q, setup, om, x: float, m0: int, count: int) -> np.ndarray:
@@ -760,7 +777,7 @@ def _p_lattice(q, setup, om, x: float, m0: int, count: int) -> np.ndarray:
     a = setup.a
     delta = a / _LATTICE_CELLS
     sign = -1.0 if setup.nu else 1.0
-    inner = _inner_lattice(q, a, x, m0, count)
+    inner = _inner_lattice(q, a, x, m0, count, om)
     om_sig = _on_steps(om, delta * m0, delta, count)
     om_shifted = _on_steps(om, a + delta * m0, delta, count)
     return (om.values(x) - om_shifted) * om_sig + sign * inner
@@ -846,7 +863,7 @@ def y2_closed(q: PiecewiseFunction, setup: DelaySetup, lam, x: float):
     s_int = c_int = np.zeros(lamf.shape, dtype=complex)
     if pfn is not None:
         rule = kernels._WeightRule(pfn, x + a, x - 2.0 * a)
-        s_int, c_int = rule.integrals(lamf, "s"), rule.integrals(lamf, "c")
+        s_int, c_int = rule.integrals_of(lamf, ("s", "c"))
     if nu == 0:
         return (0.5 * s_int).reshape(lam.shape)[()], (0.5 * c_int).reshape(lam.shape)[()]
     small = np.abs(lamf) < 1e-3

@@ -679,8 +679,11 @@ def _segment_on_steps(seg: SampledSegment, x0: float, step: float, count: int) -
     more samples one 4-tap stencil per offset (interior, first-cell and
     last-cell) applied as four broadcast products, for 3 the quadratic at
     each offset.  A point on a node is the stored sample.  Any other
-    spacing goes through ``SampledSegment.values``.
+    spacing goes through ``SampledSegment.values``.  An all-zero segment
+    reads as zeros with no table.
     """
+    if not seg.samples.any():
+        return np.zeros(count, dtype=complex)
     n = seg.count
     ratio = seg.spacing / step
     r = round(ratio)

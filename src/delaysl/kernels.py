@@ -305,30 +305,35 @@ class _WeightRule:
         phi - 2t) and skernel(lam, (L + y)/2) skernel(lam, (L - y)/2) for
         "ss", which also needs c_span = ckernel(lam, L), L = ``span``.
         """
-        out = np.empty(lam.shape, dtype=complex)
+        return self.integrals_of(lam, (kind,), c_span)[0]
+
+    def integrals_of(self, lam: np.ndarray, kinds, c_span=None) -> list:
+        """``integrals`` for each of ``kinds``, in order, from one pass over the sums."""
+        outs = [np.empty(lam.shape, dtype=complex) for _ in kinds]
         small = np.abs(lam) * self.span**2 < RULE_SERIES_THRESHOLD
         count = np.count_nonzero(small)
         if count:
-            coeffs = self._series_coefficients(kind)
             ls = lam[small]
-            acc = np.zeros(ls.shape, dtype=complex)
-            for c in coeffs[::-1]:
-                acc = acc * (-ls) + c
-            out[small] = acc
+            for kind, out in zip(kinds, outs):
+                acc = np.zeros(ls.shape, dtype=complex)
+                for c in self._series_coefficients(kind)[::-1]:
+                    acc = acc * (-ls) + c
+                out[small] = acc
         if count < lam.size:
             far = ~small
             lf = lam[far]
             rho = np.sqrt(lf)
             t = self._sums(rho)
             cos_part = 0.5 * (t[:, 0] + t[:, 1])
-            if kind == "c":
-                out[far] = cos_part
-            elif kind == "s":
-                out[far] = (t[:, 0] - t[:, 1]) / (2j * rho)
-            else:
-                # sin(rho (L + y)/2) sin(rho (L - y)/2) = (cos(rho y) - cos(rho L)) / 2
-                out[far] = (cos_part - c_span[far] * self._tables.total) / (2.0 * lf)
-        return out
+            for kind, out in zip(kinds, outs):
+                if kind == "c":
+                    out[far] = cos_part
+                elif kind == "s":
+                    out[far] = (t[:, 0] - t[:, 1]) / (2j * rho)
+                else:
+                    # sin(rho (L + y)/2) sin(rho (L - y)/2) = (cos(rho y) - cos(rho L)) / 2
+                    out[far] = (cos_part - c_span[far] * self._tables.total) / (2.0 * lf)
+        return outs
 
     def _sums(self, rho):
         """The integrals of f(t) e^(s i rho y), s = +1, -1, one row per point of rho."""

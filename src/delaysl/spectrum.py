@@ -15,10 +15,17 @@ found there, the same samples give the moments
 as Stieltjes sums (Delves & Lyness, Math. Comp. 21, 1967).  Deflated by
 the known roots they are the power sums of the missing ones, and those
 are the eigenvalues of a pencil of two Hankel matrices of the sums
-(Kravanja & Van Barel, LNM 1727, 2000); the secant polishes them.  A
-multiplicity is read only from a count on a small square around its
-root.  If a cell's count and its roots still disagree, the computation
-refuses to report.
+(Kravanja & Van Barel, LNM 1727, 2000); the secant polishes them.
+
+The moments are taken in two rungs.  The first reads them off the
+samples that certify the count, whose phase steps stay below pi/2, and
+polishes their pointers for as few steps as the seeds get.  Most
+missing roots are found there.  Only a cell still short of its count
+has its edges bisected further, until |log(v1 / v0)| between neighbour
+samples is small, and the second rung polishes the pointers of its
+retaken moments to convergence.  A multiplicity is read only from a
+count on a small square around its root.  If a cell's count and its
+roots still disagree, the computation refuses to report.
 
 The secant costs one Delta point per guess and step (two on the first),
 and its order (1 + sqrt 5) / 2 makes it cheaper per point than a Newton
@@ -63,14 +70,16 @@ _RE_TIE = 1e-7
 _SAME = 1e-6
 # a contour sample with |Delta| <= _ON_CONTOUR * (1 + |z|) counts as a root
 _ON_CONTOUR = 1e-8
-# secant steps for the law's seeds; a seed still wandering after them is
-# dropped, and the moments of its cell locate the root it missed
+# secant steps for the law's seeds and for the pointers of the first
+# moments; a guess still wandering after them is dropped, and the moments
+# of its cell locate the root it missed
 _SEED_STEPS = 12
 
 # Contour sampling.  An edge starts with samples at most _EDGE_STEP times
 # its rectangle's height apart, and at least _MIN_INTERVALS intervals;
 # an interval is bisected while its phase step reaches pi/2 and, in a
-# cell whose moments are taken, while |log(v1 / v0)| exceeds _MOMENT_STEP.
+# cell that the first moments leave short of roots, while |log(v1 / v0)|
+# exceeds _MOMENT_STEP.
 _EDGE_STEP = 0.125
 _MIN_INTERVALS = 4
 _MOMENT_STEP = 0.25
@@ -146,7 +155,12 @@ def initial_guesses(nu: int, j: int, count: int):
     return [complex((n - 0.5) ** 2) for n in range(1, count + 1)]
 
 
-def _refine_many(delta, guesses, tol, max_iter: int = 50):
+def _in_box(z, box):
+    lo, hi = box
+    return (z.real >= lo.real) & (z.real <= hi.real) & (z.imag >= lo.imag) & (z.imag <= hi.imag)
+
+
+def _refine_many(delta, guesses, tol, max_iter: int = 50, box=None):
     """Secant-polish a batch of guesses through batched evaluations.
 
     Returns (roots, converged, values) with one slot per guess: the last
@@ -158,6 +172,9 @@ def _refine_many(delta, guesses, tol, max_iter: int = 50):
     tol * (1 + |lambda|); one whose Delta did not change over its last
     step (a zero slope), or was not finite at either end of it, is given
     up, so a guess where Delta is not finite costs its first two points.
+    With a ``box`` (lower-left, upper-right corners) a guess is also
+    given up as soon as it lies outside the box, before Delta is taken
+    there; one that starts outside keeps its guess and a nan value.
     """
     lam = np.asarray(guesses, dtype=complex).copy()
     m = lam.size
@@ -165,7 +182,7 @@ def _refine_many(delta, guesses, tol, max_iter: int = 50):
     vals = np.full(m, np.nan, dtype=complex)
     last_step = np.zeros(m)
     done = np.zeros(m, dtype=bool)
-    dead = np.zeros(m, dtype=bool)
+    dead = np.zeros(m, dtype=bool) if box is None else ~_in_box(lam, box)
     for it in range(max_iter):
         live = ~(done | dead)
         if not live.any():
@@ -193,6 +210,8 @@ def _refine_many(delta, guesses, tol, max_iter: int = 50):
         last_step[idx] = np.abs(step)
         done[idx[ok]] = True
         dead[idx[flat]] = True
+        if box is not None:
+            dead[idx[move & ~_in_box(lam[idx], box)]] = True
     return prev, done, vals
 
 
@@ -338,7 +357,10 @@ class CellCounts:
     counts[k] roots with multiplicity.  moments[k] is None or, for a
     cell holding more roots than it was told of, (center, scale, s)
     with s[m] = (1/2 pi i) oint ((z - center) / scale)^m dlog Delta
-    for m < 2 counts[k].
+    for m < 2 counts[k].  The moments come from the samples as they
+    stood when the cells were read: the phase-certified ones on the
+    first rung of ``compute_spectrum``, the densified ones after
+    ``count_roots`` and on the second rung.
     """
 
     walls: tuple
@@ -347,27 +369,97 @@ class CellCounts:
     moments: tuple
 
 
-def _sample_cells(delta, xs, y0, y1, known):
-    net = _Net(delta, xs, y0, y1)
-    net.refine(range(len(net.z)), _phase_too_coarse)
-    counts = net.counts()
+def _distinct(roots):
+    """The roots with those within 1e-6 relative of an earlier one dropped."""
+    out = []
+    for r in roots:
+        if _is_new(complex(r), out):
+            out.append(complex(r))
+    return out
 
-    def short(k):
-        inside = sum(xs[k] <= r.real < xs[k + 1] and y0 <= r.imag <= y1 for r in known)
-        return counts[k] > inside
 
-    dense = []
-    while True:
-        todo = [k for k in range(net.n) if k not in dense and short(k)]
-        if not todo:
-            break
-        net.refine(sorted({e for k in todo for e, _ in net.cell_edges(k)}), _log_too_coarse)
-        dense += todo
-        counts = net.counts()
-    moments = tuple(
-        net.moments(k, 2 * counts[k]) if k in dense and short(k) else None for k in range(net.n)
-    )
-    return CellCounts(tuple(xs), (y0, y1), tuple(counts), moments)
+class _Sampling:
+    """The cells of one rectangle, counted on a phase-certified ``_Net`` that is kept.
+
+    ``rectangle`` and ``cuts`` are as in ``count_roots``.  A sample too
+    close to a zero of Delta moves the edge it lies on outward, a wall by
+    1% of the narrower cell beside it and the top and bottom by a 1%
+    dilation of the imaginary range, and the rectangle is sampled
+    afresh; the sixth such sample raises a contour error.
+    """
+
+    def __init__(self, delta, rectangle, cuts=()):
+        lo, hi = complex(rectangle[0]), complex(rectangle[1])
+        if not (hi.real > lo.real and hi.imag > lo.imag):
+            raise DomainError("rectangle corners must be ordered lower-left, upper-right")
+        self.xs = [lo.real, *sorted(float(c) for c in cuts), hi.real]
+        if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
+            raise DomainError("cuts must lie strictly inside the rectangle")
+        self.delta, self.y0, self.y1 = delta, lo.imag, hi.imag
+        self.net, self.moves = None, 0
+        self._clear(lambda: None)
+
+    def _clear(self, work):
+        """Run ``work`` on the net, sampling the rectangle afresh off any root a sample hits."""
+        n = len(self.xs) - 1
+        while True:
+            try:
+                if self.net is None:
+                    net = _Net(self.delta, self.xs, self.y0, self.y1)
+                    net.refine(range(len(net.z)), _phase_too_coarse)
+                    self.net, self.counts = net, net.counts()
+                return work()
+            except _ContourTooClose as hit:
+                self.net = None
+                self.moves += 1
+                if self.moves == 6:
+                    raise ContourError("a root stayed on the contour through five moves") from None
+                if hit.edge < 2 * n:
+                    mid, half = 0.5 * (self.y0 + self.y1), 0.505 * (self.y1 - self.y0)
+                    self.y0, self.y1 = mid - half, mid + half
+                else:
+                    k = hit.edge - 2 * n
+                    near = float(np.diff(self.xs)[max(k - 1, 0) : k + 1].min())
+                    self.xs[k] += 0.01 * near if k == n else -0.01 * near
+
+    def _short(self, known):
+        """The cells holding more roots than the distinct ``known`` place in them."""
+        xs, y0, y1 = self.xs, self.y0, self.y1
+        return [
+            k
+            for k, count in enumerate(self.counts)
+            if count > sum(xs[k] <= r.real < xs[k + 1] and y0 <= r.imag <= y1 for r in known)
+        ]
+
+    def densify(self, known):
+        """Bisect the edges of every short cell until |log(v1 / v0)| <= _MOMENT_STEP.
+
+        All short cells are refined together; the counts are read again
+        after each round, and a cell that this leaves short is refined in
+        the next one.
+        """
+
+        def work():
+            dense = set()
+            while True:
+                todo = [k for k in self._short(known) if k not in dense]
+                if not todo:
+                    return
+                edges = sorted({e for k in todo for e, _ in self.net.cell_edges(k)})
+                self.net.refine(edges, _log_too_coarse)
+                dense.update(todo)
+                self.counts = self.net.counts()
+
+        self._clear(work)
+
+    def cells(self, known) -> CellCounts:
+        """The counts, and the moments of every short cell from the samples as they stand."""
+        short = self._short(known)
+        moments = tuple(
+            self.net.moments(k, 2 * count) if k in short else None
+            for k, count in enumerate(self.counts)
+        )
+        return CellCounts(tuple(self.xs), (self.y0, self.y1), tuple(self.counts), moments)
 
 
 def count_roots(delta, rectangle, cuts=(), known=()) -> CellCounts:
@@ -386,32 +478,13 @@ def count_roots(delta, rectangle, cuts=(), known=()) -> CellCounts:
     a ``CellCounts``; all cells come from one sampling in which
     neighbours share their wall.  A cell holding more roots than
     ``known`` places in it (roots within 1e-6 relative of each other
-    counted once) is sampled more densely and carries its moments.
+    counted once) is sampled more densely, as on the second rung of
+    ``compute_spectrum``, and carries the moments of the dense samples.
     """
-    lo, hi = complex(rectangle[0]), complex(rectangle[1])
-    if not (hi.real > lo.real and hi.imag > lo.imag):
-        raise DomainError("rectangle corners must be ordered lower-left, upper-right")
-    xs = [lo.real, *sorted(float(c) for c in cuts), hi.real]
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise DomainError("cuts must lie strictly inside the rectangle")
-    y0, y1 = lo.imag, hi.imag
-    distinct = []
-    for r in known:
-        if _is_new(complex(r), distinct):
-            distinct.append(complex(r))
-    n = len(xs) - 1
-    for _ in range(6):
-        try:
-            return _sample_cells(delta, xs, y0, y1, distinct)
-        except _ContourTooClose as hit:
-            if hit.edge < 2 * n:
-                mid, half = 0.5 * (y0 + y1), 0.505 * (y1 - y0)
-                y0, y1 = mid - half, mid + half
-            else:
-                k = hit.edge - 2 * n
-                near = float(np.diff(xs)[max(k - 1, 0) : k + 1].min())
-                xs[k] += 0.01 * near if k == n else -0.01 * near
-    raise ContourError("a root stayed on the contour through five moves")
+    sampling = _Sampling(delta, rectangle, cuts)
+    known = _distinct(known)
+    sampling.densify(known)
+    return sampling.cells(known)
 
 
 def _root_order(roots):
@@ -469,22 +542,37 @@ _Cell = namedtuple("_Cell", "x0 x1 y0 y1 count moments")
 class _Census:
     """The cells certified so far and the distinct roots located in them.
 
-    ``values`` maps each root to Delta there, as the polish left it.
+    The cells come in parts, one ``CellCounts`` per sampled rectangle.
+    ``values`` maps each root to Delta there, as the polish left it.  A
+    polish gives up any guess outside ``box`` (see ``_refine_many``).
     """
 
-    def __init__(self, delta, tol):
-        self.delta, self.tol = delta, tol
+    def __init__(self, delta, tol, box=None):
+        self.delta, self.tol, self.box = delta, tol, box
+        self.parts = []
         self.cells = []
         self.lefts = []
         self.roots = []
         self.values = {}
 
     def add(self, result: CellCounts):
-        y0, y1 = result.im
-        walls = result.walls
-        for x0, x1, count, mom in zip(walls, walls[1:], result.counts, result.moments):
-            self.cells.append(_Cell(x0, x1, y0, y1, count, mom))
-        self.cells.sort(key=lambda c: c.x0)
+        self.parts.append(result)
+        self._index()
+
+    def revise(self, result: CellCounts):
+        """Replace the cells of the part added last."""
+        self.parts[-1] = result
+        self._index()
+
+    def _index(self):
+        self.cells = sorted(
+            (
+                _Cell(x0, x1, *part.im, count, mom)
+                for part in self.parts
+                for x0, x1, count, mom in zip(part.walls, part.walls[1:], part.counts, part.moments)
+            ),
+            key=lambda c: c.x0,
+        )
         self.lefts = [c.x0 for c in self.cells]
 
     def cell_of(self, lam):
@@ -505,7 +593,7 @@ class _Census:
 
     def polish(self, guesses, max_iter: int = 50):
         """The secant polish from ``guesses``: (landing points, converged flags, Delta there)."""
-        return _refine_many(self.delta, guesses, self.tol, max_iter)
+        return _refine_many(self.delta, guesses, self.tol, max_iter, self.box)
 
     def take(self, landed, ok, vals) -> int:
         """Add the converged roots of a polish that are new and lie in a cell; returns how many.
@@ -534,15 +622,40 @@ class _Census:
         return added
 
 
-def _locate(census):
-    """Polish what the cells' moments point at until a round finds no new root."""
+def _locate(census, max_iter: int = 50):
+    """Polish what the cells' moments point at until a round finds no new root.
+
+    Each pointer gets at most ``max_iter`` secant steps.  A cell whose
+    located roots are the same as in the last round points at the same
+    guesses, which would land where they landed, so it is skipped.
+    """
+    tried = {}
     for _ in range(sum(c.count for c in census.cells) + 1):
         pointers = []
         for k, c in enumerate(census.cells):
-            if c.moments is not None:
-                pointers += _hankel_roots(c.moments, census.inside(k), c.count)
-        if not census.take(*census.polish(pointers)):
+            if c.moments is None:
+                continue
+            inside = census.inside(k)
+            if tried.get(k) != inside:
+                tried[k] = inside
+                pointers += _hankel_roots(c.moments, inside, c.count)
+        if not census.take(*census.polish(pointers, max_iter)):
             return
+
+
+def _resolve(census, sampling):
+    """Locate the roots of the rectangle added last, in two rungs.
+
+    The first takes the moments of the phase-certified samples (the
+    census holds them already) and polishes their pointers for at most
+    _SEED_STEPS steps.  Only the cells still short of their counts are
+    then densified; their moments are retaken and their pointers
+    polished to convergence.
+    """
+    _locate(census, _SEED_STEPS)
+    sampling.densify(census.roots)
+    census.revise(sampling.cells(census.roots))
+    _locate(census)
 
 
 def _square(census, k, r):
@@ -617,12 +730,18 @@ def compute_spectrum(
     The rectangle [left margin, midpoint beyond seed n_max] x
     [-im_window, im_window] is cut into n_max cells at the midpoints of
     the seeds of ``initial_guesses``, and every cell's roots are counted
-    from one contour sampling.  The secant polish refines every seed for
-    at most 12 steps; where a cell's count exceeds the roots found in it, the
-    moments of its contour samples locate the missing ones (see the
-    module docstring).
-    A root within 1 of the floor adds a cell of width 5 below it, up to
-    three times.  Multiplicities come from counts on small squares
+    from one contour sampling whose phase steps stay below pi/2.  The
+    secant polish refines every seed for at most 12 steps.  Where a
+    cell's count exceeds the roots found in it, the moments of those
+    samples point at the missing ones, and each pointer gets at most 12
+    steps too.  Only a cell still short after that is sampled densely,
+    and the pointers of its new moments are polished to convergence
+    (the two rungs of the module docstring).  Every polish gives up a
+    guess that leaves the rectangle widened to hold the floor
+    extensions: Re in [floor - 20 - width, 2 * right edge], |Im| within
+    twice im_window.  A root within 1 of the floor adds a cell of width
+    5 below it, up to three times, located in the same two rungs.
+    Multiplicities come from counts on small squares
     around the roots, and a cell whose count still differs from its
     roots raises an incompleteness error rather than returning a
     spectrum with holes.  Each entry's residual is |Delta| at the point
@@ -641,20 +760,28 @@ def compute_spectrum(
     re_lo = law[0] - max(1.5 * (law[1] - law[0]), 5.0)
     cuts = [0.5 * (a + b) for a, b in zip(law[:-2], law[1:-1])]
 
-    census = _Census(delta, tol)
+    # a polish gives up a guess that leaves this box: it holds the three
+    # floor extensions (15 below re_lo) with room to spare, and far left
+    # of it the direct route's Delta overflows
+    box = (
+        complex(re_lo - 20.0 - (re_hi - re_lo), -2.0 * im_window),
+        complex(2.0 * re_hi, 2.0 * im_window),
+    )
+    census = _Census(delta, tol, box)
     polished = census.polish(law[:-1], _SEED_STEPS)
-    seeds = [complex(x) for x, good in zip(*polished[:2]) if good]
-    rect = (complex(re_lo, -im_window), complex(re_hi, im_window))
-    census.add(count_roots(delta, rect, cuts=cuts, known=seeds))
+    seeds = _distinct(x for x, good in zip(*polished[:2]) if good)
+    sampling = _Sampling(delta, (complex(re_lo, -im_window), complex(re_hi, im_window)), cuts)
+    census.add(sampling.cells(seeds))
     census.take(*polished)
     for extension in range(4):
-        _locate(census)
+        _resolve(census, sampling)
         floor = census.cells[0]
         if extension == 3 or all(r.real >= floor.x0 + 1.0 for r in census.roots):
             break
         # a root hugging the floor suggests the lowest eigenvalue may lie below
         below = (complex(floor.x0 - 5.0, floor.y0), complex(floor.x0, floor.y1))
-        census.add(count_roots(delta, below, known=census.roots))
+        sampling = _Sampling(delta, below)
+        census.add(sampling.cells(census.roots))
 
     listed = _root_order(_multiplicities(census))
     entries = tuple(

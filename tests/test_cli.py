@@ -439,3 +439,20 @@ def test_isospec_lists_a_failed_spectrum_and_skips_what_reads_it(tmp_path, capsy
     ]
     assert all(c["pass"] for c in report["comparisons"])
     assert capsys.readouterr().out.splitlines()[-1] == "isospec: FAIL"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [0.15, 0.4, 0.6, 0.9, 1.0, 1.04])
+def test_isospec_across_delays_raises_no_warning(tmp_path, a):
+    # every polish stays where Delta is finite: at a = 0.9 a guess of the
+    # direct route once stepped to lambda ~ -1e5, where the stepper
+    # overflows; the default grid with 12 cells and one alpha reaches it
+    cfg = dataclasses.replace(
+        load_config(None), a=a, alphas=(0j,), nystrom_n=96, spectrum=SpectrumConfig(n_max=12)
+    )
+    assert cmd_isospec(cfg, tmp_path) == 0
+    report = _json(tmp_path / "isospec_report.json")
+    assert report["pass"] is True
+    assert len(report["spectra"]) == 6
+    assert all(s["pass"] for s in report["spectra"])
+    assert all(c["pass"] for c in report["comparisons"])

@@ -128,6 +128,32 @@ def test_polish_drops_a_guess_where_delta_is_not_finite(bad):
     assert info.value.last == 60.0 and not np.isfinite(info.value.last_value)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_polish_gives_up_a_guess_that_leaves_its_box():
+    # Delta overflows left of Re z = -50; the first secant step from 40
+    # lands there, at about -71, and the guess is given up before Delta
+    # is taken.  A guess that starts outside the box costs nothing.
+    def delta(z):
+        z = np.asarray(z, dtype=complex)
+        return np.exp(np.where(z.real < -50.0, 1e4, 0.0)) * (z - 100.0) * (z - 1.0)
+
+    box = (complex(-5.0, -5.0), complex(50.0, 5.0))
+    batches = []
+    roots, ok, vals = spectrum._refine_many(
+        _recorded(delta, batches), [1.2, 40.0, 60.0, 8.0j], 1e-10, box=box
+    )
+    seen = np.concatenate(batches)
+    assert np.all(spectrum._in_box(seen, box))
+    assert ok.tolist() == [True, False, False, False]
+    assert abs(roots[0] - 1.0) < 1e-10
+    assert roots[1] in seen and vals[1] == delta(np.array([roots[1]]))[0]
+    assert roots[2] == 60.0 and roots[3] == 8.0j and np.isnan(vals[2:]).all()
+    assert 60.0 not in seen and 8.0j not in seen
+    # without the box the same guesses reach the overflowing side
+    with pytest.raises(RuntimeWarning):
+        spectrum._refine_many(delta, [40.0], 1e-10)
+
+
 def test_count_roots_classical():
     assert count_roots(_s, (-0.5 - 1.0j, 10.5 + 1.0j)).counts == (3,)
     assert count_roots(_c, (-0.5 - 1.0j, 10.5 + 1.0j)).counts == (3,)
@@ -273,6 +299,100 @@ def test_member_spectra_agree_across_delays(a, nu):
             lams = s.lambdas()
             gaps = np.abs(lams[:, None] - lams[None, :]) / (1.0 + np.abs(lams))
             assert np.all(gaps[~np.eye(len(lams), dtype=bool)] > 1e-6), "a root listed twice"
+
+
+def _staged(monkeypatch, delta):
+    """delta counting its points by stage, and the moments' pointers by rung.
+
+    The stages are the seed polish ("seeds"), the phase-certified
+    sampling ("phase"), the first rung's pointer polish ("first"), the
+    densification ("dense") and the second rung's polish ("second").
+    """
+    points = {}
+    pointers = {"first": [], "second": []}
+    stage = ["seeds"]
+
+    def counted(z):
+        points[stage[0]] = points.get(stage[0], 0) + np.size(z)
+        return delta(z)
+
+    def during(name, fn):
+        def run(*args, **kwargs):
+            before, stage[0] = stage[0], name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stage[0] = before
+
+        return run
+
+    locate, hankel = spectrum._locate, spectrum._hankel_roots
+
+    def staged_locate(census, max_iter=50):
+        name = "first" if max_iter == spectrum._SEED_STEPS else "second"
+        return during(name, locate)(census, max_iter)
+
+    def recorded_hankel(moments, known, count):
+        found = hankel(moments, known, count)
+        pointers.setdefault(stage[0], []).append((moments[0], found))
+        return found
+
+    monkeypatch.setattr(spectrum, "_locate", staged_locate)
+    monkeypatch.setattr(spectrum, "_hankel_roots", recorded_hankel)
+    sampling = spectrum._Sampling
+    monkeypatch.setattr(sampling, "__init__", during("phase", sampling.__init__))
+    monkeypatch.setattr(sampling, "densify", during("dense", sampling.densify))
+    return counted, points, pointers
+
+
+def test_first_moments_locate_every_root_of_a_default_member(monkeypatch):
+    # nu = 1, j = 0 at the default delay: the seeds and the pointers of
+    # the phase samples' moments find every root, so no edge is bisected
+    # for the moments and the second rung polishes nothing
+    delta = _member_deltas(A, 1, 0.0)[0]
+    counted, points, pointers = _staged(monkeypatch, delta)
+    spec = compute_spectrum(counted, 1, 0, 20)
+    assert spec.certified_count == 20
+    assert points["first"] > 0 and pointers["first"]
+    assert "dense" not in points and "second" not in points and not pointers["second"]
+    assert sum(points.values()) == points["seeds"] + points["phase"] + points["first"]
+    # the same rectangle densified as count_roots does it, for the cells
+    # the seeds leave short, costs more than the whole first rung
+    law = [g.real for g in initial_guesses(1, 0, 21)]
+    cuts = [0.5 * (x + y) for x, y in zip(law[:-2], law[1:-1])]
+    rect = (complex(law[0] - 5.0, -10.0), complex(0.5 * (law[-2] + law[-1]), 10.0))
+    seeds, ok, _ = spectrum._refine_many(delta, law[:-1], 1e-10, spectrum._SEED_STEPS)
+    dense = []
+    count_roots(_recorded(delta, dense), rect, cuts=cuts, known=seeds[ok])
+    assert sum(b.size for b in dense) - points["phase"] > points["first"]
+
+
+def test_a_pair_the_first_moments_miss_is_certified_through_the_dense_rung(monkeypatch):
+    # nu = 1, j = 1 at the default delay: the cell [12.5, 20.5] holds a
+    # conjugate pair, and the moments of its phase samples point at two
+    # real numbers, where a real Delta keeps the secant real.  Only the
+    # densified samples' moments point at the pair.
+    pair = (13.6833 - 1.157j, 13.6833 + 1.157j)
+    delta = _member_deltas(A, 1, 0.0)[1]
+    counted, points, pointers = _staged(monkeypatch, delta)
+    spec = compute_spectrum(counted, 1, 1, 20)
+    assert spec.certified_count == 21
+    lams = spec.lambdas()
+    for want in pair:
+        assert np.min(np.abs(lams - want)) < 1e-4
+    center = 0.5 * (12.5 + 20.5)
+
+    def pointed(rung):
+        return [p for c, found in pointers[rung] if abs(c - center) < 1e-9 for p in found]
+
+    first, second = pointed("first"), pointed("second")
+    assert first and all(abs(p.imag) < 1e-6 for p in first)
+    assert points["dense"] > 0 and points["second"] > 0
+    assert len(second) == 2 and all(min(abs(p - w) for w in pair) < 0.3 for p in second)
+    # count_roots keeps its contract: its moments come from dense samples
+    cell = count_roots(delta, (complex(12.5, -10.0), complex(20.5, 10.0)))
+    found = spectrum._hankel_roots(cell.moments[0], [], cell.counts[0])
+    assert cell.counts == (2,) and all(min(abs(p - w) for w in pair) < 0.3 for p in found)
 
 
 def test_residuals_are_delta_at_the_listed_roots():
