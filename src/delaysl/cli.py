@@ -44,7 +44,7 @@ from .fredholm import (
 )
 from .gridfn import integrate, write_csv
 from .kernels import ckernel, skernel
-from .spectrum import compare, compute_spectrum
+from .spectrum import _Free, compare, compute_spectrum
 
 __all__ = [
     "GridConfig",
@@ -517,13 +517,6 @@ def cmd_fredholm(config: RunConfig, out: Path) -> int:
 # spectrum and isospec
 
 
-def _classical_values(nu: int, j: int, count: int) -> np.ndarray:
-    if nu != j:
-        return np.array([(k - 0.5) ** 2 for k in range(1, count + 1)])
-    start = 1 if nu == 0 else 0
-    return np.array([float(k * k) for k in range(start, start + count)])
-
-
 _BASELINE_TOL = 1e-10  # largest gap of a zero-potential spectrum to its n^2 law
 
 
@@ -552,7 +545,7 @@ def _baseline(config: RunConfig, spectrum):
         if s is None:
             continue
         lams = s.lambdas()
-        gap = float(np.max(np.abs(lams - _classical_values(config.nu, j, len(lams)))))
+        gap = float(np.max(np.abs(lams - _Free(config.nu, j).zeros(len(lams)))))
         yield j, s, gap, gap <= _BASELINE_TOL
 
 

@@ -6,26 +6,36 @@ polished by the secant iteration and listed with its multiplicity.  The
 rectangle is cut into vertical cells at the midpoints of the
 leading-order law (n^2 or (n - 1/2)^2), and one sampling of the cell
 edges, each wall shared by the two cells it separates, counts the roots
-of every cell by the argument principle.  The secant polish from the
-law's seeds finds most roots.  In a cell whose count exceeds the roots
-found there, the same samples give the moments
+of every cell by the argument principle.  What is sampled is not Delta
+but Delta / Delta_0, Delta_0 the characteristic function of the zero
+potential (cos rho pi, sin(rho pi) / rho or -rho sin rho pi, rho =
+sqrt lambda), whose zeros are the law.  The ratio is 1 + O(1/rho) and
+turns slowly, so few samples certify its phase, and Delta winds around
+a cell as often as the ratio does plus the zeros of Delta_0 inside.
+The secant polish from the law's seeds finds most roots.  In a cell
+whose count exceeds the roots found there, the same samples give the
+moments
 
     s_k = (1/2 pi i) oint z^k dlog Delta
 
-as Stieltjes sums (Delves & Lyness, Math. Comp. 21, 1967).  Deflated by
-the known roots they are the power sums of the missing ones, and those
-are the eigenvalues of a pencil of two Hankel matrices of the sums
-(Kravanja & Van Barel, LNM 1727, 2000); the secant polishes them.
+as Stieltjes sums (Delves & Lyness, Math. Comp. 21, 1967): the sums of
+dlog of the ratio, plus the k-th powers of the zeros of Delta_0 in the
+cell.  Deflated by the known roots they are the power sums of the
+missing ones, and those are the eigenvalues of a pencil of two Hankel
+matrices of the sums (Kravanja & Van Barel, LNM 1727, 2000); the secant
+polishes them.
 
 The moments are taken in two rungs.  The first reads them off the
 samples that certify the count, whose phase steps stay below pi/2, and
 polishes their pointers for as few steps as the seeds get.  Most
 missing roots are found there.  Only a cell still short of its count
-has its edges bisected further, until |log(v1 / v0)| between neighbour
-samples is small, and the second rung polishes the pointers of its
-retaken moments to convergence.  A multiplicity is read only from a
-count on a small square around its root.  If a cell's count and its
-roots still disagree, the computation refuses to report.
+has its edges sampled further, no farther apart than Delta's own
+samples start and until |log(v1 / v0)| between neighbour samples is
+small, and the second rung polishes the pointers of its retaken moments
+to convergence.  The polish, the test of a sample against a root and
+``count_roots`` all take Delta itself.  A multiplicity is read only
+from a count on a small square around its root.  If a cell's count and
+its roots still disagree, the computation refuses to report.
 
 The secant costs one Delta point per guess and step (two on the first),
 and its order (1 + sqrt 5) / 2 makes it cheaper per point than a Newton
@@ -75,11 +85,14 @@ _ON_CONTOUR = 1e-8
 # of its cell locate the root it missed
 _SEED_STEPS = 12
 
-# Contour sampling.  An edge starts with samples at most _EDGE_STEP times
-# its rectangle's height apart, and at least _MIN_INTERVALS intervals;
-# an interval is bisected while its phase step reaches pi/2 and, in a
-# cell that the first moments leave short of roots, while |log(v1 / v0)|
-# exceeds _MOMENT_STEP.
+# Contour sampling.  An edge of Delta starts with samples at most
+# _EDGE_STEP times its rectangle's height apart, and at least
+# _MIN_INTERVALS intervals; an edge of Delta / Delta_0 starts with
+# _MIN_INTERVALS intervals.  An interval is bisected while its phase step
+# reaches pi/2.  In a cell that the first moments leave short of roots,
+# an interval is split into equal ones no longer than _EDGE_STEP times
+# the height, and into |log(v1 / v0)| / _MOMENT_STEP ones at least, until
+# no |log(v1 / v0)| exceeds _MOMENT_STEP.
 _EDGE_STEP = 0.125
 _MIN_INTERVALS = 4
 _MOMENT_STEP = 0.25
@@ -153,6 +166,35 @@ def initial_guesses(nu: int, j: int, count: int):
     if nu == j:
         return [complex(n * n) for n in range(1, count + 1)]
     return [complex((n - 0.5) ** 2) for n in range(1, count + 1)]
+
+
+@dataclass(frozen=True)
+class _Free:
+    """Delta_0, the characteristic function of the zero potential for (nu, j).
+
+    Called on an array of lambda it returns cos(rho pi) when nu != j,
+    sin(rho pi) / rho when nu = j = 0 and -rho sin(rho pi) when
+    nu = j = 1, rho = sqrt(lambda).  It takes numpy on rho alone, not the
+    closed forms, so a route it divides stays independent of them.
+    ``zeros(count)`` lists its first ``count`` zeros, all real and simple:
+    (n - 1/2)^2 when nu != j, and n^2 from n = 1 for nu = j = 0 and from
+    n = 0 for nu = j = 1.
+    """
+
+    nu: int
+    j: int
+
+    def __call__(self, lam):
+        rho = np.sqrt(np.asarray(lam, dtype=complex))
+        if self.nu != self.j:
+            return np.cos(np.pi * rho)
+        if self.nu == 0:
+            return np.pi * np.sinc(rho)
+        return -rho * np.sin(np.pi * rho)
+
+    def zeros(self, count):
+        n = np.arange(count, dtype=float)
+        return (n + 0.5) ** 2 if self.nu != self.j else (n + 1.0 - self.nu) ** 2
 
 
 def _in_box(z, box):
@@ -248,36 +290,53 @@ class _ContourTooClose(Exception):
         self.edge = edge
 
 
-def _phase_too_coarse(ratio):
-    return np.abs(np.angle(ratio)) >= 0.5 * np.pi
+def _phase_pieces(z, v, step):
+    """Two pieces for an interval across which the phase turns by pi/2 or more, else one."""
+    return 1 + (np.abs(np.angle(v[1:] / v[:-1])) >= 0.5 * np.pi)
 
 
-def _log_too_coarse(ratio):
-    return np.abs(np.log(ratio)) > _MOMENT_STEP
+def _moment_pieces(z, v, step):
+    """Equal pieces no longer than ``step``, and at least |log(v1 / v0)| / _MOMENT_STEP of them."""
+    # the slack keeps an interval already cut to ``step`` from reading a rounding longer
+    spaced = np.ceil(np.abs(np.diff(z)) / step - 1e-9)
+    return np.maximum(spaced, np.ceil(np.abs(np.log(v[1:] / v[:-1])) / _MOMENT_STEP))
 
 
 class _Net:
-    """Delta sampled on the edges of vertical cells cut from one rectangle.
+    """Delta, or Delta / Delta_0 with ``free``, sampled on the edges of vertical cells.
 
-    ``xs`` are the cells' walls, left to right, and [y0, y1] their
-    imaginary range.  Edge 2k is the bottom side of cell k and edge
-    2k + 1 its top side, both left to right; edge 2n + k is the wall at
-    xs[k], bottom to top.  Neighbouring cells share their wall's samples,
-    and every corner is evaluated once.
+    ``xs`` are the walls of the cells cut from one rectangle, left to
+    right, and [y0, y1] their imaginary range.  Edge 2k is the bottom
+    side of cell k and edge 2k + 1 its top side, both left to right; edge
+    2n + k is the wall at xs[k], bottom to top.  Neighbouring cells share
+    their wall's samples, and every corner is evaluated once.  A sample
+    hits a root when |Delta| itself is small.  On the ratio (``free`` a
+    ``_Free``), the zeros of Delta_0 inside a cell are added back to its
+    count and to its moments, so both are those of Delta: by the argument
+    principle Delta winds as often as the ratio plus the zeros of Delta_0
+    it encloses.  The ratio is 1 + O(1/rho) and turns slowly, so its
+    edges start from _MIN_INTERVALS intervals.
     """
 
-    def __init__(self, delta, xs, y0, y1):
-        self.delta, self.xs, self.y0, self.y1 = delta, xs, y0, y1
+    def __init__(self, delta, xs, y0, y1, free=None):
+        self.delta, self.xs, self.y0, self.y1, self.free = delta, xs, y0, y1, free
         n = self.n = len(xs) - 1
         corners = np.concatenate([np.asarray(xs) + 1j * y0, np.asarray(xs) + 1j * y1])
         ends = [(k + side * (n + 1), k + 1 + side * (n + 1)) for k in range(n) for side in (0, 1)]
         ends += [(k, k + n + 1) for k in range(n + 1)]
-        step = _EDGE_STEP * (y1 - y0)
+        self.step = _EDGE_STEP * (y1 - y0)
         inner = []
         for a, b in ends:
             za, zb = corners[a], corners[b]
-            m = max(_MIN_INTERVALS, int(np.ceil(abs(zb - za) / step)))
+            m = _MIN_INTERVALS
+            if free is None:
+                m = max(m, int(np.ceil(abs(zb - za) / self.step)))
             inner.append(za + (zb - za) * (np.arange(1, m) / m))
+        zeros = np.zeros(0)
+        if free is not None and y0 < 0.0 < y1:
+            # enough zeros that the last lies beyond the rectangle
+            zeros = free.zeros(int(np.sqrt(max(xs[-1], 0.0))) + 2)
+        self.zeros = [zeros[(zeros > xs[k]) & (zeros < xs[k + 1])] for k in range(n)]
         owner = [2 * n + np.arange(2 * n + 2) % (n + 1)]
         owner += [np.full(p.size, e) for e, p in enumerate(inner)]
         v = self._eval(np.concatenate([corners, *inner]), np.concatenate(owner))
@@ -291,29 +350,37 @@ class _Net:
         close = np.flatnonzero(np.abs(v) <= _ON_CONTOUR * (1.0 + np.abs(z)))
         if close.size:
             raise _ContourTooClose(int(owner[close[0]]))
-        return v
+        return v if self.free is None else v / self.free(z)
 
-    def refine(self, edges, too_coarse):
-        """Bisect the intervals of ``edges`` where ``too_coarse(v1 / v0)``.
+    def refine(self, edges, pieces):
+        """Split each interval of ``edges`` into ``pieces(z, v, step)`` equal ones.
 
-        All edges are refined together, one Delta call per round, until
-        no interval is too coarse.
+        ``step`` is _EDGE_STEP times the height.  All edges are refined
+        together, one Delta call per round, until every interval is left
+        in one piece.
         """
+        edges = list(edges)
         while True:
-            picks = [(e, np.flatnonzero(too_coarse(self.v[e][1:] / self.v[e][:-1]))) for e in edges]
-            picks = [(e, i) for e, i in picks if i.size]
-            if not picks:
+            ends = np.cumsum([self.z[e].size for e in edges])
+            z = np.concatenate([self.z[e] for e in edges])
+            v = np.concatenate([self.v[e] for e in edges])
+            p = pieces(z, v, self.step).astype(int)
+            p[ends[:-1] - 1] = 1  # the gaps from one edge to the next
+            i = np.flatnonzero(p > 1)
+            if not i.size:
                 return
-            mids = [0.5 * (self.z[e][i] + self.z[e][i + 1]) for e, i in picks]
-            if sum(z.size for z in self.z) + sum(m.size for m in mids) > _BUDGET:
+            k = p[i] - 1
+            at = np.repeat(i, k)
+            t = np.arange(at.size) - np.repeat(np.cumsum(k) - k, k) + 1.0
+            new = (z[at] * (p[at] - t) + z[at + 1] * t) / p[at]
+            if sum(z.size for z in self.z) + new.size > _BUDGET:
                 raise ContourError("contour sampling budget exhausted")
-            owner = np.concatenate([np.full(i.size, e) for e, i in picks])
-            vals = self._eval(np.concatenate(mids), owner)
-            at = 0
-            for (e, i), m in zip(picks, mids):
-                self.z[e] = np.insert(self.z[e], i + 1, m)
-                self.v[e] = np.insert(self.v[e], i + 1, vals[at : at + i.size])
-                at += i.size
+            which = np.searchsorted(ends, at, side="right")
+            vals = self._eval(new, np.asarray(edges)[which])
+            ends = ends + np.cumsum(np.bincount(which, minlength=len(edges)))
+            z, v = np.insert(z, at + 1, new), np.insert(v, at + 1, vals)
+            for e, ze, ve in zip(edges, np.split(z, ends[:-1]), np.split(v, ends[:-1])):
+                self.z[e], self.v[e] = ze, ve
 
     def cell_edges(self, k):
         """Cell k's boundary, counterclockwise, as (edge, direction) pairs."""
@@ -328,15 +395,16 @@ class _Net:
             count = int(np.rint(turns))
             if abs(turns - count) > 0.25:
                 raise ContourError(f"accumulated phase {turns:.3f} turns is not an integer")
-            out.append(count)
+            out.append(count + self.zeros[k].size)
         return out
 
     def moments(self, k, order):
         """(center, scale, s), s[m] = (1/2 pi i) oint ((z - center) / scale)^m dlog Delta.
 
         Stieltjes sums over the samples of cell k's boundary: the power
-        is taken at the middle of each interval, dlog Delta is the exact
-        log(v1 / v0) of its ends.
+        is taken at the middle of each interval, dlog is the exact
+        log(v1 / v0) of its ends.  On the ratio, the sums of the powers
+        at the zeros of Delta_0 in the cell are added.
         """
         z = np.concatenate([self.z[e][::d][1:] for e, d in self.cell_edges(k)])
         v = np.concatenate([self.v[e][::d][1:] for e, d in self.cell_edges(k)])
@@ -346,7 +414,9 @@ class _Net:
         scale = 0.5 * max(xs[k + 1] - xs[k], self.y1 - self.y0)
         zm = (0.5 * (z[:-1] + z[1:]) - center) / scale
         dlog = np.log(v[1:] / v[:-1])
-        return center, scale, np.vander(zm, order, increasing=True).T @ dlog / (2j * np.pi)
+        s = np.vander(zm, order, increasing=True).T @ dlog / (2j * np.pi)
+        z0 = (self.zeros[k] - center) / scale
+        return center, scale, s + np.vander(z0, order, increasing=True).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -381,21 +451,22 @@ def _distinct(roots):
 class _Sampling:
     """The cells of one rectangle, counted on a phase-certified ``_Net`` that is kept.
 
-    ``rectangle`` and ``cuts`` are as in ``count_roots``.  A sample too
-    close to a zero of Delta moves the edge it lies on outward, a wall by
-    1% of the narrower cell beside it and the top and bottom by a 1%
-    dilation of the imaginary range, and the rectangle is sampled
-    afresh; the sixth such sample raises a contour error.
+    ``rectangle`` and ``cuts`` are as in ``count_roots``; with a ``_Free``
+    as ``free`` the net samples Delta / Delta_0.  A sample too close to a
+    zero of Delta moves the edge it lies on outward, a wall by 1% of the
+    narrower cell beside it and the top and bottom by a 1% dilation of the
+    imaginary range, and the rectangle is sampled afresh; the sixth such
+    sample raises a contour error.
     """
 
-    def __init__(self, delta, rectangle, cuts=()):
+    def __init__(self, delta, rectangle, cuts=(), free=None):
         lo, hi = complex(rectangle[0]), complex(rectangle[1])
         if not (hi.real > lo.real and hi.imag > lo.imag):
             raise DomainError("rectangle corners must be ordered lower-left, upper-right")
         self.xs = [lo.real, *sorted(float(c) for c in cuts), hi.real]
         if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
             raise DomainError("cuts must lie strictly inside the rectangle")
-        self.delta, self.y0, self.y1 = delta, lo.imag, hi.imag
+        self.delta, self.y0, self.y1, self.free = delta, lo.imag, hi.imag, free
         self.net, self.moves = None, 0
         self._clear(lambda: None)
 
@@ -405,8 +476,8 @@ class _Sampling:
         while True:
             try:
                 if self.net is None:
-                    net = _Net(self.delta, self.xs, self.y0, self.y1)
-                    net.refine(range(len(net.z)), _phase_too_coarse)
+                    net = _Net(self.delta, self.xs, self.y0, self.y1, self.free)
+                    net.refine(range(len(net.z)), _phase_pieces)
                     self.net, self.counts = net, net.counts()
                 return work()
             except _ContourTooClose as hit:
@@ -432,11 +503,16 @@ class _Sampling:
         ]
 
     def densify(self, known):
-        """Bisect the edges of every short cell until |log(v1 / v0)| <= _MOMENT_STEP.
+        """Refine the edges of every short cell for its moments.
 
-        All short cells are refined together; the counts are read again
-        after each round, and a cell that this leaves short is refined in
-        the next one.
+        Intervals are split into equal ones no longer than _EDGE_STEP
+        times the height, and then until |log(v1 / v0)| <= _MOMENT_STEP,
+        an interval into |log(v1 / v0)| / _MOMENT_STEP pieces at once.
+        The spacing bound matters on the ratio: its phase-certified
+        samples lie far apart where it turns slowly, and moments from so
+        few can point at the real axis.  All short cells are refined
+        together; the counts are read again after each refinement, and a
+        cell that this leaves short is refined in the next one.
         """
 
         def work():
@@ -446,7 +522,7 @@ class _Sampling:
                 if not todo:
                     return
                 edges = sorted({e for k in todo for e, _ in self.net.cell_edges(k)})
-                self.net.refine(edges, _log_too_coarse)
+                self.net.refine(edges, _moment_pieces)
                 dense.update(todo)
                 self.counts = self.net.counts()
 
@@ -730,13 +806,17 @@ def compute_spectrum(
     The rectangle [left margin, midpoint beyond seed n_max] x
     [-im_window, im_window] is cut into n_max cells at the midpoints of
     the seeds of ``initial_guesses``, and every cell's roots are counted
-    from one contour sampling whose phase steps stay below pi/2.  The
-    secant polish refines every seed for at most 12 steps.  Where a
-    cell's count exceeds the roots found in it, the moments of those
-    samples point at the missing ones, and each pointer gets at most 12
-    steps too.  Only a cell still short after that is sampled densely,
-    and the pointers of its new moments are polished to convergence
-    (the two rungs of the module docstring).  Every polish gives up a
+    from one contour sampling of Delta / Delta_0 (Delta_0 that of the
+    zero potential for (nu, j)) whose phase steps stay below pi/2; the
+    zeros of Delta_0 in a cell are added to its count and to its
+    moments.  The secant polish refines every seed for at most 12 steps.
+    Where a cell's count exceeds the roots found in it, the moments of
+    those samples point at the missing ones, and each pointer gets at
+    most 12 steps too.  Only a cell still short after that is sampled
+    densely, and the pointers of its new moments are polished to
+    convergence (the two rungs of the module docstring).  Every polish,
+    and the test that moves an edge off a root, takes Delta itself.
+    Every polish gives up a
     guess that leaves the rectangle widened to hold the floor
     extensions: Re in [floor - 20 - width, 2 * right edge], |Im| within
     twice im_window.  A root within 1 of the floor adds a cell of width
@@ -770,7 +850,9 @@ def compute_spectrum(
     census = _Census(delta, tol, box)
     polished = census.polish(law[:-1], _SEED_STEPS)
     seeds = _distinct(x for x, good in zip(*polished[:2]) if good)
-    sampling = _Sampling(delta, (complex(re_lo, -im_window), complex(re_hi, im_window)), cuts)
+    free = _Free(nu, j)
+    rectangle = (complex(re_lo, -im_window), complex(re_hi, im_window))
+    sampling = _Sampling(delta, rectangle, cuts, free)
     census.add(sampling.cells(seeds))
     census.take(*polished)
     for extension in range(4):
@@ -780,7 +862,7 @@ def compute_spectrum(
             break
         # a root hugging the floor suggests the lowest eigenvalue may lie below
         below = (complex(floor.x0 - 5.0, floor.y0), complex(floor.x0, floor.y1))
-        sampling = _Sampling(delta, below)
+        sampling = _Sampling(delta, below, free=free)
         census.add(sampling.cells(census.roots))
 
     listed = _root_order(_multiplicities(census))

@@ -35,7 +35,8 @@ from delaysl import (
     y1_closed,
     y2_closed,
 )
-from delaysl.cli import RunConfig, _classical_values, _seed_pair
+from delaysl.cli import RunConfig, _seed_pair
+from delaysl.spectrum import _Free
 
 A = math.pi / 4.0
 NODES = 513
@@ -307,7 +308,7 @@ def test_criterion_8_classical_baseline(setups):
                 lambda lam, data=datas[j]: delta_closed(data, lam), nu, j, 20
             )
             lam = s.lambdas()
-            want = _classical_values(nu, j, len(lam))
+            want = _Free(nu, j).zeros(len(lam))
             assert len(lam) == (21 if (nu, j) == (1, 1) else 20)
             worst = max(worst, float(np.max(np.abs(lam - want))))
     _gate(8, "classical baseline", worst, 1e-10, ", n^2 and (n-1/2)^2 ladders, n <= 20")

@@ -345,6 +345,14 @@ def _staged(monkeypatch, delta):
     return counted, points, pointers
 
 
+def _rectangle(nu, j, n_max):
+    """The rectangle and cuts of ``compute_spectrum``."""
+    law = [g.real for g in initial_guesses(nu, j, n_max + 1)]
+    cuts = [0.5 * (x + y) for x, y in zip(law[:-2], law[1:-1])]
+    re_lo = law[0] - max(1.5 * (law[1] - law[0]), 5.0)
+    return (complex(re_lo, -10.0), complex(0.5 * (law[-2] + law[-1]), 10.0)), cuts
+
+
 def test_first_moments_locate_every_root_of_a_default_member(monkeypatch):
     # nu = 1, j = 0 at the default delay: the seeds and the pointers of
     # the phase samples' moments find every root, so no edge is bisected
@@ -358,29 +366,29 @@ def test_first_moments_locate_every_root_of_a_default_member(monkeypatch):
     assert sum(points.values()) == points["seeds"] + points["phase"] + points["first"]
     # the same rectangle densified as count_roots does it, for the cells
     # the seeds leave short, costs more than the whole first rung
-    law = [g.real for g in initial_guesses(1, 0, 21)]
-    cuts = [0.5 * (x + y) for x, y in zip(law[:-2], law[1:-1])]
-    rect = (complex(law[0] - 5.0, -10.0), complex(0.5 * (law[-2] + law[-1]), 10.0))
-    seeds, ok, _ = spectrum._refine_many(delta, law[:-1], 1e-10, spectrum._SEED_STEPS)
+    rect, cuts = _rectangle(1, 0, 20)
+    seeds, ok, _ = spectrum._refine_many(delta, initial_guesses(1, 0, 20), 1e-10, spectrum._SEED_STEPS)
     dense = []
     count_roots(_recorded(delta, dense), rect, cuts=cuts, known=seeds[ok])
     assert sum(b.size for b in dense) - points["phase"] > points["first"]
 
 
 def test_a_pair_the_first_moments_miss_is_certified_through_the_dense_rung(monkeypatch):
-    # nu = 1, j = 1 at the default delay: the cell [12.5, 20.5] holds a
-    # conjugate pair, and the moments of its phase samples point at two
+    # nu = j = 1 at a = 1.04: the cell [6.5, 12.5] holds a conjugate pair,
+    # and the moments of its phase samples of Delta / Delta_0 point at two
     # real numbers, where a real Delta keeps the secant real.  Only the
-    # densified samples' moments point at the pair.
-    pair = (13.6833 - 1.157j, 13.6833 + 1.157j)
-    delta = _member_deltas(A, 1, 0.0)[1]
+    # densified samples' moments point at the pair; the ratio's phase
+    # samples lie far apart, so the densification must bound their
+    # spacing as well as the steps of log Delta.
+    pair = (6.987 - 1.5878j, 6.987 + 1.5878j)
+    delta = _member_deltas(1.04, 1, 0.0)[1]
     counted, points, pointers = _staged(monkeypatch, delta)
     spec = compute_spectrum(counted, 1, 1, 20)
     assert spec.certified_count == 21
     lams = spec.lambdas()
     for want in pair:
         assert np.min(np.abs(lams - want)) < 1e-4
-    center = 0.5 * (12.5 + 20.5)
+    center = 0.5 * (6.5 + 12.5)
 
     def pointed(rung):
         return [p for c, found in pointers[rung] if abs(c - center) < 1e-9 for p in found]
@@ -389,10 +397,91 @@ def test_a_pair_the_first_moments_miss_is_certified_through_the_dense_rung(monke
     assert first and all(abs(p.imag) < 1e-6 for p in first)
     assert points["dense"] > 0 and points["second"] > 0
     assert len(second) == 2 and all(min(abs(p - w) for w in pair) < 0.3 for p in second)
-    # count_roots keeps its contract: its moments come from dense samples
-    cell = count_roots(delta, (complex(12.5, -10.0), complex(20.5, 10.0)))
+    # count_roots keeps its contract: its moments come from dense samples of Delta
+    cell = count_roots(delta, (complex(6.5, -10.0), complex(12.5, 10.0)))
     found = spectrum._hankel_roots(cell.moments[0], [], cell.counts[0])
     assert cell.counts == (2,) and all(min(abs(p - w) for w in pair) < 0.3 for p in found)
+
+
+def test_the_first_moments_of_the_ratio_find_the_default_members_pair(monkeypatch):
+    # nu = j = 1 at the default delay: the pair 13.683 +- 1.157i in the
+    # cell [12.5, 20.5] is found on the first rung, with no dense samples
+    pair = (13.6833 - 1.157j, 13.6833 + 1.157j)
+    counted, points, pointers = _staged(monkeypatch, _member_deltas(A, 1, 0.0)[1])
+    spec = compute_spectrum(counted, 1, 1, 20)
+    assert spec.certified_count == 21
+    for want in pair:
+        assert np.min(np.abs(spec.lambdas() - want)) < 1e-4
+    first = [p for c, found in pointers["first"] if abs(c - 16.5) < 1e-9 for p in found]
+    assert len(first) == 2 and all(min(abs(p - w) for w in pair) < 0.6 for p in first)
+    assert "dense" not in points and "second" not in points
+
+
+def _ratio_counts_agree(delta, nu, j, n_max):
+    spec = compute_spectrum(delta, nu, j, n_max)
+    rect, cuts = _rectangle(nu, j, n_max)
+    ratio = spectrum._Sampling(delta, rect, cuts, spectrum._Free(nu, j))
+    plain = count_roots(delta, rect, cuts=cuts, known=spec.lambdas())
+    assert ratio.xs == list(plain.walls)
+    assert tuple(ratio.counts) == plain.counts, (nu, j)
+    assert sum(plain.counts) == spec.certified_count
+
+
+@pytest.mark.parametrize("a", [0.15, 0.4, 0.6, 0.9, 1.0, 1.04])
+def test_counts_on_the_ratio_match_count_roots_on_delta(a):
+    # the cells counted on Delta / Delta_0, with the zeros of Delta_0 added
+    # back, hold as many roots as count_roots finds on Delta itself
+    alpha = 2.0 + 3.0j
+    for nu in (0, 1):
+        q, setup = _member_q(a, nu, alpha), DelaySetup(a=a, nu=nu)
+        for j, closed in enumerate(_member_deltas(a, nu, alpha)):
+            _ratio_counts_agree(closed, nu, j, 20)
+            _ratio_counts_agree(lambda lam, j=j: delta_direct(q, setup, j, lam), nu, j, 20)
+
+
+def test_counts_on_the_ratio_match_count_roots_on_delta_at_n_max_60():
+    for nu in (0, 1):
+        for j, delta in enumerate(_member_deltas(A, nu, 0.0)):
+            _ratio_counts_agree(delta, nu, j, 60)
+
+
+def test_free_delta_vanishes_at_its_zeros():
+    for nu in (0, 1):
+        for j in (0, 1):
+            free = spectrum._Free(nu, j)
+            zeros = free.zeros(30)
+            assert np.all(np.diff(zeros) > 0) and zeros[0] == (0.25 if nu != j else 1.0 - nu)
+            assert np.max(np.abs(free(zeros)) / (1.0 + zeros)) < 1e-12
+            # no other zero: the phase of Delta_0 on a loop around the
+            # first 30 zeros turns 30 times
+            cells = count_roots(free, (complex(-3.0, -1.0), complex(0.5 * (zeros[-1] + free.zeros(31)[-1]), 1.0)))
+            assert cells.counts == (30,)
+
+
+def test_a_root_on_a_wall_moves_the_wall_off_it(monkeypatch):
+    # (nu, j) = (0, 1) with Delta = cos(pi sqrt(lam)) (lam - 4.25) / (lam - 6.25):
+    # the root 4.25 lies on the cut between the seeds 2.25 and 6.25, where
+    # a sample of the wall's Delta / Delta_0 hits it, and the zero of
+    # Delta_0 at 6.25 is no root.  cos(pi rho) / (rho - 5/2) is written
+    # -pi sinc(rho - 5/2), so Delta is finite at 6.25.
+    def delta(z):
+        z = np.asarray(z, dtype=complex)
+        rho = np.sqrt(z)
+        return -np.pi * np.sinc(rho - 2.5) * (z - 4.25) / (rho + 2.5)
+
+    made = []
+    init = spectrum._Sampling.__init__
+
+    def recorded(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum._Sampling, "__init__", recorded)
+    spec = compute_spectrum(delta, 0, 1, 5)
+    assert spec.certified_count == 5
+    assert np.max(np.abs(spec.lambdas() - np.array([0.25, 2.25, 4.25, 12.25, 20.25]))) < 1e-9
+    sampling = made[0]
+    assert sampling.moves >= 1 and sampling.xs[2] < 4.25
 
 
 def test_residuals_are_delta_at_the_listed_roots():
@@ -433,9 +522,7 @@ def test_cell_counts_do_not_depend_on_the_initial_sampling(monkeypatch):
     alpha = complex(*np.random.default_rng(11).uniform(-3.0, 3.0, 2))
     for nu, j in ((0, 0), (1, 0), (1, 1)):
         delta = _member_deltas(A, nu, alpha)[j]
-        law = [g.real for g in initial_guesses(nu, j, 21)]
-        cuts = [0.5 * (x + y) for x, y in zip(law[:-2], law[1:-1])]
-        rect = (complex(law[0] - 5.0, -10.0), complex(0.5 * (law[-2] + law[-1]), 10.0))
+        rect, cuts = _rectangle(nu, j, 20)
         with monkeypatch.context() as m:
             m.setattr(spectrum, "_EDGE_STEP", spectrum._EDGE_STEP / 2)
             m.setattr(spectrum, "_MIN_INTERVALS", 2 * spectrum._MIN_INTERVALS)
