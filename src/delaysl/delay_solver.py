@@ -74,15 +74,16 @@ _MAX_STEP = PI / 4096.0
 # complex numbers per array of the block solver: the spectral points go
 # through in passes of _PASS_SIZE // (m + 1) (fewer points per pass pay
 # more numpy calls per point, more bought nothing measurable from 7 to 28
-# points at m = 1024), and the _PASS_ARRAYS arrays of a pass stay under
-# 1 MB; the kernels themselves are evaluated once per chunk of at most
-# _PASS_SIZE // (m // _FINE + 1) points, which keeps each short table as
-# small as a pass array
-_PASS_SIZE = 8192
+# points at m = 1024); the kernels themselves are evaluated once per
+# chunk of at most _PASS_SIZE // (m // _FINE + 1) points, which keeps each
+# short table as small as a pass array.  Both stay under glibc's 128 KiB
+# mmap threshold (6 x 1025 and 216 x 33 complex at m = 1024), so they are
+# not mapped afresh on every call
+_PASS_SIZE = 7168
 
-# pass-sized arrays of the block solver, one workspace allocated per call
-# of endpoint_values: the kernel tables C and S, the history y, the
-# varying constants U and V, and two products
+# pass-sized arrays of the block solver, allocated one by one per call of
+# endpoint_values: the kernel tables C and S, the history y, the varying
+# constants U and V, and two products
 _PASS_ARRAYS = 7
 
 # fine offsets per coarse step of the block solver's kernel tables
@@ -218,8 +219,8 @@ def endpoint_values(q: PiecewiseFunction, setup: DelaySetup, init_nu: int, lam):
     The points go through in chunks, whose kernels are evaluated once
     (the short tables, ``_short_tables``, and the kernels at the Simpson
     points), and each chunk in passes of a few points, whose C and S are
-    built from the chunk's short tables.  Every pass-sized array is a
-    view of one workspace, allocated per call, so calls in threads share
+    built from the chunk's short tables.  The pass-sized arrays are
+    allocated per call, each on its own, so calls in threads share
     nothing but the kept set-up, which they only read.  Every operation
     is elementwise in lam or a sum along one row, so a point's value
     does not depend on the batch it comes in.
@@ -229,7 +230,8 @@ def endpoint_values(q: PiecewiseFunction, setup: DelaySetup, init_nu: int, lam):
     flat = lam.ravel()
     y_end = np.empty(flat.shape, dtype=complex)
     yp_end = np.empty(flat.shape, dtype=complex)
-    work = np.empty((_PASS_ARRAYS, min(blocks.rows, flat.size), blocks.m + 1), dtype=complex)
+    rows = min(blocks.rows, flat.size)
+    work = [np.empty((rows, blocks.m + 1), dtype=complex) for _ in range(_PASS_ARRAYS)]
     for lo in range(0, flat.size, blocks.chunk):
         part = slice(lo, lo + blocks.chunk)
         y_end[part], yp_end[part] = blocks.endpoints(init_nu, flat[part], work)
@@ -257,29 +259,30 @@ def _short_tables(lam: np.ndarray, h: float, m: int):
     return cc, sc, cf, sf
 
 
-def _spread(out: np.ndarray, tables: np.ndarray, coarse: bool) -> None:
-    """Write short tables across the offsets k = 0..m of ``out``, one row per point.
+def _spread(outs, tables, coarse: bool) -> None:
+    """Write short tables across the offsets k = 0..m of ``outs``, one row per point.
 
-    ``tables`` (n, rows, J) and ``out`` (n, rows, m + 1) hold n tables
-    each; column k of ``out`` gets column k // _FINE of its table
-    (``coarse``) or column k % _FINE.  ``out`` is seen as (n, rows, J,
+    Each table (rows, J) goes into the array of ``outs`` (rows, m + 1)
+    at its place: column k gets column k // _FINE of the table
+    (``coarse``) or column k % _FINE.  Each out is seen as (rows, J,
     _FINE), first the whole coarse steps, then the partial last one, and
     filled by a broadcast copy.
     """
-    shape, width = out.shape[:-1], out.shape[-1]
-    whole, part = divmod(width, _FINE)
-    for j0, n_j, n_f in ((0, whole, _FINE), (whole, 1, part)):
-        if n_j * n_f:
-            view = out[..., j0 * _FINE : j0 * _FINE + n_j * n_f].reshape(shape + (n_j, n_f))
-            view[...] = tables[..., j0 : j0 + n_j, None] if coarse else tables[..., None, :n_f]
+    for out, table in zip(outs, tables):
+        rows, width = out.shape
+        whole, part = divmod(width, _FINE)
+        for j0, n_j, n_f in ((0, whole, _FINE), (whole, 1, part)):
+            if n_j * n_f:
+                view = out[:, j0 * _FINE : j0 * _FINE + n_j * n_f].reshape(rows, n_j, n_f)
+                view[...] = table[:, j0 : j0 + n_j, None] if coarse else table[:, None, :n_f]
 
 
-def _kernel_tables(lam: np.ndarray, short, C: np.ndarray, S: np.ndarray, work: np.ndarray) -> None:
+def _kernel_tables(lam: np.ndarray, short, C: np.ndarray, S: np.ndarray, work) -> None:
     """Write C(k h) and S(k h), k = 0..m, into C and S, from the rows of ``_short_tables``.
 
     C and S are C-contiguous, one row per point of ``lam``, of width
-    m + 1, and ``work`` holds five more such arrays.  With k = _FINE J + j
-    the addition theorems of the entire kernels,
+    m + 1, and ``work`` is a sequence of five more such arrays.  With
+    k = _FINE J + j the addition theorems of the entire kernels,
 
         C(x + y) = C(x) C(y) - lam S(x) S(y),  S(x + y) = S(x) C(y) + C(x) S(y),
 
@@ -289,8 +292,8 @@ def _kernel_tables(lam: np.ndarray, short, C: np.ndarray, S: np.ndarray, work: n
     e^{|Im rho| (x + y)}.
     """
     cc, sc, cf, sf = short
-    _spread(work[:3], np.stack([cc, sc, lam[:, None] * sc]), True)
-    _spread(work[3:], np.stack([cf, sf]), False)
+    _spread(work[:3], (cc, sc, lam[:, None] * sc), True)
+    _spread(work[3:], (cf, sf), False)
     cc, sc, lsc, cf, sf = work
     # complex products are not bitwise commutative, so each keeps its
     # factors in the order (coarse, fine)
@@ -423,12 +426,13 @@ class _Blocks:
             terms.append((lo, hi, None, wq))
         return terms
 
-    def endpoints(self, init_nu: int, lam: np.ndarray, work: np.ndarray):
+    def endpoints(self, init_nu: int, lam: np.ndarray, work):
         """(y(pi), y'(pi)) for a 1-D array of spectral points, one chunk.
 
         The kernels are evaluated once here; the blocks are solved in
         passes of ``rows`` points, each in the rows of ``work`` it needs
-        (``_PASS_ARRAYS`` arrays of ``rows`` rows and m + 1 columns).
+        (a sequence of ``_PASS_ARRAYS`` arrays of ``rows`` rows and m + 1
+        columns).
         """
         short = _short_tables(lam, self.h, self.m)
         pts = self.simpson_pts
@@ -437,7 +441,7 @@ class _Blocks:
         yp_end = np.empty(lam.shape, dtype=complex)
         for lo in range(0, lam.size, self.rows):
             p = slice(lo, lo + self.rows)
-            rows = work[:, : lam[p].size]
+            rows = [w[: lam[p].size] for w in work]
             y_end[p], yp_end[p] = self._pass(
                 init_nu, lam[p], [t[p] for t in short], [k[p] for k in at_pts], rows
             )
@@ -446,10 +450,10 @@ class _Blocks:
     def _pass(self, init_nu: int, lam: np.ndarray, short, at_pts, work):
         """(y(pi), y'(pi)) for one pass, given its rows of the chunk's kernels.
 
-        Every pass-sized array is a view of ``work``: the kernel tables C
-        and S, the history y, U = y0 - I_S and V = y0' + I_C, and two
-        products.  On a block y = C U + S V, and (U, V) at its end carry
-        the solution to the next.
+        Every pass-sized array is one array of ``work``: the kernel
+        tables C and S, the history y, U = y0 - I_S and V = y0' + I_C,
+        and two products.  On a block y = C U + S V, and (U, V) at its
+        end carry the solution to the next.
         """
         m = self.m
         C, S, Y, U, V, _, G = work

@@ -37,7 +37,11 @@ offsets inside its cell, so the cubic is one 4-tap stencil per offset
 over the samples, and a 3-node segment's quadratic one value per
 offset.  Every shift reads an even lag of the correlation, so it runs
 as two half-length correlations, of the even and of the odd nodes,
-summed before one inverse FFT of a 2^i 3^j 5^k length.
+summed before one inverse FFT of a 2^i 3^j 5^k length.  Only the live
+spans are correlated: the cells where f is non-zero and can meet g's
+non-zero part at some shift, and the nodes of g those cells reach.  The
+rest adds exact zeros, so the FFT length is set by the sizes of the two
+spans, not by the range and the shift window.
 
 Four numerical jobs have their one implementation here, private to the
 package: cubic interpolation of uniform samples (``_cubic`` at any
@@ -786,6 +790,21 @@ def _require_no_jump(g: PiecewiseFunction, lo: float, hi: float) -> None:
             )
 
 
+def _live_nodes(fn: PiecewiseFunction, lo: float, delta: float) -> tuple[int, int]:
+    """Lattice nodes lo + i delta, i in [ia, ib], outside which fn reads exactly 0.
+
+    fn is 0 outside its domain and on a segment of zero samples, so the
+    bounds are those of its first and last segment holding a non-zero
+    sample, rounded outward to the lattice; ia > ib when fn is all zero.
+    """
+    live = [k for k, seg in enumerate(fn.segments) if seg.samples.any()]
+    if not live:
+        return 1, 0
+    u = (fn._bounds[[live[0], live[-1] + 1]] - lo) / delta
+    tol = _NODE_SNAP * (1.0 + np.abs(u))
+    return math.floor(u[0] + tol[0]), math.ceil(u[1] - tol[1])
+
+
 def lattice_product_integrals(
     f: PiecewiseFunction, g: PiecewiseFunction, ks, lo: float, hi: float, delta: float
 ) -> np.ndarray:
@@ -804,10 +823,22 @@ def lattice_product_integrals(
     read on.  Both factors are sampled on the half lattice by
     ``_on_steps``, one stencil per offset inside a cell, not point by
     point.  All shifts share the node set, so the sums over nodes form
-    one discrete correlation; out[i] reads only its even lag
-    2 (ks[i] - min ks), so the even and the odd nodes of both factors
-    make two half-length correlations, summed before one inverse FFT.
-    A range no longer than 1e-9 gives 0.
+    one discrete correlation; each shift reads only an even lag, so the
+    even and the odd nodes of both factors make two half-length
+    correlations, summed before one inverse FFT.
+
+    f is sampled only on its live span: the whole cells of [lo, hi] that
+    lie in f's segments from the first to the last one with a non-zero
+    sample, and that can meet g's non-zero segments at some shift (a
+    cell whose end node touches them counts).  g is sampled only on the
+    lattice nodes those cells reach, and only within its non-zero
+    segments; spans that end off the lattice, as g's domain may, are
+    rounded outward to it.  With ne and ge even nodes in the two spans,
+    a shift is a lag in (-ne, ge) of their correlation or meets nothing
+    and gives 0, so the FFT length is the least 2^i 3^j 5^k >= ne + ge -
+    1.  F's transforms and conjugates, and the products, run in place
+    in two buffers of that length.  On the partial last cell, g is read only
+    where f is non-zero.  A range no longer than 1e-9 gives 0.
     """
     ks = np.asarray(ks)
     if ks.ndim != 1 or not np.array_equal(ks, np.rint(ks)):
@@ -827,26 +858,47 @@ def lattice_product_integrals(
     cells = int(np.floor(span + _NODE_SNAP * (1.0 + span)))
     half = 0.5 * delta
     top = lo + cells * delta  # end of the last whole cell
+    out = np.zeros(ks.shape, dtype=complex)
 
-    # Simpson-weighted samples of f on the half lattice lo + m delta / 2
-    wts = np.full(2 * cells + 1, 2.0)
-    wts[1::2] = 4.0
-    wts[0] = wts[-1] = 1.0
-    F = wts * (delta / 6.0) * _on_steps(f, lo, half, 2 * cells + 1)
-    for b, left, right in zip(f.breakpoints(), f.segments[:-1], f.segments[1:]):
-        m = round((b - lo) / half)
-        if 0 < m <= 2 * cells:
-            # a node on a jump of f: the cell below it takes the left side
-            F[m] += (delta / 6.0) * (left.samples[-1] - right.samples[0])
-
-    # g on every half-lattice node some shift reaches; out[i] is the
-    # correlation of F and G at lag 2 (ks[i] - kmin), the sum of the
-    # correlations of their even and their odd nodes at lag ks[i] - kmin
-    G = _on_steps(g, lo + kmin * delta, half, 2 * (cells + kmax - kmin) + 1)
-    size = _fft_length((G.size + 1) // 2)
-    spec = np.conj(np.fft.fft(np.conj(F[0::2]), size)) * np.fft.fft(G[0::2], size)
-    spec += np.conj(np.fft.fft(np.conj(F[1::2]), size)) * np.fft.fft(G[1::2], size)
-    out = np.fft.ifft(spec)[ks - kmin]
+    # the whole cells c0 <= c < c1 (counted from lo) where f is live and
+    # meet g's live nodes ga .. gb at some shift, and the lattice nodes
+    # g0 .. g1 of g those cells reach; every other cell adds exact zeros
+    fa, fb = _live_nodes(f, lo, delta)
+    ga, gb = _live_nodes(g, lo, delta)
+    c0, c1 = max(0, fa, ga - kmax - 1), min(cells, fb, gb - kmin + 1)
+    if c1 > c0:
+        g0, g1 = max(c0 + kmin, ga), min(c1 + kmax, gb)
+        # Simpson-weighted samples of f on the half lattice of its cells
+        F = _on_steps(f, lo + c0 * delta, half, 2 * (c1 - c0) + 1)
+        F[1::2] *= 4.0 * (delta / 6.0)
+        F[2:-1:2] *= 2.0 * (delta / 6.0)
+        F[0 :: F.size - 1] *= delta / 6.0
+        for b, left, right in zip(f.breakpoints(), f.segments[:-1], f.segments[1:]):
+            m = round((b - lo) / half) - 2 * c0
+            if 0 < m < F.size:
+                # a node on a jump of f: the cell below it takes the left side
+                F[m] += (delta / 6.0) * (left.samples[-1] - right.samples[0])
+        G = _on_steps(g, lo + g0 * delta, half, 2 * (g1 - g0) + 1)
+        # shift k pairs f's node c0 + j with g's node g0 + j + d, d = k + c0
+        # - g0: the correlation of F and G at lag d, the sum of those of
+        # their even and their odd nodes, which can be non-zero only for
+        # -ne < d < ge and so need no FFT longer than ne + ge - 1
+        ne, ge = c1 - c0 + 1, g1 - g0 + 1
+        size = _fft_length(ne + ge - 1)
+        spec, work = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+        for buf, p in ((spec, 0), (work, 1)):
+            fp = F[p::2]
+            buf[: fp.size] = fp
+            buf[fp.size :] = 0.0
+            np.conjugate(buf, out=buf)
+            np.fft.fft(buf, out=buf)
+            np.conjugate(buf, out=buf)
+            buf *= np.fft.fft(G[p::2], size)
+        spec += work
+        np.fft.ifft(spec, out=spec)
+        d = ks + (c0 - g0)
+        meet = (d > -ne) & (d < ge)
+        out[meet] = spec[d[meet]]
 
     if hi - top > _NODE_SNAP * delta * (1.0 + span):
         mid = 0.5 * (top + hi)
@@ -855,7 +907,8 @@ def lattice_product_integrals(
         pts = (top, mid, hi)
         fw = np.array([1.0, 4.0, 1.0]) * ((hi - top) / 6.0) * seg.values(pts)
         for weight, p in zip(fw, pts):
-            out += weight * _on_steps(g, p + kmin * delta, delta, kmax - kmin + 1)[ks - kmin]
+            if weight:  # where f is 0, g need not be read
+                out += weight * _on_steps(g, p + kmin * delta, delta, kmax - kmin + 1)[ks - kmin]
     return out
 
 

@@ -107,7 +107,8 @@ def kernel_pair(lam, x):
 
 _BLOCK = 128  # cells per block of an exponential sum
 _FINE = 8  # the power row r^i of a block is r^(_FINE J) r^j, j < _FINE
-# the largest array of a chunk of points, under glibc's 128 KiB mmap threshold
+# the largest array of a chunk of points or of cells, under glibc's 128 KiB
+# mmap threshold
 _CHUNK_BYTES = 1 << 16
 _MOMENT_TERMS = 20  # Taylor terms of M_m(zeta) for |zeta| < 1
 # switch to the Maclaurin series in lam when |lam| L^2 drops below this, L the bound on |y|
@@ -367,17 +368,24 @@ class _WeightRule:
         mom = moments(1j * rho).reshape(n, 2, -1, 4)
         return np.sum((sums.reshape(mom.shape) * mom).reshape(n, 2, -1), axis=-1)
 
-    @cached_property
-    def _gauss_points(self):
-        """Gauss-Legendre nodes on every cell, and their weights times f."""
+    def _gauss_chunks(self):
+        """Gauss-Legendre nodes on the cells of f, and their weights times f, chunk by chunk.
+
+        A chunk holds the cells of one segment whose complex weights fit
+        in _CHUNK_BYTES; nothing is kept between calls.
+        """
         xi, wt = _gauss(_GAUSS_NODES)
         xi, wt = 0.5 * (1.0 + xi), 0.5 * wt  # on [0, 1]
-        xs, ws = [], []
+        basis = xi[None, :] ** np.arange(4)[:, None]
+        cells = _CHUNK_BYTES // (16 * _GAUSS_NODES)
         for seg, coef in self._cells:
             left = seg.nodes()[:-1]
-            xs.append((left[:, None] + seg.spacing * xi).ravel())
-            ws.append((seg.spacing * wt * (coef @ xi[None, :] ** np.arange(4)[:, None])).ravel())
-        return np.concatenate(xs), np.concatenate(ws)
+            for c0 in range(0, left.size, cells):
+                part = slice(c0, c0 + cells)
+                yield (
+                    (left[part, None] + seg.spacing * xi).ravel(),
+                    (seg.spacing * wt * (coef[part] @ basis)).ravel(),
+                )
 
     def _series_coefficients(self, kind):
         """G_n with the integral equal to sum_n (-lam)^n G_n, n < _RULE_SERIES_TERMS.
@@ -398,20 +406,23 @@ class _WeightRule:
         return self._maclaurin[kind]
 
     def _series_moments(self, kind):
-        """(m, k): G_n of ``_series_coefficients`` is m[n] / k[n]!."""
-        t, wt = self._gauss_points
-        y = self.phi - 2.0 * t
-        y2 = y * y
-        if kind == "ss":
-            power = 0.5 * (self.span + y) * (self.span - y)
-        else:
-            power = y if kind == "s" else np.ones_like(y)
-        wr, wi = wt.real.copy(), wt.imag.copy()
-        mu = np.empty(_RULE_SERIES_TERMS, dtype=complex)
-        for i in range(_RULE_SERIES_TERMS):
-            if i:
-                power *= y2
-            mu[i] = complex(power @ wr, power @ wi)
+        """(m, k): G_n of ``_series_coefficients`` is m[n] / k[n]!.
+
+        The moments are summed over the chunks of ``_gauss_chunks``.
+        """
+        mu = np.zeros(_RULE_SERIES_TERMS, dtype=complex)
+        for t, wt in self._gauss_chunks():
+            y = self.phi - 2.0 * t
+            y2 = y * y
+            if kind == "ss":
+                power = 0.5 * (self.span + y) * (self.span - y)
+            else:
+                power = y if kind == "s" else np.ones_like(y)
+            wr, wi = wt.real.copy(), wt.imag.copy()
+            for i in range(_RULE_SERIES_TERMS):
+                if i:
+                    power *= y2
+                mu[i] += complex(power @ wr, power @ wi)
         n = np.arange(_RULE_SERIES_TERMS)
         if kind == "ss":
             lift = np.tril(self.span ** (2.0 * np.maximum(n[:, None] - n, 0)))

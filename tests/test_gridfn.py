@@ -586,6 +586,97 @@ def test_lattice_products_refuse_a_jumping_shifted_factor():
     assert np.isfinite(lattice_product_integrals(_LF, edge, [0, 256], 0.0, 1.0, _DELTA)).all()
 
 
+def _pieces(edges, fns, count=33) -> PiecewiseFunction:
+    """fns[i] sampled on [edges[i], edges[i + 1]]; None marks a segment of zeros."""
+    segs = []
+    for lo, hi, fn in zip(edges[:-1], edges[1:], fns):
+        x = np.linspace(lo, hi, count)
+        segs.append(SampledSegment(Interval(lo, hi), np.zeros(count) if fn is None else fn(x)))
+    return PiecewiseFunction(segs)
+
+
+# f of the lattice tests with dead spans: zero on a head (0, 0.25), on an
+# interior segment (0.75, 1) and on a tail (1.5, 2), and jumping into and
+# out of each of them
+_DEAD_F = _pieces(
+    [0.0, 0.25, 0.75, 1.0, 1.5, 2.0],
+    [None, np.sin, None, lambda x: 2.0 + np.cos(3.0 * x), None],
+)
+
+
+def test_lattice_products_over_dead_spans_match_the_oracles():
+    hi = 1.9 + 0.3 * _DELTA
+    ks = np.array([-300, -64, 0, 77, 192, 320])
+    have = lattice_product_integrals(_DEAD_F, _LG, ks, 0.0, hi, _DELTA)
+    for got, k in zip(have, ks):
+        want = _midpoint_oracle(_DEAD_F, _LG, k * _DELTA, 0.0, hi)
+        assert abs(got - want) < _PRODUCT_TOL * (1.0 + abs(want))
+    inside = ks[1:-1]  # shifts that keep g inside its domain
+    want = shifted_product_integrals(_DEAD_F, _LG, inside * _DELTA, 0.0, hi, 1e-3)
+    assert np.max(np.abs(have[1:-1] - want)) < _PRODUCT_TOL
+
+
+def test_lattice_products_of_factors_that_never_meet_are_exact_zeros():
+    # f lives on (0.25, 1.5) and g on (-1, 3): shifts of 704 cells or
+    # more put g past f's support, of -640 or fewer before it, and an
+    # all-zero f meets nothing
+    hi = 1.9 + 0.3 * _DELTA
+    for ks in ([704, 800], [-720, -660, -640]):
+        have = lattice_product_integrals(_DEAD_F, _LG, ks, 0.0, hi, _DELTA)
+        assert np.array_equal(have, np.zeros(len(ks)))
+    zero = _pieces([0.0, 0.75, 2.0], [None, None])
+    have = lattice_product_integrals(zero, _LG, [-300, 0, 77, 320], 0.0, hi, _DELTA)
+    assert np.array_equal(have, np.zeros(4))
+
+
+def test_lattice_products_with_g_ending_off_the_lattice():
+    # the spacing a / 4096 of the package's nested integrals at a = 1, and
+    # g's domain ending at pi, 0.96 cells above a lattice node: g falls
+    # steeply to 0 there, so dropping the half node just below pi would
+    # cost ~4e-7, over ten times the tolerance
+    delta = 1.0 / 4096.0
+    at_3 = 2.25 * np.exp(-1.25) + 1.75 * (1.0 + 1.0j)
+    g = _pieces(
+        [-1.0, 1.25, 3.0, np.pi],
+        [
+            lambda x: (x + 1.0) * np.exp(-x),
+            lambda x: 2.25 * np.exp(-1.25) + (x - 1.25) * (1.0 + 1.0j),
+            lambda x: at_3 * (np.pi - x) / (np.pi - 3.0),
+        ],
+    )
+    hi = 1.9 + 0.3 * delta
+    ks = np.array([7748, 10820, 11000])  # pi comes to s = 1.25, 0.5 and 0.46
+    have = lattice_product_integrals(_DEAD_F, g, ks, 0.0, hi, delta)
+    for got, k in zip(have, ks):
+        want = _midpoint_oracle(_DEAD_F, g, k * delta, 0.0, hi)
+        assert abs(got - want) < _PRODUCT_TOL * (1.0 + abs(want))
+
+
+def test_lattice_products_do_not_see_lo_or_hi_move_across_dead_spans():
+    ks = np.array([-300, -64, 0, 77, 192, 320])
+    full = lattice_product_integrals(_DEAD_F, _LG, ks, 0.0, 2.0, _DELTA)
+    for lo in (0.0, 0.125, 0.25):
+        for hi in (1.5, 1.5 + 0.3 * _DELTA, 1.75, 1.9 + 0.3 * _DELTA, 2.0):
+            have = lattice_product_integrals(_DEAD_F, _LG, ks, lo, hi, _DELTA)
+            assert np.max(np.abs(have - full)) <= 1e-13 * np.max(np.abs(full))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    dead=st.lists(st.booleans(), min_size=8, max_size=8),
+    ks=st.lists(st.integers(min_value=-300, max_value=320), min_size=1, max_size=3),
+    hi=st.floats(min_value=0.05, max_value=2.0),
+)
+def test_lattice_products_match_the_oracle_wherever_f_is_dead(dead, ks, hi):
+    # f on eight segments of (0, 2), each dead or live as drawn
+    live = lambda x: np.sin(3.0 * x) + 1.0j * np.cos(x)  # noqa: E731
+    f = _pieces(np.linspace(0.0, 2.0, 9), [None if d else live for d in dead])
+    have = lattice_product_integrals(f, _LG, ks, 0.0, hi, _DELTA)
+    for got, k in zip(have, ks):
+        want = _midpoint_oracle(f, _LG, k * _DELTA, 0.0, hi)
+        assert abs(got - want) < _PRODUCT_TOL * (1.0 + abs(want))
+
+
 # Segments for the uniform-step sampler, as (node count, spacing in
 # steps): the stencil table at R = 1, 2 and 8 steps per cell, and the
 # 3-node quadratic's table at R = 1 and 4; spacings of 0.5, 1.5 and 2.5
