@@ -9,13 +9,14 @@ picks a well-defined one-sided value.
 
 Conventions:
 
-* segment sample counts are odd and at least 3;
+* segment sample counts are odd and at least 5: three samples are
+  stored as the five samples of the quadratic through them, at half the
+  spacing, which the cubic below reproduces exactly;
 * evaluation at an interior breakpoint returns the right segment's value;
 * evaluation on a node (to 1e-9 spacings) returns the stored sample, and
   forms no interpolant when every point is a node;
 * evaluation between nodes is 4-point (cubic) Lagrange interpolation and
-  never reaches across a breakpoint; a minimal 3-node segment carries
-  the single quadratic through its samples instead;
+  never reaches across a breakpoint;
 * integration is a composite interpolatory rule, exact for the cubic
   interpolant on every cell, so splitting a range at an arbitrary point
   changes the result only by float reassociation.
@@ -34,14 +35,13 @@ factors are read on the half lattice (spacing delta / 2) by
 ``_on_steps``, not point by point: where a segment's spacing is a whole
 number R of half-lattice steps, every node sits at one of R fixed
 offsets inside its cell, so the cubic is one 4-tap stencil per offset
-over the samples, and a 3-node segment's quadratic one value per
-offset.  Every shift reads an even lag of the correlation, so it runs
-as two half-length correlations, of the even and of the odd nodes,
-summed before one inverse FFT of a 2^i 3^j 5^k length.  Only the live
-spans are correlated: the cells where f is non-zero and can meet g's
-non-zero part at some shift, and the nodes of g those cells reach.  The
-rest adds exact zeros, so the FFT length is set by the sizes of the two
-spans, not by the range and the shift window.
+over the samples.  Every shift reads an even lag of the correlation,
+so it runs as two half-length correlations, of the even and of the odd
+nodes, summed before one inverse FFT of a 2^i 3^j 5^k length.  Only
+the live spans are correlated: the cells where f is non-zero and can
+meet g's non-zero part at some shift, and the nodes of g those cells
+reach.  The rest adds exact zeros, so the FFT length is set by the
+sizes of the two spans, not by the range and the shift window.
 
 Four numerical jobs have their one implementation here, private to the
 package: cubic interpolation of uniform samples (``_cubic`` at any
@@ -102,19 +102,6 @@ _VINV, _FULL_W = _cell_matrices()
 # the weights of the first and the last cell side by side, per stencil node
 _END_W = np.stack([_FULL_W[0], _FULL_W[2]], axis=1)
 
-# A 3-node segment cannot host a 4-point stencil; it carries one
-# quadratic through all three samples instead (exact for constants and
-# the degenerate filler segments that use this size).
-_VINV3 = np.linalg.inv(np.vander(np.arange(3, dtype=float), 3, increasing=True))
-# the same quadratic in the coordinates of its second cell, nodes at -1, 0, 1
-_VINV3_RIGHT = np.linalg.inv(np.vander(np.arange(3, dtype=float) - 1.0, 3, increasing=True))
-
-
-def _partial_weights3(xa, xb):
-    powa = np.array([xa, xa**2 / 2.0, xa**3 / 3.0])
-    powb = np.array([xb, xb**2 / 2.0, xb**3 / 3.0])
-    return (powb - powa) @ _VINV3
-
 
 def _partial_weights(base, xa, xb):
     """Stencil weights for the exact integral of the cell cubic over [xa, xb]."""
@@ -130,15 +117,6 @@ def _lagrange4(xi):
         xi * (xi - 2.0) * (xi - 3.0) / 2.0,
         -xi * (xi - 1.0) * (xi - 3.0) / 2.0,
         xi * (xi - 1.0) * (xi - 2.0) / 6.0,
-    )
-
-
-def _quadratic(samples, u):
-    """The quadratic through 3 uniform samples (nodes at u = 0, 1, 2) at u."""
-    return (
-        samples[0] * ((u - 1.0) * (u - 2.0) / 2.0)
-        + samples[1] * (-u * (u - 2.0))
-        + samples[2] * (u * (u - 1.0) / 2.0)
     )
 
 
@@ -174,29 +152,19 @@ def _cell_integrals(samples, spacing, out=None, work=None):
     """Integral of the cubic interpolant over each cell, along the last axis.
 
     Each cell uses the 4-node stencil of ``SampledSegment`` (shifted
-    inwards at both ends); three samples carry one quadratic.  The
+    inwards at both ends), so a row needs at least 4 samples.  The
     stencil weights are written out as sums, never as a matrix product.
-    For 4 or more samples the rows are read as one flat C-contiguous
-    buffer (a strided input is copied first): the interior cells of all
-    rows are one 4-tap stencil over it, and the 3 values it takes across
-    each row junction are dropped, so every row of a 2-D call is
-    bit-identical to the 1-D call on that row.  ``out`` (one column per
-    cell) may be given, and ``work``, a pair of flat arrays of at least
-    as many entries as the samples, for the stencil's sums and its
-    products (either may be None, and is then allocated).
+    The rows are read as one flat C-contiguous buffer (a strided input
+    is copied first): the interior cells of all rows are one 4-tap
+    stencil over it, and the 3 values it takes across each row junction
+    are dropped, so every row of a 2-D call is bit-identical to the 1-D
+    call on that row.  ``out`` (one column per cell) may be given, and
+    ``work``, a pair of flat arrays of at least as many entries as the
+    samples, for the stencil's sums and its products (either may be
+    None, and is then allocated).
     """
     s = np.asarray(samples)
     n = s.shape[-1]
-    if n == 3:
-        w0, w1 = _partial_weights3(0.0, 1.0), _partial_weights3(1.0, 2.0)
-        out = np.stack(
-            [
-                w0[0] * s[..., 0] + w0[1] * s[..., 1] + w0[2] * s[..., 2],
-                w1[0] * s[..., 0] + w1[1] * s[..., 1] + w1[2] * s[..., 2],
-            ],
-            axis=-1,
-        )
-        return out * spacing
     if out is None:
         out = np.empty(s.shape[:-1] + (n - 1,), dtype=complex)
     flat = np.ascontiguousarray(s).reshape(-1)
@@ -242,16 +210,10 @@ def _cell_coefficients(samples) -> np.ndarray:
 
     Row c holds (p0, p1, p2, p3) with the interpolant on cell c equal to
     sum_m p_m xi^m, xi = (x - x_c) / spacing in [0, 1]: the cubic of the
-    4-node stencil ``SampledSegment.values`` uses, or, for 3 samples,
-    the single quadratic (p3 = 0).
+    4-node stencil ``SampledSegment.values`` uses (at least 4 samples).
     """
     s = np.asarray(samples, dtype=complex)
     n = s.shape[0]
-    if n == 3:
-        out = np.zeros((2, 4), dtype=complex)
-        out[0, :3] = _VINV3 @ s
-        out[1, :3] = _VINV3_RIGHT @ s
-        return out
     base = np.ones(n - 1, dtype=int)
     base[0], base[-1] = 0, 2
     stencils = s[(np.arange(n - 1) - base)[:, None] + np.arange(4)]
@@ -287,7 +249,12 @@ class Interval:
 
 
 class SampledSegment:
-    """One uniform-grid segment: odd sample count >= 3, endpoints included."""
+    """One uniform-grid segment: odd sample count >= 5, endpoints included.
+
+    Three samples are taken as the quadratic through them and stored as
+    its five samples at half the spacing, whose cubic interpolant is that
+    quadratic; the new middle samples are exact for a constant.
+    """
 
     __slots__ = ("interval", "samples", "spacing")
 
@@ -298,6 +265,13 @@ class SampledSegment:
         n = samples.shape[0]
         if n < 3 or n % 2 == 0:
             raise DomainError(f"segment sample count must be odd and >= 3, got {n}")
+        if n == 3:
+            s0, s1, s2 = samples
+            d0, d2 = s0 - s1, s2 - s1
+            # the quadratic at a quarter and three quarters of the interval:
+            # (3 s0 + 6 s1 - s2) / 8 and (-s0 + 6 s1 + 3 s2) / 8
+            samples = np.array([s0, s1 + (3.0 * d0 - d2) / 8.0, s1, s1 + (3.0 * d2 - d0) / 8.0, s2])
+            n = 5
         self.interval = interval
         self.samples = samples
         self.samples.flags.writeable = False
@@ -323,7 +297,7 @@ class SampledSegment:
         on_node = (np.abs(u - k) <= _NODE_SNAP * (1.0 + np.abs(u))) & (k >= 0) & (k < n)
         if on_node.all():
             return np.asarray(self.samples[k])
-        out = _quadratic(self.samples, u) if n == 3 else _cubic(self.samples, u)
+        out = _cubic(self.samples, u)
         if on_node.any():
             out = np.where(on_node, self.samples[np.minimum(np.maximum(k, 0), n - 1)], out)
         return out
@@ -335,8 +309,6 @@ class SampledSegment:
         n = self.count
         ua = (u - lo) / h
         ub = (v - lo) / h
-        if n == 3:
-            return complex(np.dot(_partial_weights3(ua, ub), self.samples)) * h
         ca = min(max(int(np.floor(ua)), 0), n - 2)
         kb = int(np.floor(ub))
         if ub - kb <= _NODE_SNAP:
@@ -413,9 +385,6 @@ class PiecewiseFunction:
                 if sel.any():
                     out[sel] = self.segments[k].values(xf[sel])
         return out[0] if scalar else out
-
-    def __call__(self, x):
-        return self.values(x)
 
     def nodes(self) -> np.ndarray:
         """All sample abscissae, segment by segment (breakpoints duplicated)."""
@@ -679,12 +648,11 @@ def _segment_on_steps(seg: SampledSegment, x0: float, step: float, count: int) -
 
     When seg's spacing is a whole number R of steps (R >= 1), every point
     sits at one of R fixed offsets inside its cell, and the interpolant of
-    ``SampledSegment.values`` is read off a (cells x R) table: for 5 or
-    more samples one 4-tap stencil per offset (interior, first-cell and
-    last-cell) applied as four broadcast products, for 3 the quadratic at
-    each offset.  A point on a node is the stored sample.  Any other
-    spacing goes through ``SampledSegment.values``.  An all-zero segment
-    reads as zeros with no table.
+    ``SampledSegment.values`` is read off a (cells x R) table, one 4-tap
+    stencil per offset (interior, first-cell and last-cell) applied as
+    four broadcast products.  A point on a node is the stored sample.
+    Any other spacing goes through ``SampledSegment.values``.  An
+    all-zero segment reads as zeros with no table.
     """
     if not seg.samples.any():
         return np.zeros(count, dtype=complex)
@@ -704,22 +672,19 @@ def _segment_on_steps(seg: SampledSegment, x0: float, step: float, count: int) -
     ca, last = min(i0 // r, n - 2), min(cb, n - 2)
     xi = (np.arange(r) + phase) / r
     s = seg.samples
-    if n == 3:
-        table = _quadratic(s, np.arange(ca, last + 1.0)[:, None] + xi)
-    else:
-        table = np.empty((last - ca + 1, r), dtype=complex)
-        # interior cells c in [c0, c1) borrow nodes c - 1 .. c + 2
-        c0, c1 = max(ca, 1), min(last + 1, n - 2)
-        if c1 > c0:
-            w = _lagrange4(1.0 + xi)
-            body = table[c0 - ca : c1 - ca]
-            np.multiply(s[c0 - 1 : c1 - 1, None], w[0], out=body)
-            for k in (1, 2, 3):
-                body += s[c0 - 1 + k : c1 - 1 + k, None] * w[k]
-        if ca == 0:
-            table[0] = s[:4] @ np.array(_lagrange4(xi))
-        if last == n - 2:
-            table[-1] = s[n - 4 :] @ np.array(_lagrange4(2.0 + xi))
+    table = np.empty((last - ca + 1, r), dtype=complex)
+    # interior cells c in [c0, c1) borrow nodes c - 1 .. c + 2
+    c0, c1 = max(ca, 1), min(last + 1, n - 2)
+    if c1 > c0:
+        w = _lagrange4(1.0 + xi)
+        body = table[c0 - ca : c1 - ca]
+        np.multiply(s[c0 - 1 : c1 - 1, None], w[0], out=body)
+        for k in (1, 2, 3):
+            body += s[c0 - 1 + k : c1 - 1 + k, None] * w[k]
+    if ca == 0:
+        table[0] = s[:4] @ np.array(_lagrange4(xi))
+    if last == n - 2:
+        table[-1] = s[n - 4 :] @ np.array(_lagrange4(2.0 + xi))
     if phase == 0.0:
         table[:, 0] = s[ca : last + 1]
     out = table.reshape(-1)[i0 - ca * r : i0 - ca * r + count]

@@ -30,8 +30,8 @@ from delaysl import (
 )
 from delaysl import delay_solver
 from delaysl.cli import RunConfig, _seed_pair
-from delaysl.charfn import SERIES_THRESHOLD, _Moments, _WeightRule
 from delaysl.gridfn import _cell_coefficients
+from delaysl.kernels import RULE_SERIES_THRESHOLD, _Moments, _WeightRule
 from oracles import delta_literal, p_kernel, series_sum
 
 A = np.pi / 4
@@ -70,7 +70,8 @@ def _correction_oracle(q, nu, x, n=4000):
         for u, v in zip(pts[:-1], pts[1:]):
             t = np.linspace(u, v, n + 1)
             mid = 0.5 * (t[:-1] + t[1:])
-            total += (v - u) / n * np.sum(q(mid) * (tail(3 * A) - tail(x + mid - A / 2)))
+            gap = tail.values(3 * A) - tail.values(x + mid - A / 2)
+            total += (v - u) / n * np.sum(q.values(mid) * gap)
         return total
 
     first = integrate(q, x + A / 2, 3 * A) * integrate(q, A, x - A / 2)
@@ -98,8 +99,8 @@ def test_correction_of_family_member_near_upper_edge():
     for i, ti in enumerate(tm):
         s = np.linspace(x + ti - A / 2, 3 * A, 101)
         sm = 0.5 * (s[:-1] + s[1:])
-        inner[i] = (s[1] - s[0]) * np.sum(q(sm))
-    second = (t[1] - t[0]) * np.sum(q(tm) * inner)
+        inner[i] = (s[1] - s[0]) * np.sum(q.values(sm))
+    second = (t[1] - t[0]) * np.sum(q.values(tm) * inner)
     first = integrate(q, x + A / 2, 3 * A) * integrate(q, A, x - A / 2)
     want = first + second  # nu = 1 flips the sign of the double term
     have = _correction(q, setup, x)
@@ -125,7 +126,7 @@ def test_correction_reduces_to_the_integral_operator():
         setup = _setup(nu)
         sign = -((-1.0) ** nu)
         for x in xs:
-            assert abs(_correction(q, setup, x) - sign * image(x)) < 1e-7
+            assert abs(_correction(q, setup, x) - sign * image.values(x)) < 1e-7
 
 
 def test_build_w_trivial_and_omega():
@@ -144,11 +145,11 @@ def test_build_w_keeps_q_outside_the_correction_window():
     q = _grid_q(_bump)
     d0, _ = build_w(q, _setup(1))
     for x in np.linspace(A + 0.01, 3 * A / 2 - 0.01, 7):
-        assert abs(d0.w(x) - q(x)) < 1e-12
+        assert abs(d0.w.values(x) - q.values(x)) < 1e-12
     for x in np.linspace(5 * A / 2 + 0.01, 3 * A - 0.01, 7):
-        assert abs(d0.w(x) - q(x)) < 1e-12
+        assert abs(d0.w.values(x) - q.values(x)) < 1e-12
     # near-continuity across the upper edge of the window
-    assert abs(d0.w(5 * A / 2 - 1e-6) - d0.w(5 * A / 2 + 1e-6)) < 1e-5
+    assert abs(d0.w.values(5 * A / 2 - 1e-6) - d0.w.values(5 * A / 2 + 1e-6)) < 1e-5
 
 
 def test_build_w_validates_grid_and_support():
@@ -227,7 +228,7 @@ def test_batch_matches_scalar_evaluation():
 
 def _switch():
     """The |lambda| at which delta_closed changes from its series to its sums."""
-    return SERIES_THRESHOLD / (np.pi - A) ** 2
+    return RULE_SERIES_THRESHOLD / (np.pi - A) ** 2
 
 
 def test_values_do_not_depend_on_the_batch():

@@ -114,11 +114,11 @@ def test_solution_is_undelayed_before_the_potential_starts():
         trace = solve_direct(q, _setup(nu), lam)
         x = np.concatenate([trace.y.segments[0].nodes(), trace.y.segments[1].nodes()])
         want, _ = _kernel_pair(nu, lam, x)
-        assert np.max(np.abs(trace.y(x) - want)) < 1e-10
+        assert np.max(np.abs(trace.y.values(x) - want)) < 1e-10
         # between nodes only the interpolation floor remains
         x = np.linspace(0.0, A, 40)
         want, _ = _kernel_pair(nu, lam, x)
-        assert np.max(np.abs(trace.y(x) - want)) < 1e-7
+        assert np.max(np.abs(trace.y.values(x) - want)) < 1e-7
 
 
 def test_series_support_ladder():
@@ -128,7 +128,7 @@ def test_series_support_ladder():
     for k in (1, 2, 3):
         term = series_term(q, setup, k, lam)
         x = np.linspace(0.0, k * A - 1e-9, 60)
-        assert np.max(np.abs(term.y(x))) < 1e-12
+        assert np.max(np.abs(term.y.values(x))) < 1e-12
     assert np.max(np.abs(series_term(q, setup, 1, lam).y.all_samples())) > 1e-4
     # four shifts of the delay exhaust (0, pi) at a = pi/4
     dead = series_term(q, setup, 4, lam)
@@ -181,8 +181,8 @@ def test_first_term_prime_matches_finite_differences():
         closed = y1_closed(q, setup, lam)
         yfun, pfun = closed.y, closed.yprime
         xs = np.array([A + 0.05, 2.1, 2.9])
-        fd = (yfun(xs + h) - yfun(xs - h)) / (2.0 * h)
-        assert np.max(np.abs(pfun(xs) - fd)) < 1e-6
+        fd = (yfun.values(xs + h) - yfun.values(xs - h)) / (2.0 * h)
+        assert np.max(np.abs(pfun.values(xs) - fd)) < 1e-6
 
 
 def test_first_term_vanishes_without_potential():
@@ -197,7 +197,7 @@ def _omega_one(q, x):
     omega = cumulative(q, A)
     pts = [2 * A] + [b for b in q.breakpoints() if 2 * A < b < x] + [x]
     xs, ws = simpson_rule(pts, 1e-3)
-    return ws @ (q(xs) * omega(xs - A))
+    return ws @ (q.values(xs) * omega.values(xs - A))
 
 
 def test_p_kernel_boundary_identities():
@@ -229,7 +229,7 @@ def test_p_function_agrees_with_pointwise_kernel():
     pfn = p_function(q, setup, x)
     ts = np.linspace(1.5 * A + 0.01, x - A / 2 - 0.01, 7)
     for t in ts:
-        assert abs(pfn(t) - p_kernel(q, setup, x, t)) < 1e-9
+        assert abs(pfn.values(t) - p_kernel(q, setup, x, t)) < 1e-9
     assert p_function(q, setup, 2 * A - 0.01) is None
 
 
@@ -273,7 +273,7 @@ def test_weight_correction_matches_the_pointwise_correction():
         w = build_w(q, setup)[0].w
         for x in (1.5 * A + 48 * A / 4096, 2 * A, 2 * A + 112 * A / 4096, 2.5 * A - 16 * A / 4096):
             want = p_kernel(q, _setup(1 - nu, nodes=129), 3 * A, x)
-            assert abs(w(x) - q(x) - want) < 1e-9 * (1 + abs(want))
+            assert abs(w.values(x) - q.values(x) - want) < 1e-9 * (1 + abs(want))
 
 
 def test_second_term_closed_form_matches_quadrature():
@@ -284,9 +284,9 @@ def test_second_term_closed_form_matches_quadrature():
         lams = np.array([9.0, 150.0, 2.0 + 1.0j])
         for lam, have, have_p in zip(lams, *y2_closed(q, setup, lams, x)):
             quad = series_term(q, setup, 2, lam)
-            want = quad.y(x)
+            want = quad.y.values(x)
             assert abs(have - want) < 1e-7 * (1 + abs(want))
-            want_p = quad.yprime(x)
+            want_p = quad.yprime.values(x)
             assert abs(have_p - want_p) < 1e-6 * (1 + abs(want_p))
 
 
@@ -393,10 +393,10 @@ def test_three_term_sum_closes_the_oracle_triangle():
             y1t = y1_closed(q, setup, lam)
             for x in xs:
                 y0, _ = _kernel_pair(nu, lam, x)
-                closed = y0 + y1t.y(x) + y2s[x][i]
-                scale = 1.0 + abs(direct.y(x))
-                assert abs(direct.y(x) - summed.y(x)) < 1e-7 * scale
-                assert abs(direct.y(x) - closed) < 1e-7 * scale
+                closed = y0 + y1t.y.values(x) + y2s[x][i]
+                scale = 1.0 + abs(direct.y.values(x))
+                assert abs(direct.y.values(x) - summed.y.values(x)) < 1e-7 * scale
+                assert abs(direct.y.values(x) - closed) < 1e-7 * scale
 
 
 def test_interior_second_differences_recover_the_equation():
@@ -413,7 +413,7 @@ def test_interior_second_differences_recover_the_equation():
             x = seg.nodes()
             h = x[1] - x[0]
             d2 = (seg.samples[:-2] - 2 * seg.samples[1:-1] + seg.samples[2:]) / h**2
-            rhs = q(x[1:-1]) * hist.samples[1:-1] - lam * seg.samples[1:-1]
+            rhs = q.values(x[1:-1]) * hist.samples[1:-1] - lam * seg.samples[1:-1]
             worst = max(worst, np.max(np.abs(d2 - rhs)))
         res.append(worst)
     assert res[0] / res[1] > 3.2

@@ -73,18 +73,18 @@ def test_zero_alpha_member_is_the_bare_kernel_density():
     for nu in (0, 1):
         member = _member(nu, 0.0)
         x_low = np.linspace(A + 0.01, 5 * A / 2 - 0.01, 50)
-        assert np.max(np.abs(member.q(x_low))) == 0.0
+        assert np.max(np.abs(member.q.values(x_low))) == 0.0
         x_top = np.linspace(5 * A / 2 + 0.01, 3 * A - 0.01, 50)
-        assert np.max(np.abs(member.q(x_top) - member.hnu(x_top))) < 1e-12
+        assert np.max(np.abs(member.q.values(x_top) - member.hnu.values(x_top))) < 1e-12
 
 
 def test_member_potential_values():
     member = _member(1, 1.0)
     # on (3a/2, 2a) the potential is alpha times the eigenfunction
-    assert member.q(7 * A / 4) == pytest.approx(-1.0, abs=1e-12)
-    assert member.q(3 * A / 2) == pytest.approx(2.0, abs=1e-12)
+    assert member.q.values(7 * A / 4) == pytest.approx(-1.0, abs=1e-12)
+    assert member.q.values(3 * A / 2) == pytest.approx(2.0, abs=1e-12)
     member2 = _member(1, 2.0 - 1.0j)
-    assert member2.q(7 * A / 4) == pytest.approx(-(2.0 - 1.0j), abs=1e-12)
+    assert member2.q.values(7 * A / 4) == pytest.approx(-(2.0 - 1.0j), abs=1e-12)
 
 
 def test_member_rejects_inconsistent_edits():
@@ -127,9 +127,9 @@ def test_weight_is_alpha_invariant_and_collapses():
     w = ws[2.0 + 3.0j]
     member = _member(1, 2.0 + 3.0j)
     x_low = np.linspace(A + 0.01, 5 * A / 2 - 0.01, 50)
-    assert np.max(np.abs(w(x_low))) < 1e-8 * scale
+    assert np.max(np.abs(w.values(x_low))) < 1e-8 * scale
     x_top = np.linspace(5 * A / 2 + 0.01, 3 * A - 0.01, 50)
-    assert np.max(np.abs(w(x_top) - member.hnu(x_top))) < 1e-8 * scale
+    assert np.max(np.abs(w.values(x_top) - member.hnu.values(x_top))) < 1e-8 * scale
 
 
 def test_weight_route_matches_general_construction():
@@ -137,5 +137,5 @@ def test_weight_route_matches_general_construction():
     w = w_of_member(member)
     data0, _ = build_w(member.q, DelaySetup(a=A, nu=0))
     xs = np.linspace(A + 0.01, 3 * A - 0.01, 80)
-    scale = 1.0 + np.max(np.abs(w(xs)))
-    assert np.max(np.abs(w(xs) - data0.w(xs))) < 1e-8 * scale
+    scale = 1.0 + np.max(np.abs(w.values(xs)))
+    assert np.max(np.abs(w.values(xs) - data0.w.values(xs))) < 1e-8 * scale

@@ -57,10 +57,10 @@ def test_tail_integral_shape():
 
 def test_witness_values():
     _, h, e = _witness()
-    assert e(3 * A / 2) == pytest.approx(2.0, abs=1e-12)
-    assert e(7 * A / 4) == pytest.approx(-1.0, abs=1e-12)
+    assert e.values(3 * A / 2) == pytest.approx(2.0, abs=1e-12)
+    assert e.values(7 * A / 4) == pytest.approx(-1.0, abs=1e-12)
     assert abs(integrate(e, 3 * A / 2, 2 * A)) < 1e-10
-    assert h(3 * A) == pytest.approx(6.0 * np.pi**2 / A**2, abs=1e-9)
+    assert h.values(3 * A) == pytest.approx(6.0 * np.pi**2 / A**2, abs=1e-9)
     with pytest.raises(PreconditionError):
         reference_pair(1.2)
 
@@ -68,7 +68,7 @@ def test_witness_values():
 def test_witness_is_an_eigenpair_of_minus_one():
     op, _, e = _witness()
     image = apply(op, e)
-    gap = np.max(np.abs(image(e.nodes()) + e.all_samples()))
+    gap = np.max(np.abs(image.values(e.nodes()) + e.all_samples()))
     assert gap < 1e-6 * np.max(np.abs(e.all_samples()))
 
 
@@ -76,7 +76,7 @@ def test_negated_density_flips_the_eigenvalue():
     _, h, e = _witness()
     op = FredholmOperator(A, (-1.0) * h)
     image = apply(op, e)
-    gap = np.max(np.abs(image(e.nodes()) - e.all_samples()))
+    gap = np.max(np.abs(image.values(e.nodes()) - e.all_samples()))
     assert gap < 1e-6 * np.max(np.abs(e.all_samples()))
 
 
@@ -199,7 +199,7 @@ def test_eigenpairs_find_the_witness():
     assert abs(pairs[0].eta) >= abs(pairs[-1].eta)
     best = min(pairs, key=lambda p: abs(p.eta + 1.0))
     assert abs(best.eta + 1.0) < 1e-6
-    want = e(best.e.nodes()) / 2.0  # sup-normalized witness, positive lead
+    want = e.values(best.e.nodes()) / 2.0  # sup-normalized witness, positive lead
     assert np.max(np.abs(best.e.all_samples() - want)) < 1e-5
 
 

@@ -18,12 +18,14 @@ from delaysl import (
     PiecewiseFunction,
     SampledSegment,
     assemble_segments,
+    ckernel,
     cumulative,
     integrate,
     piecewise_quad,
     read_csv,
     sample_function,
     simpson_rule,
+    skernel,
     write_csv,
 )
 import delaysl
@@ -38,6 +40,7 @@ from delaysl.gridfn import (
     lattice_product_integrals,
     shifted_product_integrals,
 )
+from delaysl.kernels import _WeightRule
 from oracles import piecewise_values
 
 
@@ -63,8 +66,16 @@ def test_segment_needs_odd_count_of_at_least_three():
         SampledSegment(iv, np.zeros(4))
     with pytest.raises(DomainError):
         SampledSegment(iv, np.zeros(1))
-    seg = SampledSegment(iv, np.zeros(3))
-    assert seg.count == 3
+    # three samples are kept as the five of their quadratic, the given
+    # ones on the even nodes; a constant stays that constant, bit for bit
+    seg = SampledSegment(iv, np.full(3, 0.1 - 0.7j))
+    assert seg.count == 5 and seg.spacing == 0.25
+    assert np.array_equal(seg.nodes(), [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert np.array_equal(seg.samples, np.full(5, 0.1 - 0.7j))
+    given = np.array([1.0, 2.0 + 1.0j, 0.5])
+    seg = SampledSegment(iv, given)
+    assert np.array_equal(seg.samples[::2], given)
+    assert np.array_equal(seg.samples[1::2], [1.8125 + 0.75j, 1.5625 + 0.75j])
 
 
 def test_a_segment_owns_its_samples():
@@ -82,7 +93,7 @@ def test_a_segment_owns_its_samples():
     for kept in (seg, viewed):
         assert not kept.samples.flags.writeable
         assert kept.samples[4] == 0.5
-    x = np.array([0.0, 0.5, 1.0, 1.0, 1.5, 2.0])
+    x = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.0, 1.25, 1.5, 1.75, 2.0])
     v = x.astype(complex)
     f = assemble_segments(x, v)
     v[:] = 7.0
@@ -93,7 +104,7 @@ def test_values_reproduce_samples_at_nodes():
     f = sample_function(np.sin, [0.0, np.pi / 2, np.pi], 17)
     for seg in f.segments:
         assert np.array_equal(seg.values(seg.nodes()), seg.samples)
-    assert f(np.pi / 2) == pytest.approx(1.0, abs=1e-15)
+    assert f.values(np.pi / 2) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_values_exact_for_cubics_between_nodes():
@@ -101,7 +112,7 @@ def test_values_exact_for_cubics_between_nodes():
     f = sample_function(poly, [0.0, 1.0, 2.0], 9)
     rng = np.random.default_rng(3)
     x = rng.uniform(0.0, 2.0, 40)
-    assert np.max(np.abs(f(x) - poly(x))) < 1e-13
+    assert np.max(np.abs(f.values(x) - poly(x))) < 1e-13
 
 
 def test_cubic_bounds_its_stencils_as_a_clip_would():
@@ -127,16 +138,16 @@ def test_cubic_bounds_its_stencils_as_a_clip_would():
 
 def test_breakpoint_evaluation_takes_the_right_segment():
     f = _two_step()
-    assert f(1.0) == 1.0
-    assert f(1.0 - 1e-6) == 0.0
+    assert f.values(1.0) == 1.0
+    assert f.values(1.0 - 1e-6) == 0.0
 
 
 def test_evaluation_outside_domain_raises():
     f = _two_step()
     with pytest.raises(DomainError):
-        f(-0.1)
+        f.values(-0.1)
     with pytest.raises(DomainError):
-        f(2.2)
+        f.values(2.2)
 
 
 def test_algebra_is_pointwise():
@@ -145,11 +156,11 @@ def test_algebra_is_pointwise():
     f = sample_function(lambda x: rng.normal(size=x.shape), breaks, 9)
     g = sample_function(lambda x: rng.normal(size=x.shape), breaks, 9)
     x = rng.uniform(0.0, 2.0, 30)
-    assert np.max(np.abs((f + g)(x) - (f(x) + g(x)))) < 1e-12
-    assert np.max(np.abs((f - g)(x) - (f(x) - g(x)))) < 1e-12
-    assert np.max(np.abs((2.5 * f)(x) - 2.5 * f(x))) < 1e-12
-    assert np.max(np.abs(((1 + 2j) * f)(x) - (1 + 2j) * f(x))) < 1e-12
-    assert np.max(np.abs((-f)(x) + f(x))) < 1e-12
+    assert np.max(np.abs((f + g).values(x) - (f.values(x) + g.values(x)))) < 1e-12
+    assert np.max(np.abs((f - g).values(x) - (f.values(x) - g.values(x)))) < 1e-12
+    assert np.max(np.abs((2.5 * f).values(x) - 2.5 * f.values(x))) < 1e-12
+    assert np.max(np.abs(((1 + 2j) * f).values(x) - (1 + 2j) * f.values(x))) < 1e-12
+    assert np.max(np.abs((-f).values(x) + f.values(x))) < 1e-12
 
 
 def test_mismatched_grids_do_not_combine():
@@ -196,11 +207,11 @@ def test_integrate_converges_at_fourth_order():
 def test_cumulative_matches_integrate_at_nodes():
     f = sample_function(np.sin, [0.0, 1.3, np.pi], 33)
     g = cumulative(f, 0.0)
-    assert g(0.0) == 0.0
+    assert g.values(0.0) == 0.0
     for node in f.nodes()[::5]:
-        assert g(node) == pytest.approx(integrate(f, 0.0, node), abs=1e-13)
+        assert g.values(node) == pytest.approx(integrate(f, 0.0, node), abs=1e-13)
     shifted = cumulative(f, 1.3)
-    assert shifted(1.3) == 0.0
+    assert shifted.values(1.3) == 0.0
 
 
 def _random_piecewise(seed, pieces, nodes):
@@ -256,7 +267,7 @@ def test_cell_integrals_work_row_by_row():
     # stencil over the rows laid end to end; each row must come out bit
     # for bit as the one-row call, whatever the number of rows
     rng = np.random.default_rng(5)
-    for n in (3, 4, 5, 7, 33, 65, 513, 1025):
+    for n in (4, 5, 7, 33, 65, 513, 1025):
         block = rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n))
         for rows in range(1, 8):
             out = _cell_integrals(block[:rows], 0.3)
@@ -267,11 +278,10 @@ def test_cell_integrals_work_row_by_row():
         wide = np.zeros((7, n + 3), dtype=complex)
         wide[:, 2 : n + 2] = block
         assert np.array_equal(_cell_integrals(wide[:, 2 : n + 2], 0.3), out)
-        # exact for the polynomial of the highest degree the stencil holds
+        # exact for cubics, the polynomials the stencil holds
         x = 0.3 * np.arange(n)
-        deg = min(n - 1, 3)
-        want = (x[1:] ** (deg + 1) - x[:-1] ** (deg + 1)) / (deg + 1)
-        assert np.max(np.abs(_cell_integrals(x**deg, 0.3) - want) / (1.0 + want)) < 1e-12
+        want = (x[1:] ** 4 - x[:-1] ** 4) / 4
+        assert np.max(np.abs(_cell_integrals(x**3, 0.3) - want) / (1.0 + want)) < 1e-12
     seg = SampledSegment(Interval(0.0, 1.2), block[0])
     assert np.array_equal(seg.cell_integrals(), _cell_integrals(block[0], seg.spacing))
 
@@ -299,7 +309,7 @@ def test_cell_coefficients_are_the_interpolant():
     for n in (3, 5, 9, 33):
         seg = SampledSegment(Interval(0.5, 1.7), rng.normal(size=n) + 1j * rng.normal(size=n))
         coef = _cell_coefficients(seg.samples)
-        assert coef.shape == (n - 1, 4)
+        assert coef.shape == (seg.count - 1, 4)
         for c, p in enumerate(coef):
             x = seg.interval.lo + seg.spacing * (c + xi)
             poly = sum(p[m] * xi**m for m in range(4))
@@ -307,15 +317,106 @@ def test_cell_coefficients_are_the_interpolant():
         # the cells integrate as the segment rule does
         full = coef @ np.array([1.0, 1 / 2, 1 / 3, 1 / 4]) * seg.spacing
         assert np.max(np.abs(full - seg.cell_integrals())) < 1e-13
-    assert np.all(_cell_coefficients(np.array([1.0, 2.0, 0.5]))[:, 3] == 0.0)
+    # three samples give their quadratic on every cell: at nodes 0, 1/4, 1/2
+    # and 3/4 of the way, in cell coordinates (spacing 1/4)
+    seg = SampledSegment(Interval(0.5, 1.7), np.array([1.0, 2.0, 0.5]))
+    want = [[1.0, 1.125, -0.3125, 0.0], [1.8125, 0.5, -0.3125, 0.0]]
+    want += [[2.0, -0.125, -0.3125, 0.0], [1.5625, -0.75, -0.3125, 0.0]]
+    assert np.max(np.abs(_cell_coefficients(seg.samples) - want)) <= 1e-15
 
 
 def test_three_node_segment_interpolates_quadratics():
     seg = SampledSegment(Interval(0.0, 2.0), np.array([0.0, 1.0, 4.0]))
     f = PiecewiseFunction([seg])
     x = np.linspace(0.0, 2.0, 21)
-    assert np.max(np.abs(f(x) - x**2)) < 1e-14
+    assert np.max(np.abs(f.values(x) - x**2)) < 1e-14
     assert integrate(f, 0.0, 2.0) == pytest.approx(8.0 / 3.0, abs=1e-14)
+
+
+def _quadratic_through(s, length):
+    """The quadratic through s at 0, length / 2 and length, and its integral from 0.
+
+    Both take offsets from the first node, so that a point given as an
+    offset is not rounded to the grid of the absolute abscissae.
+    """
+    half = 0.5 * length
+
+    def value(d):
+        u = np.asarray(d, dtype=float) / half
+        return s[0] * (u - 1.0) * (u - 2.0) / 2.0 - s[1] * u * (u - 2.0) + s[2] * u * (u - 1.0) / 2.0
+
+    def primitive(d):
+        u = np.asarray(d, dtype=float) / half
+        return half * (
+            s[0] * (u**3 / 6.0 - 0.75 * u**2 + u)
+            + s[1] * (u**2 - u**3 / 3.0)
+            + s[2] * (u**3 / 6.0 - 0.25 * u**2)
+        )
+
+    return value, primitive
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lo=st.floats(-2.0, 2.0),
+    length=st.floats(0.05, 3.0),
+    phase=st.one_of(st.just(0.0), st.floats(1e-6, 0.999)),  # off a node by more than its snap
+)
+def test_three_samples_are_their_quadratic_everywhere(seed, lo, length, phase):
+    rng = np.random.default_rng(seed)
+    s = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    hi = lo + length
+    length = hi - lo  # as the segment has it
+    seg = SampledSegment(Interval(lo, hi), s)
+    f = PiecewiseFunction([seg])
+    quad, prim = _quadratic_through(s, length)
+    tol = 1e-14 * float(np.max(np.abs(s)))
+
+    # values on the nodes (the given samples exactly) and between them
+    assert np.array_equal(seg.samples[::2], s)
+    assert np.max(np.abs(seg.values(seg.nodes()) - quad(seg.spacing * np.arange(5)))) <= tol
+    x = rng.uniform(lo, hi, 64)
+    assert np.max(np.abs(f.values(x) - quad(x - lo))) <= tol
+    assert np.max(np.abs(seg.values(x) - quad(x - lo))) <= tol
+
+    # integrals over random sub-ranges, and the antiderivative anywhere
+    for u, v in rng.uniform(lo, hi, (8, 2)):
+        assert abs(integrate(f, u, v) - (prim(v - lo) - prim(u - lo))) <= tol * length
+    anchor = float(rng.uniform(lo, hi))
+    g = cumulative(f, anchor)
+    for pts in (g.nodes(), x):
+        want = prim(pts - lo) - prim(anchor - lo)
+        assert np.max(np.abs(g.values(pts) - want)) <= tol * length
+
+    # lattice reads at 1, 2 and 4 steps per cell, on and off the nodes
+    for per_cell in (1, 2, 4):
+        step = seg.spacing / per_cell
+        x0 = lo + phase * step
+        count = int((hi - x0) / step * (1.0 - 1e-12)) + 1
+        want = quad((x0 - lo) + step * np.arange(count))
+        assert np.max(np.abs(_on_steps(f, x0, step, count) - want)) <= tol
+
+    # the Filon rule for w's kernels: y = phi - 2t sweeps [-span, span],
+    # and lam crosses the rule's Maclaurin threshold; the rule's phases
+    # e^(i rho (phi - 2t)) round by rho |phi| ulps, hence the |phi| / span
+    span, phi = length, 2.0 * lo + length
+    lam = np.array([0.1, -0.5 + 0.3j, 3.0, 20.0 + 2.0j, -15.0, 150.0]) / span**2
+    t, wt = np.polynomial.legendre.leggauss(80)
+    t, wt = lo + 0.5 * length * (1.0 + t), 0.5 * length * wt
+    y = phi - 2.0 * t
+    lc, yc = lam[:, None], y[None, :]
+    kernels = {
+        "c": ckernel(lc, yc),
+        "s": skernel(lc, yc),
+        "ss": skernel(lc, 0.5 * (span + yc)) * skernel(lc, 0.5 * (span - yc)),
+    }
+    rule = _WeightRule(f, phi, span)
+    for kind, kern in kernels.items():
+        got = rule.integrals(lam, kind, ckernel(lam, span))
+        want = kern @ (wt * quad(t - lo))
+        bound = tol * length * np.max(np.abs(kern), axis=1) * max(1.0, abs(phi) / span)
+        assert np.all(np.abs(got - want) <= bound), kind
 
 
 def test_shift_and_map_touch_only_the_samples():
@@ -363,8 +464,8 @@ def test_assemble_segments_splits_on_duplicates():
     v = [0.0, 0.25, 1.0, 2.0, 2.5, 3.0]
     f = assemble_segments(x, v)
     assert len(f.segments) == 2
-    assert f(1.0) == 2.0
-    assert f(0.5) == 0.25
+    assert f.values(1.0) == 2.0
+    assert f.values(0.5) == 0.25
     with pytest.raises(DomainError):
         assemble_segments([0.0, 1.0], [0.0, 1.0])
 
@@ -396,6 +497,25 @@ def test_csv_round_trip_is_bit_exact_through_jumps_and_signed_zeros(
     for got, want in zip(g.segments, f.segments):
         assert (got.interval.lo, got.interval.hi) == (want.interval.lo, want.interval.hi)
         assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def test_a_three_row_csv_segment_round_trips_as_five_rows(tmp_path):
+    # a 3-row run is read as the five samples of its quadratic; those are
+    # written back as 5 rows, which read back bit for bit
+    three = np.array([1.0 - 0.0j, 0.1 + 2.0j, -2.5 + 1e-3j])
+    rows = [(0.5, three[0]), (0.75, three[1]), (1.0, three[2])]
+    rows += [(x, complex(x, -x)) for x in (1.0, 1.25, 1.5, 1.75, 2.0)]
+    path = tmp_path / "three.csv"
+    path.write_text("x,re,im\n" + "".join(f"{x:.17g},{v.real:.17g},{v.imag:.17g}\n" for x, v in rows))
+    f = read_csv(path)
+    assert [seg.count for seg in f.segments] == [5, 5]
+    want = SampledSegment(Interval(0.5, 1.0), three).samples
+    assert f.segments[0].samples.tobytes() == want.tobytes()
+    write_csv(f, path)
+    assert len(path.read_text().splitlines()) == 1 + 5 + 5
+    g = read_csv(path)
+    assert np.array_equal(g.nodes(), f.nodes())
+    assert g.all_samples().tobytes() == f.all_samples().tobytes()
 
 
 def test_csv_reader_validates_input(tmp_path):
