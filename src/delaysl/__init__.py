@@ -13,8 +13,6 @@ from .delay_solver import (
     DelaySetup,
     endpoint_values,
     grid_breakpoints,
-    p_function,
-    series_term,
     y1_closed,
     y2_closed,
 )
@@ -41,8 +39,6 @@ from .fredholm import (
     apply,
     apply_discrete,
     eigenpairs,
-    nystrom,
-    project,
     reference_pair,
     zero_mean,
 )
@@ -65,9 +61,6 @@ from .spectrum import (
     SpectrumEntry,
     compare,
     compute_spectrum,
-    count_roots,
-    initial_guesses,
-    refine_root,
 )
 
 __version__ = "0.1.0"
@@ -80,8 +73,6 @@ __all__ = [
     "DelaySetup",
     "endpoint_values",
     "grid_breakpoints",
-    "p_function",
-    "series_term",
     "y1_closed",
     "y2_closed",
     "ConsistencyError",
@@ -102,8 +93,6 @@ __all__ = [
     "apply",
     "apply_discrete",
     "eigenpairs",
-    "nystrom",
-    "project",
     "reference_pair",
     "zero_mean",
     "Interval",
@@ -124,7 +113,4 @@ __all__ = [
     "SpectrumEntry",
     "compare",
     "compute_spectrum",
-    "count_roots",
-    "initial_guesses",
-    "refine_root",
 ]

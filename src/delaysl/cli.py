@@ -10,6 +10,15 @@ between the closed-form and stepping-solver characteristic functions.
 All file output is deterministic: floats are written with 17
 significant digits and complex numbers as [re, im] pairs, so identical
 configs produce byte-identical reports.
+
+A command exits 0 when everything it checks passes, 1 when a check, a
+spectrum or a computation failed, and 2 on a config or I/O error.  A
+failure is recorded in the report, with its error, where it happens:
+``verify`` per check, ``isospec`` per spectrum and per comparison (a
+comparison that reads a failed spectrum is left out), and ``spectrum``
+per j.  A package error that ends a command before its report is
+written (``family``, ``fredholm``, or the set-up of ``verify``) is
+printed as ``delaysl <command>: <error>`` on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +306,11 @@ def _draw_points(config: RunConfig, x_lo: float):
     return xs, lams
 
 
+def _term_setups(config: RunConfig) -> list:
+    """The nu = 0 and nu = 1 set-ups of the series-term checks, at the automatic step."""
+    return [DelaySetup(a=config.a, nu=nu, segment_nodes=config.grid.segment_nodes) for nu in (0, 1)]
+
+
 def _series_samples(config: RunConfig, q) -> dict:
     """Series terms 1 and 2 where the closed-form checks read them, one pass per series.
 
@@ -307,8 +322,7 @@ def _series_samples(config: RunConfig, q) -> dict:
     xs1, lams = _draw_points(config, 2.0 * config.a)
     xs2, _ = _draw_points(config, 2.5 * config.a)
     table = {}
-    for nu in (0, 1):
-        su = DelaySetup(a=config.a, nu=nu, segment_nodes=config.grid.segment_nodes)
+    for nu, su in enumerate(_term_setups(config)):
         for i, lam in enumerate(lams):
             got = []
             try:
@@ -340,8 +354,7 @@ def _samples(series: dict, nu: int, i: int, k: int):
 def _first_term_worst(config: RunConfig, q, series: dict) -> float:
     xs, lams = _draw_points(config, 2.0 * config.a)
     worst = 0.0
-    for nu in (0, 1):
-        su = DelaySetup(a=config.a, nu=nu, segment_nodes=config.grid.segment_nodes)
+    for nu, su in enumerate(_term_setups(config)):
         for i, lam in enumerate(lams):
             wants = _samples(series, nu, i, 1)
             clo = y1_closed(q, su, complex(lam))
@@ -359,8 +372,7 @@ def _second_term_worst(config: RunConfig, q, series: dict) -> float:
     # x outside nu: P's inner lattice correlation does not depend on nu,
     # and the one kept from the nu = 0 call serves the nu = 1 call
     for k, x in enumerate(xs):
-        for nu in (0, 1):
-            su = DelaySetup(a=config.a, nu=nu, segment_nodes=config.grid.segment_nodes)
+        for nu, su in enumerate(_term_setups(config)):
             have = y2_closed(q, su, lams, float(x))
             for i in range(len(lams)):
                 for h, w in zip(have, _samples(series, nu, i, 2)[k]):
@@ -369,15 +381,12 @@ def _second_term_worst(config: RunConfig, q, series: dict) -> float:
 
 
 def _char_route_worst(config: RunConfig, member) -> float:
-    setup = _setup(config)
-    datas = build_w(member.q, setup)
     grid = np.concatenate(
         [np.linspace(-15.0, 390.0, 9), np.array([2.0 + 2.0j, 50.0 - 3.0j, 0.0])]
     )
     worst = 0.0
-    for j in (0, 1):
-        dc = delta_closed(datas[j], grid)
-        dd = delta_direct(member.q, setup, j, grid)
+    for closed, direct in _deltas(member.q, _setup(config)):
+        dc, dd = closed(grid), direct(grid)
         worst = max(worst, float(np.max(np.abs(dc - dd) / (1.0 + np.abs(dd)))))
     return worst
 
@@ -520,49 +529,88 @@ def cmd_fredholm(config: RunConfig, out: Path) -> int:
 _BASELINE_TOL = 1e-10  # largest gap of a zero-potential spectrum to its n^2 law
 
 
-def _spectrum(config: RunConfig, delta, j: int):
-    return compute_spectrum(
-        delta,
-        config.nu,
-        j,
-        config.spectrum.n_max,
-        tol=config.spectrum.newton_tol,
-        im_window=config.spectrum.im_window,
-    )
+def _deltas(q, setup: DelaySetup):
+    """The (closed, direct) Delta of q for j = 0 and j = 1, from one ``build_w`` call."""
+    datas = build_w(q, setup)
+    return [(partial(delta_closed, datas[j]), partial(delta_direct, q, setup, j)) for j in (0, 1)]
 
 
-def _baseline(config: RunConfig, spectrum):
-    """Zero-potential spectra j = 0, 1 and their gaps to the n^2 laws.
+@dataclass
+class _Recorder:
+    """The spectra and comparisons of one run, each entry with its pass flag.
 
-    ``spectrum(name, delta, j)`` computes one spectrum, or returns None
-    when the caller has recorded a failure; that j is then skipped.
-    Yields (j, spectrum, gap, gap within _BASELINE_TOL).
+    A spectrum whose computation raised is listed with its error and
+    returned as None; a comparison that reads a None is left out.
     """
-    setup = _setup(config)
-    datas = build_w(_zero_on(setup), setup)
-    for j in (0, 1):
-        s = spectrum(f"baseline_j{j}", lambda lam, data=datas[j]: delta_closed(data, lam), j)
-        if s is None:
-            continue
-        lams = s.lambdas()
-        gap = float(np.max(np.abs(lams - _Free(config.nu, j).zeros(len(lams)))))
-        yield j, s, gap, gap <= _BASELINE_TOL
+
+    config: RunConfig
+    spectra: list = field(default_factory=list)
+    comparisons: list = field(default_factory=list)
+
+    def spectrum(self, name: str, delta, j: int):
+        sc = self.config.spectrum
+        try:
+            s = compute_spectrum(
+                delta, self.config.nu, j, sc.n_max, tol=sc.newton_tol, im_window=sc.im_window
+            )
+        except DelaySLError as exc:
+            self.spectra.append({"name": name, "pass": False, "error": str(exc)})
+            return None
+        self.spectra.append(
+            {"name": name, "entries": len(s.entries), "certified": s.certified_count, "pass": True}
+        )
+        return s
+
+    def _gap(self, name: str, key: str, gap: float, tol: float) -> None:
+        self.comparisons.append({"name": name, key: gap, "tolerance": tol, "pass": gap <= tol})
+
+    def compare(self, name: str, s1, s2, tol: float = 1e-6) -> None:
+        if s1 is not None and s2 is not None:
+            try:
+                self._gap(name, "max_rel_diff", float(compare(s1, s2)), tol)
+            except DelaySLError as exc:
+                error = {"name": name, "tolerance": tol, "pass": False, "error": str(exc)}
+                self.comparisons.append(error)
+
+    def baseline(self) -> list:
+        """(spectrum, gap to its n^2 law) of the zero potential for j = 0 and j = 1.
+
+        A j whose spectrum failed gives (None, None).
+        """
+        setup = _setup(self.config)
+        got = []
+        for j, (closed, _) in enumerate(_deltas(_zero_on(setup), setup)):
+            s = self.spectrum(f"baseline_j{j}", closed, j)
+            gap = None
+            if s is not None:
+                lams = s.lambdas()
+                gap = float(np.max(np.abs(lams - _Free(self.config.nu, j).zeros(len(lams)))))
+                self._gap(f"baseline_classical_j{j}", "max_abs_diff", gap, _BASELINE_TOL)
+            got.append((s, gap))
+        return got
 
 
 def cmd_spectrum(config: RunConfig, out: Path) -> int:
-    """Baseline spectra of the zero potential, checked against n^2 laws."""
+    """Baseline spectra of the zero potential, checked against n^2 laws.
+
+    A j whose spectrum raised is reported with its error and fails the run.
+    """
+    rec = _Recorder(config)
     sections = {}
-    ok = True
-    for j, s, gap, good in _baseline(config, lambda name, delta, j: _spectrum(config, delta, j)):
+    for j, ((s, gap), entry) in enumerate(zip(rec.baseline(), rec.spectra)):
+        if s is None:
+            sections[f"j{j}"] = {"pass": False, "error": entry["error"]}
+            print(f"spectrum j={j}: FAIL  [{entry['error']}]")
+            continue
         (out / f"spectrum_j{j}.csv").write_text(s.to_csv(), encoding="utf-8")
-        ok = ok and good
         sections[f"j{j}"] = {
             "entries": len(s.entries),
             "certified": s.certified_count,
             "max_abs_gap_classical": gap,
-            "pass": good,
+            "pass": gap <= _BASELINE_TOL,
         }
         print(f"spectrum j={j}: {len(s.entries)} certified entries, classical gap {gap:.3e}")
+    ok = all(c["pass"] for c in rec.spectra + rec.comparisons)
     report = {"a": config.a, "nu": config.nu, "n_max": config.spectrum.n_max, **sections, "pass": ok}
     _write_report(out, "spectrum_report.json", report)
     return 0 if ok else 1
@@ -578,81 +626,33 @@ def cmd_isospec(config: RunConfig, out: Path) -> int:
     """
     h, eta, e = _seed_pair(config)
     setup = _setup(config)
-    spectra = []
-    comparisons = []
-    computed = {}
-
-    def one_spectrum(name, delta, j):
-        try:
-            s = _spectrum(config, delta, j)
-        except DelaySLError as exc:
-            spectra.append({"name": name, "pass": False, "error": str(exc)})
-            return None
-        spectra.append(
-            {"name": name, "entries": len(s.entries), "certified": s.certified_count, "pass": True}
-        )
-        return s
-
-    def one_compare(name, s1, s2, tol, key):
-        if s1 is None or s2 is None:
-            return
-        try:
-            d = float(compare(s1, s2))
-            entry = {"name": name, key: d, "tolerance": tol, "pass": bool(d <= tol)}
-        except DelaySLError as exc:
-            entry = {"name": name, "tolerance": tol, "pass": False, "error": str(exc)}
-        comparisons.append(entry)
-
+    rec = _Recorder(config)
+    closed = []  # closed[k][j]: the closed spectrum of alpha k, or None
     for k, al in enumerate(config.alphas):
         member = build_member(h, eta, e, config.nu, al, config.a)
-        datas = build_w(member.q, setup)
-        for j in (0, 1):
-            closed = one_spectrum(
-                f"alpha{k}_j{j}_closed",
-                lambda lam, data=datas[j]: delta_closed(data, lam),
-                j,
-            )
-            direct = one_spectrum(
-                f"alpha{k}_j{j}_direct",
-                lambda lam, q=member.q, j=j: delta_direct(q, setup, j, lam),
-                j,
-            )
-            computed[(k, j, "closed")] = closed
-            one_compare(
-                f"alpha{k}_j{j}_closed_vs_direct", closed, direct, 1e-6, "max_rel_diff"
-            )
+        closed.append([])
+        for j, (dc, dd) in enumerate(_deltas(member.q, setup)):
+            s = rec.spectrum(f"alpha{k}_j{j}_closed", dc, j)
+            d = rec.spectrum(f"alpha{k}_j{j}_direct", dd, j)
+            rec.compare(f"alpha{k}_j{j}_closed_vs_direct", s, d)
+            closed[k].append(s)
     for j in (0, 1):
         for k in range(1, len(config.alphas)):
-            one_compare(
-                f"j{j}_alpha{k}_vs_alpha0",
-                computed.get((0, j, "closed")),
-                computed.get((k, j, "closed")),
-                1e-6,
-                "max_rel_diff",
-            )
+            rec.compare(f"j{j}_alpha{k}_vs_alpha0", closed[0][j], closed[k][j])
+    rec.baseline()
 
-    for j, _, gap, good in _baseline(config, one_spectrum):
-        comparisons.append(
-            {
-                "name": f"baseline_classical_j{j}",
-                "max_abs_diff": gap,
-                "tolerance": _BASELINE_TOL,
-                "pass": good,
-            }
-        )
-
-    ok = all(entry["pass"] for entry in spectra + comparisons)
+    ok = all(c["pass"] for c in rec.spectra + rec.comparisons)
     report = {
         "a": config.a,
         "nu": config.nu,
         "alphas": list(config.alphas),
         "n_max": config.spectrum.n_max,
-        "spectra": spectra,
-        "comparisons": comparisons,
+        "spectra": rec.spectra,
+        "comparisons": rec.comparisons,
         "pass": ok,
     }
     _write_report(out, "isospec_report.json", report)
-    for c in comparisons:
+    for c in rec.comparisons:
         value = c.get("max_rel_diff", c.get("max_abs_diff"))
         shown = "error" if value is None else f"{value:.3e}"
         print(f"{c['name']:<34} {'pass' if c['pass'] else 'FAIL'}  {shown}")
@@ -707,6 +707,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except DelaySLError as exc:
+        print(f"delaysl {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

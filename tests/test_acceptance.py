@@ -31,11 +31,11 @@ from delaysl import (
     omega_of_member,
     reference_pair,
     sample_function,
-    series_term,
     y1_closed,
     y2_closed,
 )
 from delaysl.cli import RunConfig, _seed_pair
+from delaysl.delay_solver import series_term
 from delaysl.spectrum import _Free
 
 A = math.pi / 4.0

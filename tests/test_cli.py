@@ -22,7 +22,13 @@ from delaysl.cli import (
     main,
 )
 from delaysl import cli, delay_solver, errors
-from delaysl.errors import ContourError, DomainError, PreconditionError
+from delaysl.errors import (
+    ContourError,
+    DomainError,
+    IncompleteSpectrumError,
+    NoEigenvaluesError,
+    PreconditionError,
+)
 from delaysl.family import build_member
 
 CHECK_NAMES = [
@@ -303,20 +309,39 @@ def test_second_term_check_shares_the_inner_correlation_of_both_nu(monkeypatch):
     assert len(calls) == len(set(calls)) == 3
 
 
+def _twice(command, cfg, tmp_path):
+    """Run a command into two fresh directories, check both hold the same bytes, list the files."""
+    outs = [tmp_path / "one", tmp_path / "two"]
+    for out in outs:
+        out.mkdir()
+        assert command(cfg, out) == 0
+    names = sorted(f.name for f in outs[0].iterdir())
+    assert names == sorted(f.name for f in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    return names
+
+
 def test_family_deterministic(tmp_path):
-    cfg = _small()
-    out1 = tmp_path / "one"
-    out2 = tmp_path / "two"
-    out1.mkdir()
-    out2.mkdir()
-    assert cmd_family(cfg, out1) == 0
-    assert cmd_family(cfg, out2) == 0
-    for name in ("potential_00.csv", "potential_01.csv", "family_manifest.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    manifest = _json(out1 / "family_manifest.json")
+    names = _twice(cmd_family, _small(), tmp_path)
+    assert names == ["family_manifest.json", "potential_00.csv", "potential_01.csv"]
+    manifest = _json(tmp_path / "one" / "family_manifest.json")
     assert manifest["zero_mean_flag"] is True
     omegas = [complex(re, im) for re, im in manifest["omega_per_alpha"]]
     assert abs(omegas[1] - omegas[0]) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        (cmd_spectrum, ["spectrum_j0.csv", "spectrum_j1.csv", "spectrum_report.json"]),
+        (cmd_isospec, ["isospec_report.json"]),
+        (cmd_verify, ["verify_report.json"]),
+    ],
+    ids=["spectrum", "isospec", "verify"],
+)
+def test_reports_deterministic(tmp_path, command, files):
+    assert _twice(command, _small(), tmp_path) == files
 
 
 def test_family_shifted_seed_changes_omega(tmp_path):
@@ -412,16 +437,16 @@ def test_isospec_lists_a_failed_spectrum_and_skips_what_reads_it(tmp_path, capsy
         grid=GridConfig(segment_nodes=129, steps_per_a=128),
         spectrum=SpectrumConfig(n_max=2),
     )
-    real = cli._spectrum
+    real = cli.compute_spectrum
     calls = []
 
-    def first_fails(config, delta, j):
+    def first_fails(delta, nu, j, *args, **kwargs):
         calls.append(j)
         if len(calls) == 1:
             raise ContourError("a root on the contour")
-        return real(config, delta, j)
+        return real(delta, nu, j, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "_spectrum", first_fails)
+    monkeypatch.setattr(cli, "compute_spectrum", first_fails)
     assert cmd_isospec(cfg, tmp_path) == 1
     report = _json(tmp_path / "isospec_report.json")
     assert report["pass"] is False
@@ -439,6 +464,44 @@ def test_isospec_lists_a_failed_spectrum_and_skips_what_reads_it(tmp_path, capsy
     ]
     assert all(c["pass"] for c in report["comparisons"])
     assert capsys.readouterr().out.splitlines()[-1] == "isospec: FAIL"
+
+
+def test_spectrum_lists_a_failed_j_and_exits_1(tmp_path, capsys, monkeypatch):
+    # the j = 1 spectrum raises: j = 0 is still written and checked, j = 1
+    # is reported with its error, and the run fails without a traceback
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"spectrum": {"n_max": 4}}), encoding="utf-8")
+    real = cli.compute_spectrum
+
+    def j1_fails(delta, nu, j, *args, **kwargs):
+        if j == 1:
+            raise IncompleteSpectrumError("count 3 vs 2 located roots")
+        return real(delta, nu, j, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_spectrum", j1_fails)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert sorted(f.name for f in out.iterdir()) == ["spectrum_j0.csv", "spectrum_report.json"]
+    report = _json(out / "spectrum_report.json")
+    assert report["pass"] is False
+    assert report["j0"]["pass"] is True
+    assert report["j1"] == {"pass": False, "error": "count 3 vs 2 located roots"}
+    shown = capsys.readouterr()
+    assert "Traceback" not in shown.out + shown.err
+    assert shown.out.splitlines()[-1] == "spectrum j=1: FAIL  [count 3 vs 2 located roots]"
+
+
+def test_main_reports_a_package_error_and_exits_1(tmp_path, capsys, monkeypatch):
+    # an error the package raises inside a command is a failed run (1),
+    # told on stderr; config and i/o errors keep exit code 2
+    def none_left(op, n, count=None):
+        raise NoEigenvaluesError("operator has no eigenvalue above the cutoff")
+
+    monkeypatch.setattr(cli, "eigenpairs", none_left)
+    assert main(["fredholm", "--out", str(tmp_path)]) == 1
+    shown = capsys.readouterr()
+    assert shown.err == "delaysl fredholm: operator has no eigenvalue above the cutoff\n"
+    assert not (tmp_path / "fredholm_report.json").exists()
 
 
 @pytest.mark.filterwarnings("error")

@@ -21,16 +21,14 @@ from delaysl import (
     grid_breakpoints,
     integrate,
     kernel_pair,
-    p_function,
     sample_function,
-    series_term,
     simpson_rule,
     skernel,
     y1_closed,
     y2_closed,
 )
 from delaysl import delay_solver, kernels
-from delaysl.delay_solver import _Blocks, _kernel_tables, _short_tables
+from delaysl.delay_solver import _Blocks, _kernel_tables, _short_tables, p_function, series_term
 from delaysl.kernels import SERIES_THRESHOLD
 from oracles import _March, p_kernel, series_sum, solve_direct
 

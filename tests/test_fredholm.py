@@ -15,13 +15,12 @@ from delaysl import (
     apply_discrete,
     eigenpairs,
     integrate,
-    nystrom,
-    project,
     reference_pair,
     sample_function,
     zero_mean,
 )
 from delaysl import fredholm
+from delaysl.fredholm import nystrom, project
 
 A = np.pi / 4
 

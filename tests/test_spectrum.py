@@ -9,6 +9,7 @@ from delaysl import (
     ContourError,
     DelaySetup,
     DomainError,
+    FredholmOperator,
     IncompleteSpectrumError,
     PreconditionError,
     RefinementError,
@@ -19,18 +20,16 @@ from delaysl import (
     ckernel,
     compare,
     compute_spectrum,
-    count_roots,
     delta_closed,
     delta_direct,
+    eigenpairs,
     grid_breakpoints,
-    initial_guesses,
-    refine_root,
     sample_function,
     skernel,
 )
 from delaysl import spectrum
 from delaysl.cli import RunConfig, _seed_pair
-from delaysl.spectrum import _root_order
+from delaysl.spectrum import _root_order, count_roots, initial_guesses, refine_root
 
 A = np.pi / 4
 
@@ -300,6 +299,36 @@ def test_member_spectra_agree_across_delays(a, nu):
             gaps = np.abs(lams[:, None] - lams[None, :]) / (1.0 + np.abs(lams))
             assert np.all(gaps[~np.eye(len(lams), dtype=bool)] > 1e-6), "a root listed twice"
 
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=IncompleteSpectrumError,
+    reason="the direct route counts a conjugate pair near the axis but locates neither root",
+)
+def test_direct_route_certifies_a_member_of_a_drawn_kernel():
+    # nu = 0 member at alpha = 0 from the top eigenpair of a random
+    # cosine kernel; its j = 1 spectrum holds 8.7745 +- 0.2749i in the
+    # cell [4.25, 9.25], whose first-rung pointers fall on the real axis
+    a = np.pi / 4
+    c = np.random.default_rng(2).normal(size=5)
+    h = sample_function(
+        lambda x: (20.0 / a**2)
+        * sum(ck * np.cos(2.0 * k * np.pi * (x / a - 2.5)) for k, ck in enumerate(c)),
+        [2.5 * a, 3.0 * a],
+        2049,
+    )
+    top = eigenpairs(FredholmOperator(a, h), 96, count=4)[0]
+    assert abs(top.eta - 0.7872) < 1e-4
+    q = build_member(h, top.eta, top.e, 0, 0.0, a).q
+    setup = DelaySetup(a=a, nu=0)
+    data = build_w(q, setup)[1]
+    closed = compute_spectrum(lambda lam: delta_closed(data, lam), 0, 1, 20)
+    assert closed.certified_count == 20
+    for want in (8.7745 - 0.2749j, 8.7745 + 0.2749j):
+        assert min(abs(lam - want) for lam in closed.lambdas()) < 1e-4
+    direct = compute_spectrum(lambda lam: delta_direct(q, setup, 1, lam), 0, 1, 20)
+    assert compare(closed, direct) <= 1e-6
 
 def _staged(monkeypatch, delta):
     """delta counting its points by stage, and the moments' pointers by rung.
